@@ -500,6 +500,11 @@ def main(argv=None) -> int:
     except CakeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except RecursionError:
+        # The readers, validators and printers recurse once per tree level.
+        print("error: input nests too deeply to process"
+              f" (Python recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
+        return EXIT_FAIL
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,22 +1,26 @@
 """Deterministic interpreter for every protocol form.
 
-``run`` walks a protocol, querying one strategy per agent for cut positions
-and branch/piece choices, and produces a ``Trace`` plus the final exact
-``Allocation``.  The small-step helpers (``step_*``, ``ExecState``) are also
-used by the guarantee oracle, so execution semantics live in one place.
+Every protocol is walked by one loop, ``walk``: it applies if-else steps
+itself, stops at the leaf and asks a ``decide`` callback for the event at
+each other node.  ``run`` decides by querying one strategy per agent for cut
+positions and branch/piece choices, and returns a ``Trace`` plus the final
+exact ``Allocation``; ``replay`` and ``transform.retarget_trace`` decide by
+following a recorded trace (``follow``).  The small-step helpers (``step_*``,
+``ExecState``) are also used by the guarantee oracle, so execution semantics
+live in one place.  Conditions are read through ``ir.fold_condition``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import DomainError, ExecutionError, TraceMismatchError
 from .ir import (
-    And, BcChoose, BcCut, BcDag, BcLeaf, ChoseAt, Condition, CutInAt, CutRef,
-    DagChoose, DagCut, DagLeaf, Else, ExtChoose, ExtCut, ExtLeaf, GccChoose,
-    GccCut, GccIfElse, GccLeaf, Less, Not, Or, Protocol,
+    BcChoose, BcCut, BcDag, BcLeaf, Condition, CutRef, DagChoose, DagCut,
+    DagLeaf, ExtChoose, ExtCut, ExtLeaf, GccChoose, GccCut, GccIfElse, GccLeaf,
+    Less, Protocol, fold_condition,
 )
 from .valuation import Allocation, Interval, ONE, Valuation, ZERO, format_frac, frac
 
@@ -238,23 +242,17 @@ def step_choose(p: Protocol, state: ExecState, index: int) -> ExecState:
 
 def eval_condition(cond: Condition, state: ExecState) -> bool:
     """Run-time condition semantics; Less is strict position comparison."""
-    if isinstance(cond, Else):
-        return True
-    picks = dict(state.picks)
-    if isinstance(cond, ChoseAt) or isinstance(cond, CutInAt):
-        if cond.node not in picks:
-            raise ExecutionError(f"condition references undecided node {cond.node}")
-        return picks[cond.node] == cond.index
-    if isinstance(cond, Less):
-        positions = cut_positions_of(state)
-        return resolve_ref(cond.left, positions) < resolve_ref(cond.right, positions)
-    if isinstance(cond, And):
-        return all(eval_condition(part, state) for part in cond.parts)
-    if isinstance(cond, Or):
-        return any(eval_condition(part, state) for part in cond.parts)
-    if isinstance(cond, Not):
-        return not eval_condition(cond.part, state)
-    raise DomainError(f"unknown condition {type(cond).__name__}")
+
+    def atom(a) -> bool:
+        if isinstance(a, Less):
+            positions = cut_positions_of(state)
+            return resolve_ref(a.left, positions) < resolve_ref(a.right, positions)
+        picks = dict(state.picks)
+        if a.node not in picks:
+            raise ExecutionError(f"condition references undecided node {a.node}")
+        return picks[a.node] == a.index
+
+    return fold_condition(cond, atom)
 
 
 def step_ifelse(p: Protocol, state: ExecState) -> ExecState:
@@ -301,11 +299,40 @@ def leaf_allocation(p: Protocol, state: ExecState) -> Allocation:
 
 
 def initial_state(p: Protocol) -> ExecState:
-    return ExecState(p.root if not isinstance(p, BcDag) else p.root)
+    return ExecState(p.root)
 
 
 # ---------------------------------------------------------------------------
 # Full runs
+
+
+def walk(p: Protocol, decide: Callable[[ExecState, object, str, list], Event]
+         ) -> tuple[list[Event], ExecState]:
+    """Drive ``p`` from its root to a leaf; returns the events and the leaf state.
+
+    If-else nodes are stepped here.  At every other node
+    ``decide(state, node, kind, events)`` returns the event to apply there:
+    a ``CutMade`` at a cut, a ``BranchChosen`` or ``PieceChosen`` at a choose.
+    """
+    state = initial_state(p)
+    events: list[Event] = []
+    while True:
+        kind = current_kind(p, state)
+        if kind == "leaf":
+            return events, state
+        if kind == "ifelse":
+            state = step_ifelse(p, state)
+            continue
+        ev = decide(state, _node_of(p, state), kind, events)
+        if kind == "cut":
+            state = step_cut(p, state, ev.piece or 0, ev.position)
+        else:
+            state = step_choose(p, state, ev.index)
+        events.append(ev)
+
+
+def _cut_list(state: ExecState) -> tuple[Fraction, ...]:
+    return tuple(pos for _, pos in state.cuts)
 
 
 def run(p: Protocol, strategies: Sequence[Strategy],
@@ -316,11 +343,9 @@ def run(p: Protocol, strategies: Sequence[Strategy],
             f"protocol has {p.agents} agents; got {len(strategies)} strategies"
             f" and {len(vals)} valuations"
         )
-    state = initial_state(p)
-    events: list[Event] = []
 
-    def context(node, kind, **extra) -> DecisionContext:
-        return DecisionContext(
+    def ask(state, node, kind, events, **extra):
+        return strategies[node.agent - 1](DecisionContext(
             node=node,
             agent=node.agent,
             kind=kind,
@@ -329,67 +354,45 @@ def run(p: Protocol, strategies: Sequence[Strategy],
             partition=partition_of(state.cuts),
             cut_positions=cut_positions_of(state),
             **extra,
-        )
+        ))
 
-    while True:
-        kind = current_kind(p, state)
-        node = _node_of(p, state)
-        if kind == "leaf":
-            break
+    def decide(state, node, kind, events) -> Event:
         if kind == "cut":
             intervals = cut_intervals(p, state)
             if isinstance(node, GccCut):
-                answer = strategies[node.agent - 1](
-                    context(node, "gcc-cut", pieces=intervals)
-                )
+                answer = ask(state, node, "gcc-cut", events, pieces=intervals)
                 try:
                     piece_index, z = answer
+                    if not isinstance(piece_index, int):
+                        raise TypeError
                 except (TypeError, ValueError):
                     raise ExecutionError(
                         f"gcc-cut strategy must return (piece_index, position), got {answer!r}",
                         node=node.nid, agent=node.agent,
                     )
-                z = frac(z)
-            else:
-                piece_index = 0
-                z = frac(strategies[node.agent - 1](
-                    context(node, "cut", pieces=intervals)
-                ))
-            state = step_cut(p, state, piece_index, z)
-            events.append(CutMade(node.nid, node.agent, z,
-                                  piece_index if isinstance(node, GccCut) else None))
-        elif kind == "choose":
-            index = strategies[node.agent - 1](
-                context(node, "branch", branches=len(node.children))
-            )
+                return CutMade(node.nid, node.agent, frac(z), piece_index)
+            z = frac(ask(state, node, "cut", events, pieces=intervals))
+            return CutMade(node.nid, node.agent, z)
+        if kind == "choose":
+            index = ask(state, node, "branch", events, branches=len(node.children))
             if not isinstance(index, int):
                 raise ExecutionError(f"branch strategy must return an int, got {index!r}",
                                      node=node.nid, agent=node.agent)
-            state = step_choose(p, state, index)
-            events.append(BranchChosen(node.nid, node.agent, index))
-        elif kind == "gcc-choose":
-            pieces = choose_pieces(p, state)
-            if len(pieces) == 1:
-                index = 0  # no actual choice; do not query the strategy
-            else:
-                index = strategies[node.agent - 1](
-                    context(node, "gcc-choose", pieces=pieces)
+            return BranchChosen(node.nid, node.agent, index)
+        pieces = choose_pieces(p, state)
+        if len(pieces) == 1:
+            index = 0  # no actual choice; do not query the strategy
+        else:
+            index = ask(state, node, "gcc-choose", events, pieces=pieces)
+            if not isinstance(index, int):
+                raise ExecutionError(
+                    f"piece strategy must return an int, got {index!r}",
+                    node=node.nid, agent=node.agent,
                 )
-                if not isinstance(index, int):
-                    raise ExecutionError(
-                        f"piece strategy must return an int, got {index!r}",
-                        node=node.nid, agent=node.agent,
-                    )
-            state = step_choose(p, state, index)
-            events.append(PieceChosen(node.nid, node.agent, index))
-        elif kind == "ifelse":
-            state = step_ifelse(p, state)
-        else:  # pragma: no cover
-            raise DomainError(f"unhandled node kind {kind}")
+        return PieceChosen(node.nid, node.agent, index)
 
-    alloc = leaf_allocation(p, state)
-    trace = Trace(tuple(events), tuple(pos for _, pos in state.cuts))
-    return trace, alloc
+    events, state = walk(p, decide)
+    return Trace(tuple(events), _cut_list(state)), leaf_allocation(p, state)
 
 
 def allocation_values(alloc: Allocation, vals: Sequence[Valuation]):
@@ -403,40 +406,43 @@ def allocation_values(alloc: Allocation, vals: Sequence[Valuation]):
     )
 
 
-def replay(p: Protocol, trace: Trace) -> Allocation:
-    """Re-derive the allocation from a recorded trace, verifying every event."""
-    queue = list(trace.events)
-    state = initial_state(p)
-    while True:
-        kind = current_kind(p, state)
-        node = _node_of(p, state)
-        if kind == "leaf":
-            break
-        if kind == "ifelse":
-            state = step_ifelse(p, state)
-            continue
-        if not queue:
+_EVENT_AT = {"cut": (CutMade, "cut"), "choose": (BranchChosen, "branch"),
+             "gcc-choose": (PieceChosen, "piece")}
+
+
+def follow(p: Protocol, events: Sequence[Event],
+           source_id: Callable[[int], Optional[int]]) -> tuple[Trace, ExecState]:
+    """Walk ``p`` along recorded events, one per decision node.
+
+    ``source_id`` maps a node id of ``p`` to the node id the matching event
+    must carry.  Returns the trace of the walk, in ``p``'s node ids, and the
+    leaf state; events left over after the leaf are not consumed.
+    """
+    queue = iter(events)
+
+    def decide(state, node, kind, _events) -> Event:
+        ev = next(queue, None)
+        if ev is None:
             raise TraceMismatchError(f"trace ended before node {node.nid}")
-        ev = queue.pop(0)
-        if ev.node != node.nid or ev.agent != node.agent:
+        if ev.node != source_id(node.nid) or ev.agent != node.agent:
             raise TraceMismatchError(
                 f"event {ev} does not match node {node.nid} (agent {node.agent})"
             )
-        if kind == "cut":
-            if not isinstance(ev, CutMade):
-                raise TraceMismatchError(f"expected a cut event at node {node.nid}")
-            state = step_cut(p, state, ev.piece or 0, ev.position)
-        elif kind == "choose":
-            if not isinstance(ev, BranchChosen):
-                raise TraceMismatchError(f"expected a branch event at node {node.nid}")
-            state = step_choose(p, state, ev.index)
-        else:
-            if not isinstance(ev, PieceChosen):
-                raise TraceMismatchError(f"expected a piece event at node {node.nid}")
-            state = step_choose(p, state, ev.index)
-    if queue:
-        raise TraceMismatchError(f"{len(queue)} trailing trace events")
-    final_cuts = tuple(pos for _, pos in state.cuts)
-    if trace.cuts and trace.cuts != final_cuts:
+        event_type, name = _EVENT_AT[kind]
+        if not isinstance(ev, event_type):
+            raise TraceMismatchError(f"expected a {name} event at node {node.nid}")
+        return ev if ev.node == node.nid else replace(ev, node=node.nid)
+
+    done, state = walk(p, decide)
+    return Trace(tuple(done), _cut_list(state)), state
+
+
+def replay(p: Protocol, trace: Trace) -> Allocation:
+    """Re-derive the allocation from a recorded trace, verifying every event."""
+    done, state = follow(p, trace.events, lambda nid: nid)
+    if len(done.events) < len(trace.events):
+        raise TraceMismatchError(
+            f"{len(trace.events) - len(done.events)} trailing trace events")
+    if trace.cuts and trace.cuts != done.cuts:
         raise TraceMismatchError("recorded cut list disagrees with replay")
     return leaf_allocation(p, state)

@@ -168,6 +168,11 @@ class Less:
     right: CutRef
 
 
+# ChoseAt and CutInAt read the same ``picks`` entry at run time, yet stay two
+# classes: JSON and .cake spell them differently, and validate_gcc checks that
+# each names an ancestor of its own kind (a choose or a cut node).
+
+
 @dataclass(frozen=True)
 class ChoseAt:
     node: int
@@ -203,6 +208,45 @@ class Not:
 Condition = Union[Less, ChoseAt, CutInAt, Else, And, Or, Not]
 
 ELSE = Else()
+
+Verdict = Union[bool, None]  # None: not decided (Kleene's unknown)
+
+
+def fold_condition(cond: Condition, atom) -> Verdict:
+    """Three-valued (Kleene) reading of ``cond``, short-circuiting.
+
+    ``atom`` reads a ``Less``, ``ChoseAt`` or ``CutInAt`` as True, False or
+    None; ``Else``, ``And``, ``Or`` and ``Not`` are folded here.
+    """
+    if isinstance(cond, (Less, ChoseAt, CutInAt)):
+        return atom(cond)
+    if isinstance(cond, Else):
+        return True
+    if isinstance(cond, (And, Or)):
+        stop = isinstance(cond, Or)  # the value that decides the connective
+        result: Verdict = not stop
+        for part in cond.parts:
+            v = fold_condition(part, atom)
+            if v is stop:
+                return stop
+            if v is None:
+                result = None
+        return result
+    if isinstance(cond, Not):
+        v = fold_condition(cond.part, atom)
+        return None if v is None else not v
+    raise DomainError(f"unknown condition {type(cond).__name__}")
+
+
+def condition_atoms(cond: Condition) -> Iterator:
+    """The ``Less``, ``ChoseAt`` and ``CutInAt`` atoms of ``cond``, in order."""
+    if isinstance(cond, (And, Or)):
+        for part in cond.parts:
+            yield from condition_atoms(part)
+    elif isinstance(cond, Not):
+        yield from condition_atoms(cond.part)
+    elif not isinstance(cond, Else):
+        yield cond
 
 
 @dataclass(frozen=True)
@@ -253,9 +297,10 @@ Protocol = Union[BcTree, BcDag, ExtBcTree, GccTree]
 
 
 def children_of(node) -> tuple:
-    if isinstance(node, (BcCut, ExtCut, GccCut, GccChoose)):
+    """Child nodes, in order; for DAG nodes, child ids."""
+    if isinstance(node, (BcCut, DagCut, ExtCut, GccCut, GccChoose)):
         return (node.child,)
-    if isinstance(node, (BcChoose, ExtChoose)):
+    if isinstance(node, (BcChoose, DagChoose, ExtChoose)):
         return node.children
     if isinstance(node, GccIfElse):
         return tuple(child for _, child in node.branches)
@@ -403,12 +448,9 @@ def validate_dag(d: BcDag) -> ValidationReport:
             continue
         reached.add(nid)
         node = d.nodes[nid]
-        kids = (node.child,) if isinstance(node, DagCut) else (
-            node.children if isinstance(node, DagChoose) else ()
-        )
         if isinstance(node, DagChoose) and not node.children:
             report.error(f"node {nid}", nid, "choose node with no children")
-        for kid in kids:
+        for kid in children_of(node):
             if kid not in d.nodes:
                 report.error(f"node {nid}", nid, f"edge to missing node {kid}")
             else:
@@ -425,11 +467,7 @@ def validate_dag(d: BcDag) -> ValidationReport:
 
     def dfs(nid) -> bool:
         colour[nid] = GREY
-        node = d.nodes[nid]
-        kids = (node.child,) if isinstance(node, DagCut) else (
-            node.children if isinstance(node, DagChoose) else ()
-        )
-        for kid in kids:
+        for kid in children_of(d.nodes[nid]):
             if colour[kid] == GREY:
                 report.error(f"node {nid}", nid, f"cycle through node {kid}")
                 return False
@@ -449,10 +487,7 @@ def validate_dag(d: BcDag) -> ValidationReport:
         nid = queue.pop(0)
         node = d.nodes[nid]
         step = 1 if isinstance(node, DagCut) else 0
-        kids = (node.child,) if isinstance(node, DagCut) else (
-            node.children if isinstance(node, DagChoose) else ()
-        )
-        for kid in kids:
+        for kid in children_of(node):
             want = depth[nid] + step
             if kid in depth:
                 if depth[kid] != want:
@@ -673,29 +708,6 @@ def validate_ext(t: ExtBcTree) -> ValidationReport:
 # GCC validation
 
 
-def _condition_nodes(cond: Condition) -> Iterator[tuple[str, int]]:
-    if isinstance(cond, ChoseAt):
-        yield ("choose", cond.node)
-    elif isinstance(cond, CutInAt):
-        yield ("cut", cond.node)
-    elif isinstance(cond, And) or isinstance(cond, Or):
-        for part in cond.parts:
-            yield from _condition_nodes(part)
-    elif isinstance(cond, Not):
-        yield from _condition_nodes(cond.part)
-
-
-def _condition_refs(cond: Condition) -> Iterator[CutRef]:
-    if isinstance(cond, Less):
-        yield cond.left
-        yield cond.right
-    elif isinstance(cond, (And, Or)):
-        for part in cond.parts:
-            yield from _condition_refs(part)
-    elif isinstance(cond, Not):
-        yield from _condition_refs(cond.part)
-
-
 def _refine_with_condition(builder: "_OrderBuilder", cond: Condition, ancestors):
     """Add the order facts a taken branch's condition implies (sound only
     for conjunctive positive atoms; disjunctions and negations teach nothing
@@ -717,36 +729,17 @@ def _refine_with_condition(builder: "_OrderBuilder", cond: Condition, ancestors)
 
 def _eval_condition_static(cond: Condition, picks: dict[int, int], order: PartialOrder):
     """Three-valued evaluation against a symbolic pick assignment."""
-    if isinstance(cond, Else):
-        return True
-    if isinstance(cond, ChoseAt) or isinstance(cond, CutInAt):
-        if cond.node not in picks:
-            return None
-        return picks[cond.node] == cond.index
-    if isinstance(cond, Less):
-        rel = order.compare(cond.left, cond.right)
-        if rel in (Order.EQ, Order.GE):
-            return False
-        return None  # LE permits equality, so strictness stays unknown
-    if isinstance(cond, And):
-        vals = [_eval_condition_static(p, picks, order) for p in cond.parts]
-        if any(v is False for v in vals):
-            return False
-        if all(v is True for v in vals):
-            return True
-        return None
-    if isinstance(cond, Or):
-        vals = [_eval_condition_static(p, picks, order) for p in cond.parts]
-        if any(v is True for v in vals):
-            return True
-        if all(v is False for v in vals):
-            return False
-        return None
-    if isinstance(cond, Not):
-        v = _eval_condition_static(cond.part, picks, order)
-        return None if v is None else not v
 
-    raise DomainError(f"unknown condition {type(cond).__name__}")
+    def atom(a) -> Verdict:
+        if isinstance(a, Less):
+            if order.compare(a.left, a.right) in (Order.EQ, Order.GE):
+                return False
+            return None  # LE permits equality, so strictness stays unknown
+        if a.node not in picks:
+            return None
+        return picks[a.node] == a.index
+
+    return fold_condition(cond, atom)
 
 
 _SYMBOLIC_STATE_CAP = 4096
@@ -801,8 +794,14 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
                             " (restricted mode)",
                         )
 
-    def overlap_allocated(piece: Piece, allocated, order) -> bool:
-        return any(not provably_disjoint(piece, other, order) for other in allocated)
+    def check_unallocated(path, node, states, order, offered: str):
+        """Report the first offered piece that may overlap an earlier allocation."""
+        for _, allocated in states:
+            for piece in node.pieces:
+                if any(not provably_disjoint(piece, other, order) for other in allocated):
+                    report.error(path, node.nid,
+                                 f"{offered} piece {piece} that may already be allocated")
+                    return
 
     # Symbolic states: (picks, allocated piece list).  Chooses fork states;
     # ``complete`` records whether the fork set was ever truncated, since
@@ -817,17 +816,7 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
         if isinstance(node, GccCut):
             _check_agent(report, path, node.nid, node.agent, t.agents)
             check_pieces(path, node, cuts_above, order)
-            for _, allocated in states:
-                for piece in node.pieces:
-                    if overlap_allocated(piece, allocated, order):
-                        report.error(
-                            path, node.nid,
-                            f"cut offered piece {piece} that may already be allocated",
-                        )
-                        break
-                else:
-                    continue
-                break
+            check_unallocated(path, node, states, order, "cut offered")
             sub = _OrderBuilder()
             sub.refs = list(builder.refs)
             sub.le = set(builder.le)
@@ -857,17 +846,7 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
         elif isinstance(node, GccChoose):
             _check_agent(report, path, node.nid, node.agent, t.agents)
             check_pieces(path, node, cuts_above, order)
-            for _, allocated in states:
-                for piece in node.pieces:
-                    if overlap_allocated(piece, allocated, order):
-                        report.error(
-                            path, node.nid,
-                            f"choose offers piece {piece} that may already be allocated",
-                        )
-                        break
-                else:
-                    continue
-                break
+            check_unallocated(path, node, states, order, "choose offers")
             new_states = []
             truncated = False
             for picks, allocated in states:
@@ -894,16 +873,22 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
                 if isinstance(cond, Else):
                     report.warn(path, node.nid, f"else in branch {k} shadows later branches")
             for cond, _ in node.branches:
-                for kind, ref_nid in _condition_nodes(cond):
-                    info = ancestors.get(ref_nid)
-                    if info is None or info[0] != kind:
-                        report.error(
-                            path, node.nid,
-                            f"condition references non-ancestor {kind} node {ref_nid}",
-                        )
-                for ref in _condition_refs(cond):
-                    if ref.kind == "cut" and ref.cut not in cuts_above:
-                        report.error(path, node.nid, f"condition ref {ref} is not an ancestor cut")
+                atoms = list(condition_atoms(cond))
+                for a in atoms:
+                    if isinstance(a, (ChoseAt, CutInAt)):
+                        kind = "choose" if isinstance(a, ChoseAt) else "cut"
+                        info = ancestors.get(a.node)
+                        if info is None or info[0] != kind:
+                            report.error(
+                                path, node.nid,
+                                f"condition references non-ancestor {kind} node {a.node}",
+                            )
+                for a in atoms:
+                    if isinstance(a, Less):
+                        for ref in (a.left, a.right):
+                            if ref.kind == "cut" and ref.cut not in cuts_above:
+                                report.error(path, node.nid,
+                                             f"condition ref {ref} is not an ancestor cut")
             for k, (cond, child) in enumerate(node.branches):
                 branch_states = []
                 for picks, allocated in states:
@@ -1005,13 +990,7 @@ def stats(p: Protocol) -> ProtocolStats:
             chooses += 1
         elif isinstance(node, (BcLeaf, DagLeaf, ExtLeaf, GccLeaf)):
             leaves += 1
-        if isinstance(p, BcDag):
-            width = len(node.children) if isinstance(node, DagChoose) else (
-                1 if isinstance(node, DagCut) else 0
-            )
-        else:
-            width = len(children_of(node))
-        branching = max(branching, width)
+        branching = max(branching, len(children_of(node)))
 
     if isinstance(p, BcDag):
         memo: dict[int, int] = {}
@@ -1019,18 +998,13 @@ def stats(p: Protocol) -> ProtocolStats:
         def height(nid: int) -> int:
             if nid in memo:
                 return memo[nid]
-            node = p.nodes[nid]
-            kids = (node.child,) if isinstance(node, DagCut) else (
-                node.children if isinstance(node, DagChoose) else ()
-            )
-            memo[nid] = 1 + (max(map(height, kids)) if kids else 0)
+            memo[nid] = 1 + max(map(height, children_of(p.nodes[nid])), default=0)
             return memo[nid]
 
         depth = height(p.root)
     else:
         def tree_height(node) -> int:
-            kids = children_of(node)
-            return 1 + (max(map(tree_height, kids)) if kids else 0)
+            return 1 + max(map(tree_height, children_of(node)), default=0)
 
         depth = tree_height(p.root)
     return ProtocolStats(nodes, cuts, chooses, leaves, depth, branching)
@@ -1210,11 +1184,7 @@ def renumber(p: Protocol) -> tuple[Protocol, dict[int, int]]:
                 return
             seen.add(nid)
             order.append(nid)
-            node = p.nodes[nid]
-            kids = (node.child,) if isinstance(node, DagCut) else (
-                node.children if isinstance(node, DagChoose) else ()
-            )
-            for kid in kids:
+            for kid in children_of(p.nodes[nid]):
                 visit(kid)
 
         visit(p.root)

@@ -83,12 +83,18 @@ class BoundsQuery:
         return BoundsQuery(agent, tuple(sorted(bounds.items())))
 
 
+def _envy(cross, i: int, j: int) -> Fraction:
+    """envy(i, j) = max(V_i(X_j) - V_i(X_i), 0) from a leaf's cross-values."""
+    return max(cross[i - 1][j - 1] - cross[i - 1][i - 1], ZERO)
+
+
 class GuaranteeOracle:
     """Backward induction over one protocol, one grid, one valuation profile.
 
-    Leaf cross-value matrices are cached across queries, and subgame results
-    are memoized on (node, cut positions, piece picks), which fully
-    determines the pending allocation.
+    Leaf cross-value matrices are cached across queries.  On a DAG, subgame
+    results are memoized on (node, cut positions, piece picks), which fully
+    determines the pending allocation; a tree reaches each such key once per
+    query, so there the memo would never hit and stays empty.
     """
 
     def __init__(self, p: Protocol, vals: Sequence[Valuation], grid: Grid,
@@ -131,9 +137,8 @@ class GuaranteeOracle:
             self._leaf_cache[key] = hit
         return hit
 
-    def _actions(self, state: ExecState):
+    def _actions(self, state: ExecState, kind: str):
         """Decision points: (acting agent, list of successor states)."""
-        kind = current_kind(self.protocol, state)
         node = _node_of(self.protocol, state)
         if kind == "cut":
             intervals = cut_intervals(self.protocol, state)
@@ -142,17 +147,8 @@ class GuaranteeOracle:
                 for z in self.grid.within(lo, hi):
                     nexts.append(step_cut(self.protocol, state, j, z))
             return node.agent, nexts
-        if kind == "choose":
-            return node.agent, [
-                step_choose(self.protocol, state, i)
-                for i in range(len(node.children))
-            ]
-        if kind == "gcc-choose":
-            count = len(node.pieces)
-            return node.agent, [
-                step_choose(self.protocol, state, i) for i in range(count)
-            ]
-        raise DomainError(f"no actions at a {kind} node")
+        count = len(node.children) if kind == "choose" else len(node.pieces)
+        return node.agent, [step_choose(self.protocol, state, i) for i in range(count)]
 
     # -- the four guarantee queries ------------------------------------------
 
@@ -163,12 +159,10 @@ class GuaranteeOracle:
 
         def leaf_ok(state) -> bool:
             cross = self._leaf_cross(state)
-            own = cross[i - 1][i - 1]
-            return all(
-                max(cross[i - 1][j - 1] - own, ZERO) <= m for j, m in bounds
-            )
+            return all(_envy(cross, i, j) <= m for j, m in bounds)
 
-        return self._search(("can", i, bounds), leaf_ok, i)
+        return self._solve(("can", i, bounds), leaf_ok, i, (False, True),
+                           agent_maximizes=True)
 
     def guarantee_value(self, agent: int) -> Fraction:
         """max over the agent's grid strategies of the worst-case V_i(X_i)."""
@@ -177,7 +171,8 @@ class GuaranteeOracle:
             cross = self._leaf_cross(state)
             return cross[agent - 1][agent - 1]
 
-        return self._optimize(("value", agent), score, agent, agent_maximizes=True)
+        return self._solve(("value", agent), score, agent, (ZERO, ONE),
+                           agent_maximizes=True)
 
     def guarantee_pair_envy(self, agent: int, other: int) -> Fraction:
         """min over the agent's strategies of the worst-case envy(agent, other)."""
@@ -185,71 +180,57 @@ class GuaranteeOracle:
             raise DomainError("envy toward oneself is identically zero")
 
         def score(state):
-            cross = self._leaf_cross(state)
-            own = cross[agent - 1][agent - 1]
-            return max(cross[agent - 1][other - 1] - own, ZERO)
+            return _envy(self._leaf_cross(state), agent, other)
 
-        return self._optimize(("pair", agent, other), score, agent,
-                              agent_maximizes=False)
+        return self._solve(("pair", agent, other), score, agent, (ZERO, ONE),
+                           agent_maximizes=False)
 
     def guarantee_total_envy(self, agent: int) -> Fraction:
         """min over the agent's strategies of the worst-case total envy."""
 
         def score(state):
             cross = self._leaf_cross(state)
-            own = cross[agent - 1][agent - 1]
-            return sum(
-                (max(cross[agent - 1][j] - own, ZERO)
-                 for j in range(self.protocol.agents) if j != agent - 1),
-                ZERO,
-            )
+            return sum((_envy(cross, agent, j)
+                        for j in range(1, self.protocol.agents + 1) if j != agent), ZERO)
 
-        return self._optimize(("total", agent), score, agent,
-                              agent_maximizes=False)
+        return self._solve(("total", agent), score, agent, (ZERO, ONE),
+                           agent_maximizes=False)
 
-    # -- recursions -----------------------------------------------------------
+    # -- the recursion --------------------------------------------------------
 
-    def _search(self, qkey, leaf_ok, agent: int) -> bool:
-        def rec(state) -> bool:
-            self._bump()
-            kind = current_kind(self.protocol, state)
-            if kind == "leaf":
-                return leaf_ok(state)
-            if kind == "ifelse":
-                return rec(step_ifelse(self.protocol, state))
-            key = (qkey, self._key(state))
-            hit = self._memo.get(key)
-            if hit is not None:
-                return hit
-            actor, nexts = self._actions(state)
-            if actor == agent:
-                result = any(rec(s) for s in nexts)
-            else:
-                result = all(rec(s) for s in nexts)
-            self._memo[key] = result
-            return result
+    def _solve(self, qkey, score, agent: int, extremes, agent_maximizes: bool):
+        """Max/min over the game tree; leaves scored by ``score``.
 
-        return rec(initial_state(self.protocol))
+        ``extremes`` is (lowest, highest) score: (False, True) for yes/no
+        queries, (ZERO, ONE) for values and envies.  A side that reaches its
+        own extreme skips its remaining moves, which cannot change the result.
+        """
+        lowest, highest = extremes
+        memo = self._memo if isinstance(self.protocol, BcDag) else None
 
-    def _optimize(self, qkey, score, agent: int, agent_maximizes: bool) -> Fraction:
-        def rec(state) -> Fraction:
+        def rec(state):
             self._bump()
             kind = current_kind(self.protocol, state)
             if kind == "leaf":
                 return score(state)
             if kind == "ifelse":
                 return rec(step_ifelse(self.protocol, state))
-            key = (qkey, self._key(state))
-            hit = self._memo.get(key)
-            if hit is not None:
-                return hit
-            actor, nexts = self._actions(state)
-            outcomes = (rec(s) for s in nexts)
+            if memo is not None:
+                key = (qkey, self._key(state))
+                hit = memo.get(key)
+                if hit is not None:
+                    return hit
+            actor, nexts = self._actions(state, kind)
             if (actor == agent) == agent_maximizes:
-                result = max(outcomes)
+                better, result, stop = max, lowest, highest
             else:
-                result = min(outcomes)
-            self._memo[key] = result
+                better, result, stop = min, highest, lowest
+            for nxt in nexts:
+                result = better(result, rec(nxt))
+                if result == stop:
+                    break
+            if memo is not None:
+                memo[key] = result
             return result
 
         return rec(initial_state(self.protocol))
@@ -299,15 +280,16 @@ _LATTICE = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1))
 
 def strong_query_vectors(n: int, agent: int, samples: int,
                          seed: int = 0) -> list[dict[int, Fraction]]:
-    """The default bound-vector sample: a small lattice plus random vectors."""
+    """The default bound-vector sample: a small lattice plus random vectors.
+
+    Each vector appears once, at its first occurrence.
+    """
     others = [j for j in range(1, n + 1) if j != agent]
-    vectors = [dict(zip(others, combo)) for combo in product(_LATTICE, repeat=len(others))]
+    combos = list(product(_LATTICE, repeat=len(others)))
     rng = random.Random(f"{seed}/{agent}")
     for _ in range(samples):
-        vectors.append(
-            {j: Fraction(rng.randint(0, 8), 8) for j in others}
-        )
-    return vectors
+        combos.append(tuple(Fraction(rng.randint(0, 8), 8) for _ in others))
+    return [dict(zip(others, combo)) for combo in dict.fromkeys(combos)]
 
 
 @dataclass

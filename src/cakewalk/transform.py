@@ -15,17 +15,19 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .engine import (
-    BranchChosen, CutMade, DecisionContext, Strategy, partition_of,
+    BranchChosen, CutMade, DecisionContext, Strategy, follow, partition_of,
     resolve_ref,
 )
-from .errors import BudgetExceededError, DomainError, InvalidProtocolError
+from .errors import (
+    BudgetExceededError, DomainError, InvalidProtocolError, TraceMismatchError,
+)
 from .ir import (
     BcChoose, BcCut, BcDag, BcLeaf, BcNode, BcTree, ChoseAt, Condition,
-    CutInAt, CutRef, DagChoose, DagCut, ELSE, END, Else, ExtBcTree,
-    ExtChoose, ExtCut, ExtLeaf, ExtNode, ExtSegment, GccChoose, GccCut,
-    GccIfElse, GccLeaf, GccMode, GccTree, IdGen, Less, Not, And, Or, ORIGIN,
-    at, children_of, iter_nodes, renumber, replace_child, stats,
-    validate_bc, validate_dag, validate_ext, validate_gcc,
+    CutRef, DagChoose, DagCut, ELSE, END, ExtBcTree, ExtChoose, ExtCut,
+    ExtLeaf, ExtNode, ExtSegment, GccChoose, GccCut, GccIfElse, GccLeaf,
+    GccMode, GccTree, IdGen, Less, ORIGIN, at, children_of, fold_condition,
+    iter_nodes, renumber, replace_child, stats, validate_bc, validate_dag,
+    validate_ext, validate_gcc,
 )
 
 DEFAULT_SIZE_BUDGET = 1_000_000
@@ -56,6 +58,17 @@ class StrategyTransporter:
         return self._wrap(strategies)
 
 
+def _transporter(description: str,
+                 answer: Callable[[Strategy, DecisionContext], object]
+                 ) -> StrategyTransporter:
+    """Each source strategy ``src`` plays the target through ``answer(src, ctx)``."""
+
+    def wrap(strategies: Sequence[Strategy]) -> list[Strategy]:
+        return [lambda ctx, src=src: answer(src, ctx) for src in strategies]
+
+    return StrategyTransporter(description, wrap)
+
+
 def _require_valid(report, what: str):
     if not report.ok:
         raise InvalidProtocolError(report)
@@ -63,6 +76,21 @@ def _require_valid(report, what: str):
 
 def _freeze(fwd: dict[int, set[int]]) -> NodeMap:
     return NodeMap({k: frozenset(v) for k, v in fwd.items()})
+
+
+def _budgeted_ids(size_budget: int, what: str = "conversion") -> Callable[[], int]:
+    """Sequential node ids from 0 that raise once an id passes the budget."""
+    gen = IdGen()
+
+    def fresh() -> int:
+        nid = gen()
+        if nid > size_budget:
+            raise BudgetExceededError(
+                f"{what} exceeded the size budget of {size_budget} nodes"
+            )
+        return nid
+
+    return fresh
 
 
 # ---------------------------------------------------------------------------
@@ -74,17 +102,13 @@ def dag_to_tree(
 ) -> tuple[BcTree, NodeMap, StrategyTransporter]:
     """Expand shared subtrees into one copy per parent."""
     _require_valid(validate_dag(d), "dag")
-    gen = IdGen()
+    gen = _budgeted_ids(size_budget, "expansion")
     fwd: dict[int, set[int]] = defaultdict(set)
     back: dict[int, int] = {}
 
     def expand(nid: int) -> BcNode:
         node = d.nodes[nid]
         new = gen()
-        if new > size_budget:
-            raise BudgetExceededError(
-                f"expansion exceeded the size budget of {size_budget} nodes"
-            )
         fwd[nid].add(new)
         back[new] = nid
         if isinstance(node, DagCut):
@@ -95,22 +119,16 @@ def dag_to_tree(
 
     tree = BcTree(d.agents, expand(d.root))
 
-    def wrap(strategies: Sequence[Strategy]) -> list[Strategy]:
-        def for_agent(src: Strategy) -> Strategy:
-            def play(ctx: DecisionContext):
-                events = tuple(replace(ev, node=back[ev.node]) for ev in ctx.events)
-                positions = {back[n]: pos for n, pos in ctx.cut_positions.items()}
-                src_ctx = replace(
-                    ctx, node=d.nodes[back[ctx.node.nid]], events=events,
-                    cut_positions=positions,
-                )
-                return src(src_ctx)
+    def answer(src: Strategy, ctx: DecisionContext):
+        events = tuple(replace(ev, node=back[ev.node]) for ev in ctx.events)
+        positions = {back[n]: pos for n, pos in ctx.cut_positions.items()}
+        src_ctx = replace(
+            ctx, node=d.nodes[back[ctx.node.nid]], events=events,
+            cut_positions=positions,
+        )
+        return src(src_ctx)
 
-            return play
-
-        return [for_agent(s) for s in strategies]
-
-    transporter = StrategyTransporter("dag-to-tree: nodes map to their copies", wrap)
+    transporter = _transporter("dag-to-tree: nodes map to their copies", answer)
     return tree, _freeze(fwd), transporter
 
 
@@ -121,34 +139,10 @@ def retarget_trace(p_target, trace, target_to_source: dict[int, int]):
     the walk pairs each target decision with the next source event for that
     node.  Used to audit conversions via ``replay``.
     """
-    from .engine import Trace, current_kind, initial_state, step_choose, step_cut, step_ifelse, _node_of
-
-    queue = list(trace.events)
-    state = initial_state(p_target)
-    out = []
-    while True:
-        kind = current_kind(p_target, state)
-        node = _node_of(p_target, state)
-        if kind == "leaf":
-            break
-        if kind == "ifelse":
-            state = step_ifelse(p_target, state)
-            continue
-        if not queue:
-            raise DomainError("source trace too short for target protocol")
-        ev = queue.pop(0)
-        if target_to_source.get(node.nid) != ev.node:
-            raise DomainError(
-                f"target node {node.nid} corresponds to source {target_to_source.get(node.nid)},"
-                f" trace has event for {ev.node}"
-            )
-        ev2 = replace(ev, node=node.nid)
-        out.append(ev2)
-        if kind == "cut":
-            state = step_cut(p_target, state, ev2.piece or 0, ev2.position)
-        else:
-            state = step_choose(p_target, state, ev2.index)
-    return Trace(tuple(out), tuple(pos for _, pos in state.cuts))
+    try:
+        return follow(p_target, trace.events, target_to_source.get)[0]
+    except TraceMismatchError as exc:
+        raise DomainError(f"source trace does not fit the target: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -167,19 +161,17 @@ def extended_to_bc(
     instead of filling memory.
     """
     _require_valid(validate_ext(t), "extended tree")
-    raw_gen = IdGen()
-
-    def gen() -> int:
-        nid = raw_gen()
-        if nid > size_budget:
-            raise BudgetExceededError(
-                f"conversion exceeded the size budget of {size_budget} nodes"
-            )
-        return nid
+    gen = _budgeted_ids(size_budget)
     fwd: dict[int, set[int]] = defaultdict(set)
     back: dict[int, int] = {}
     introduced: set[int] = set()  # choose nodes standing in for spanning cuts
     ext_nodes = {node.nid: node for node in iter_nodes(t)}
+
+    def copy_of(src: int) -> int:
+        nid = gen()
+        fwd[src].add(nid)
+        back[nid] = src
+        return nid
 
     def convert(node: ExtNode, bounds: tuple[CutRef, ...]) -> BcNode:
         if isinstance(node, ExtCut):
@@ -192,30 +184,21 @@ def extended_to_bc(
             assert lo < hi, "validated order must agree with the forced order"
 
             def cut_branch(k: int) -> BcCut:
-                nid = gen()
-                fwd[node.nid].add(nid)
-                back[nid] = node.nid
+                nid = copy_of(node.nid)
                 new_bounds = bounds[: k + 1] + (at(node.nid),) + bounds[k + 1 :]
                 return BcCut(nid, node.agent, k + 1, convert(node.child, new_bounds))
 
             if hi - lo == 1:
                 return cut_branch(lo)
-            cnid = gen()
-            fwd[node.nid].add(cnid)
-            back[cnid] = node.nid
+            cnid = copy_of(node.nid)
             introduced.add(cnid)
             kids = tuple(cut_branch(k) for k in range(lo, hi))
             return BcChoose(cnid, node.agent, kids)
         if isinstance(node, ExtChoose):
-            nid = gen()
-            fwd[node.nid].add(nid)
-            back[nid] = node.nid
-            return BcChoose(nid, node.agent,
+            return BcChoose(copy_of(node.nid), node.agent,
                             tuple(convert(c, bounds) for c in node.children))
         assert isinstance(node, ExtLeaf)
-        nid = gen()
-        fwd[node.nid].add(nid)
-        back[nid] = node.nid
+        nid = copy_of(node.nid)
         assign: list[Optional[int]] = [None] * (len(bounds) - 1)
         for seg in node.segments:
             lo = bounds.index(seg.left)
@@ -230,67 +213,78 @@ def extended_to_bc(
 
     tree = BcTree(t.agents, convert(t.root, (ORIGIN, END)))
 
-    def wrap(strategies: Sequence[Strategy]) -> list[Strategy]:
-        def translate(ctx: DecisionContext):
-            events = []
-            for ev in ctx.events:
-                if ev.node in introduced:
-                    continue
-                events.append(replace(ev, node=back[ev.node]))
-            events = tuple(events)
-            positions = {back[n]: pos for n, pos in ctx.cut_positions.items()}
-            cut_order = [(ev.node, ev.position) for ev in events
-                         if isinstance(ev, CutMade)]
-            return events, positions, tuple(partition_of(cut_order))
+    def translate(ctx: DecisionContext):
+        events = []
+        for ev in ctx.events:
+            if ev.node in introduced:
+                continue
+            events.append(replace(ev, node=back[ev.node]))
+        events = tuple(events)
+        positions = {back[n]: pos for n, pos in ctx.cut_positions.items()}
+        cut_order = [(ev.node, ev.position) for ev in events
+                     if isinstance(ev, CutMade)]
+        return events, positions, tuple(partition_of(cut_order))
 
-        def source_cut_position(src, ctx, ext_cut: ExtCut):
-            events, positions, partition = translate(ctx)
-            lo = resolve_ref(ext_cut.left, positions)
-            hi = resolve_ref(ext_cut.right, positions)
-            src_ctx = DecisionContext(
-                node=ext_cut, agent=ext_cut.agent, kind="cut",
-                valuation=ctx.valuation, events=events, pieces=((lo, hi),),
-                partition=partition, cut_positions=positions,
+    def source_cut_position(src, ctx, ext_cut: ExtCut):
+        events, positions, partition = translate(ctx)
+        lo = resolve_ref(ext_cut.left, positions)
+        hi = resolve_ref(ext_cut.right, positions)
+        src_ctx = DecisionContext(
+            node=ext_cut, agent=ext_cut.agent, kind="cut",
+            valuation=ctx.valuation, events=events, pieces=((lo, hi),),
+            partition=partition, cut_positions=positions,
+        )
+        return src(src_ctx)
+
+    def answer(src: Strategy, ctx: DecisionContext):
+        nid = ctx.node.nid
+        source = ext_nodes[back[nid]]
+        if nid in introduced:
+            z = source_cut_position(src, ctx, source)
+            for k, child in enumerate(ctx.node.children):
+                a, b = ctx.partition[child.piece - 1]
+                if a <= z <= b:
+                    return k
+            raise DomainError(
+                f"source strategy cut at {z}, outside every candidate piece"
             )
-            return src(src_ctx)
+        if isinstance(source, ExtCut):
+            return source_cut_position(src, ctx, source)
+        # A copied choose: same children, same index.
+        events, positions, partition = translate(ctx)
+        src_ctx = DecisionContext(
+            node=source, agent=source.agent, kind="branch",
+            valuation=ctx.valuation, events=events,
+            branches=len(source.children), partition=partition,
+            cut_positions=positions,
+        )
+        return src(src_ctx)
 
-        def for_agent(src: Strategy) -> Strategy:
-            def play(ctx: DecisionContext):
-                nid = ctx.node.nid
-                source = ext_nodes[back[nid]]
-                if nid in introduced:
-                    z = source_cut_position(src, ctx, source)
-                    for k, child in enumerate(ctx.node.children):
-                        a, b = ctx.partition[child.piece - 1]
-                        if a <= z <= b:
-                            return k
-                    raise DomainError(
-                        f"source strategy cut at {z}, outside every candidate piece"
-                    )
-                if isinstance(source, ExtCut):
-                    return source_cut_position(src, ctx, source)
-                # A copied choose: same children, same index.
-                events, positions, partition = translate(ctx)
-                src_ctx = DecisionContext(
-                    node=source, agent=source.agent, kind="branch",
-                    valuation=ctx.valuation, events=events,
-                    branches=len(source.children), partition=partition,
-                    cut_positions=positions,
-                )
-                return src(src_ctx)
-
-            return play
-
-        return [for_agent(s) for s in strategies]
-
-    transporter = StrategyTransporter(
-        "extended-to-bc: spanning cuts become piece choices", wrap
+    transporter = _transporter(
+        "extended-to-bc: spanning cuts become piece choices", answer
     )
     return tree, _freeze(fwd), transporter
 
 
 # ---------------------------------------------------------------------------
 # Cuts-before-choices (extended form)
+
+
+def _hoist_first(node, lower):
+    """Hoist the first cut child of a choose, in preorder; returns (tree, moved).
+
+    ``lower(choose, i)`` builds the subtree that replaces ``choose`` once its
+    cut child ``i`` moves above it.
+    """
+    if isinstance(node, (BcChoose, ExtChoose)):
+        for i, child in enumerate(node.children):
+            if isinstance(child, (BcCut, ExtCut)):
+                return lower(node, i), True
+    for i, child in enumerate(children_of(node)):
+        new_child, moved = _hoist_first(child, lower)
+        if moved:
+            return replace_child(node, i, new_child), True
+    return node, False
 
 
 def cuts_before_choices_ext(
@@ -304,26 +298,14 @@ def cuts_before_choices_ext(
     """
     _require_valid(validate_ext(t), "extended tree")
 
-    def hoist_once(node: ExtNode) -> tuple[ExtNode, bool]:
-        if isinstance(node, ExtChoose):
-            for i, child in enumerate(node.children):
-                if isinstance(child, ExtCut):
-                    lowered = ExtChoose(
-                        node.nid, node.agent,
-                        node.children[:i] + (child.child,) + node.children[i + 1 :],
-                    )
-                    return ExtCut(child.nid, child.agent, child.left, child.right,
-                                  lowered), True
-        for i, child in enumerate(children_of(node)):
-            new_child, moved = hoist_once(child)
-            if moved:
-                return replace_child(node, i, new_child), True
-        return node, False
+    def lower(choose: ExtChoose, i: int) -> ExtCut:
+        cut = choose.children[i]
+        return replace_child(cut, 0, replace_child(choose, i, cut.child))
 
     root = t.root
     guard = stats(t).nodes ** 2 + 1
     for _ in range(guard):
-        root, moved = hoist_once(root)
+        root, moved = _hoist_first(root, lower)
         if not moved:
             break
     else:  # pragma: no cover
@@ -341,38 +323,32 @@ def cuts_before_choices_ext(
 
     record(t.root, ())
 
-    def wrap(strategies: Sequence[Strategy]) -> list[Strategy]:
-        def for_agent(src: Strategy) -> Strategy:
-            def play(ctx: DecisionContext):
-                nid = ctx.node.nid
-                source = source_nodes[nid]
-                made = {ev.node: ev for ev in ctx.events if isinstance(ev, CutMade)}
-                events = []
-                cut_order = []
-                for anc_nid, branch in chains[nid]:
-                    anc = source_nodes[anc_nid]
-                    if isinstance(anc, ExtCut):
-                        ev = made[anc_nid]  # cuts only ever move up, so it ran
-                        events.append(ev)
-                        cut_order.append((anc_nid, ev.position))
-                    else:
-                        events.append(BranchChosen(anc_nid, anc.agent, branch))
-                positions = {n: pos for n, pos in cut_order}
-                src_ctx = DecisionContext(
-                    node=source, agent=source.agent, kind=ctx.kind,
-                    valuation=ctx.valuation, events=tuple(events),
-                    pieces=ctx.pieces, branches=ctx.branches,
-                    partition=partition_of(cut_order), cut_positions=positions,
-                )
-                return src(src_ctx)
-
-            return play
-
-        return [for_agent(s) for s in strategies]
+    def answer(src: Strategy, ctx: DecisionContext):
+        nid = ctx.node.nid
+        source = source_nodes[nid]
+        made = {ev.node: ev for ev in ctx.events if isinstance(ev, CutMade)}
+        events = []
+        cut_order = []
+        for anc_nid, branch in chains[nid]:
+            anc = source_nodes[anc_nid]
+            if isinstance(anc, ExtCut):
+                ev = made[anc_nid]  # cuts only ever move up, so it ran
+                events.append(ev)
+                cut_order.append((anc_nid, ev.position))
+            else:
+                events.append(BranchChosen(anc_nid, anc.agent, branch))
+        positions = {n: pos for n, pos in cut_order}
+        src_ctx = DecisionContext(
+            node=source, agent=source.agent, kind=ctx.kind,
+            valuation=ctx.valuation, events=tuple(events),
+            pieces=ctx.pieces, branches=ctx.branches,
+            partition=partition_of(cut_order), cut_positions=positions,
+        )
+        return src(src_ctx)
 
     identity = _freeze({node.nid: {node.nid} for node in iter_nodes(t)})
-    transporter = StrategyTransporter(
-        "cuts-before-choices: same nodes, cut decisions asked earlier", wrap
+    transporter = _transporter(
+        "cuts-before-choices: same nodes, cut decisions asked earlier", answer
     )
     return out, identity, transporter
 
@@ -425,13 +401,15 @@ def bc_intermediate_form(
     return tree, nmap
 
 
+def _has_cut(node) -> bool:
+    """True when the subtree under ``node`` (inclusive) holds a BC or extended cut."""
+    if isinstance(node, (BcCut, ExtCut)):
+        return True
+    return any(_has_cut(c) for c in children_of(node))
+
+
 def intermediate_form_ok(t: BcTree) -> bool:
     """Structural check for the two-case condition above."""
-
-    def has_cut(node: BcNode) -> bool:
-        if isinstance(node, BcCut):
-            return True
-        return any(has_cut(c) for c in children_of(node))
 
     def consecutive_pieces(children) -> bool:
         pieces = sorted(c.piece for c in children)
@@ -439,7 +417,7 @@ def intermediate_form_ok(t: BcTree) -> bool:
 
     def walk(node: BcNode) -> bool:
         if isinstance(node, BcChoose):
-            cut_below = any(has_cut(c) for c in node.children)
+            cut_below = any(_has_cut(c) for c in node.children)
             if cut_below:
                 if not all(isinstance(c, BcCut) for c in node.children):
                     return False
@@ -502,29 +480,15 @@ def cuts_before_choices_bc(
         right = BcCut(right_id, node.agent, s + 1, insert_cut(node.child, s))
         return BcChoose(choose_id, node.agent, (left, right))
 
-    def hoist_once(node: BcNode) -> tuple[BcNode, bool]:
-        if isinstance(node, BcChoose):
-            for i, child in enumerate(node.children):
-                if isinstance(child, BcCut):
-                    kids = []
-                    for j, other in enumerate(node.children):
-                        if j == i:
-                            kids.append(child.child)
-                        else:
-                            kids.append(insert_cut(other, child.piece))
-                    lowered = BcChoose(node.nid, node.agent, tuple(kids))
-                    return BcCut(child.nid, child.agent, child.piece, lowered), True
-        for i, child in enumerate(children_of(node)):
-            new_child, moved = hoist_once(child)
-            if moved:
-                return replace_child(node, i, new_child), True
-        return node, False
+    def lower(choose: BcChoose, i: int) -> BcCut:
+        cut = choose.children[i]
+        kids = tuple(cut.child if j == i else insert_cut(other, cut.piece)
+                     for j, other in enumerate(choose.children))
+        return replace_child(cut, 0, BcChoose(choose.nid, choose.agent, kids))
 
-    root = t.root
-    while True:
-        root, moved = hoist_once(root)
-        if not moved:
-            break
+    root, moved = t.root, True
+    while moved:
+        root, moved = _hoist_first(root, lower)
     out, renum = renumber(BcTree(t.agents, root))
     fwd: dict[int, set[int]] = defaultdict(set)
     for old, new in renum.items():
@@ -535,14 +499,9 @@ def cuts_before_choices_bc(
 def cuts_first(t) -> bool:
     """True when no choose node has a cut descendant."""
 
-    def has_cut(node) -> bool:
-        if isinstance(node, (BcCut, ExtCut)):
-            return True
-        return any(has_cut(c) for c in children_of(node))
-
     def walk(node) -> bool:
         if isinstance(node, (BcChoose, ExtChoose)) and any(
-            has_cut(c) for c in node.children
+            _has_cut(c) for c in node.children
         ):
             return False
         return all(walk(c) for c in children_of(node))
@@ -567,32 +526,23 @@ def gcc_to_bc(
     deleted.
     """
     _require_valid(validate_gcc(g, mode), "gcc tree")
-    gen = IdGen()
+    gen = _budgeted_ids(size_budget)
     fwd: dict[int, set[int]] = defaultdict(set)
 
     def fresh(src: int) -> int:
         nid = gen()
         fwd[src].add(nid)
-        if nid > size_budget:
-            raise BudgetExceededError(
-                f"conversion exceeded the size budget of {size_budget} nodes"
-            )
         return nid
 
     def eval_static(cond: Condition, bounds, picks) -> bool:
-        if isinstance(cond, Else):
-            return True
-        if isinstance(cond, ChoseAt) or isinstance(cond, CutInAt):
-            return picks[cond.node] == cond.index
-        if isinstance(cond, Less):
-            return bounds.index(cond.left) < bounds.index(cond.right)
-        if isinstance(cond, And):
-            return all(eval_static(c, bounds, picks) for c in cond.parts)
-        if isinstance(cond, Or):
-            return any(eval_static(c, bounds, picks) for c in cond.parts)
-        if isinstance(cond, Not):
-            return not eval_static(cond.part, bounds, picks)
-        raise DomainError(f"unknown condition {type(cond).__name__}")
+        """Conditions on a branch whose cut order and picks are all forced."""
+
+        def atom(a) -> bool:
+            if isinstance(a, Less):
+                return bounds.index(a.left) < bounds.index(a.right)
+            return picks[a.node] == a.index
+
+        return fold_condition(cond, atom)
 
     def convert(node, bounds: tuple[CutRef, ...], picks: dict[int, int],
                 spans: tuple[tuple[CutRef, CutRef, int], ...]) -> BcNode:
@@ -676,15 +626,7 @@ def bc_to_gcc(t: BcTree, size_budget: int = DEFAULT_SIZE_BUDGET) -> GccTree:
     n = t.agents
     ext = embed_bc_as_ext(t)
     normal, _, _ = cuts_before_choices_ext(ext)
-    gen = IdGen()
-
-    def fresh() -> int:
-        nid = gen()
-        if nid > size_budget:
-            raise BudgetExceededError(
-                f"conversion exceeded the size budget of {size_budget} nodes"
-            )
-        return nid
+    fresh = _budgeted_ids(size_budget)
 
     # Chooses controlled by each agent, in preorder.
     chooses_of: dict[int, list[ExtChoose]] = {i: [] for i in range(1, n + 1)}
@@ -855,23 +797,16 @@ def conversion_cost(op: str, p) -> int:
             raise DomainError("dag_to_tree costs apply to DAGs")
         # The expansion makes one copy per root->node path; count paths by
         # Kahn-style topological propagation.  Exact, so bound == actual.
-        def kids_of(node):
-            if isinstance(node, DagCut):
-                return (node.child,)
-            if isinstance(node, DagChoose):
-                return node.children
-            return ()
-
         indeg: dict[int, int] = {nid: 0 for nid in p.nodes}
         for node in p.nodes.values():
-            for kid in kids_of(node):
+            for kid in children_of(node):
                 indeg[kid] += 1
         paths: dict[int, int] = {nid: 0 for nid in p.nodes}
         paths[p.root] = 1
         queue = [nid for nid, deg in indeg.items() if deg == 0]
         while queue:
             nid = queue.pop()
-            for kid in kids_of(p.nodes[nid]):
+            for kid in children_of(p.nodes[nid]):
                 paths[kid] += paths[nid]
                 indeg[kid] -= 1
                 if indeg[kid] == 0:

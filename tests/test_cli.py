@@ -282,6 +282,24 @@ class TestErrors:
         assert code == 1
         assert "validation" in err
 
+    @pytest.mark.parametrize("suffix", [".cake", ".json"])
+    def test_deep_input_is_one_error_line(self, capsys, tmp_path, suffix):
+        depth = 1500  # a chain of single-child chooses
+        if suffix == ".cake":
+            text = ("(bc :agents 1 " + "(choose :agent 1 " * depth
+                    + "(leaf (1 -> 1))" + ")" * depth + ")")
+        else:
+            text = ('{"model": "bc", "agents": 1, "root": '
+                    + "".join('{"id": %d, "kind": "choose", "agent": 1, "children": ['
+                              % i for i in range(depth))
+                    + '{"id": %d, "kind": "leaf", "assign": [1]}' % depth
+                    + "]}" * depth + "}")
+        deep = tmp_path / f"deep{suffix}"
+        deep.write_text(text)
+        code, _, err = run_cli(capsys, "stats", str(deep))
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "stats", "/nonexistent.cake")
         assert code == 2

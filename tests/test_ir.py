@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cakewalk import ir
+from cakewalk import engine, ir
 from cakewalk.engine import run
 from cakewalk.ir import (
     And, BcChoose, BcCut, BcDag, BcLeaf, BcTree, ChoseAt, CutInAt, DagChoose,
@@ -12,10 +12,13 @@ from cakewalk.ir import (
     IdGen, Less, Not, ORIGIN, Order, at, renumber, static_cut_order, stats,
     structurally_equal, validate_bc, validate_dag, validate_ext, validate_gcc,
 )
-from cakewalk.library import gen_selfridge_conway_bc, gen_selfridge_conway_gcc
-from cakewalk.valuation import uniform
+from cakewalk.library import (
+    gen_cut_and_choose, gen_dubins_spanier, gen_even_paz,
+    gen_selfridge_conway_bc, gen_selfridge_conway_gcc,
+)
+from cakewalk.valuation import random_valuation, uniform
 
-from helpers import rand_profile, random_ext_tree
+from helpers import rand_profile, random_ext_tree, random_gcc
 
 
 def bc_leaf_only():
@@ -317,6 +320,75 @@ class TestValidateGcc:
         report = validate_gcc(GccTree(1, node), GccMode.EXTENSIVE)
         assert report.ok
         assert any("state cap" in w.message for w in report.warnings)
+
+
+def ordered_cuts_gcc() -> GccTree:
+    """Two cuts in a statically known order (the second lands right of the
+    first), then an if-else on their order; every branch allocates all."""
+    gen = IdGen()
+    c0, c1 = gen(), gen()
+
+    def allocate():
+        tail = GccLeaf(gen())
+        for agent, piece in ((2, (at(c1), END)), (1, (at(c0), at(c1))),
+                             (2, (ORIGIN, at(c0)))):
+            tail = GccChoose(gen(), agent, (piece,), tail)
+        return tail
+
+    conds = (Less(at(c1), at(c0)), Not(Less(at(c0), at(c1))), ELSE)
+    branches = tuple((cond, allocate()) for cond in conds)
+    return GccTree(2, GccCut(c0, 1, ((ORIGIN, END),),
+                             GccCut(c1, 2, ((at(c0), END),), GccIfElse(gen(), branches))))
+
+
+class TestConditionReaders:
+    """The validator's static reading of a condition never contradicts a run."""
+
+    def protocols(self):
+        yield ordered_cuts_gcc()
+        for seed in range(40):
+            yield random_gcc(random.Random(seed), 2 + seed % 2, 6)
+        yield gen_cut_and_choose()[1]
+        yield gen_selfridge_conway_gcc()[0]
+        for n in (3, 4):
+            yield gen_dubins_spanier(n, "gcc")[0]
+        for n in (2, 4):
+            yield gen_even_paz(n, "gcc")[0]
+
+    def test_static_verdicts_agree_with_runs(self, monkeypatch):
+        static = ir._eval_condition_static
+        runtime = engine.eval_condition
+        orders: dict = {}  # id(condition) -> order the validator read it under
+        reached: list = []
+
+        def record_static(cond, picks, order):
+            if not isinstance(cond, ir.Else):
+                assert orders.setdefault(id(cond), order) is order
+            return static(cond, picks, order)
+
+        def record_run(cond, state):
+            verdict = runtime(cond, state)
+            reached.append((cond, state, verdict))
+            return verdict
+
+        monkeypatch.setattr(ir, "_eval_condition_static", record_static)
+        monkeypatch.setattr(engine, "eval_condition", record_run)
+        compared = decided = 0
+        for k, p in enumerate(self.protocols()):
+            orders.clear()
+            validate_gcc(p, GccMode.EXTENSIVE)
+            for seed in range(24):
+                del reached[:]
+                vals = [random_valuation(100 * k + seed + i, 3) for i in range(p.agents)]
+                run(p, rand_profile(seed, p.agents), vals)
+                for cond, state, verdict in reached:
+                    if isinstance(cond, ir.Else):
+                        continue
+                    seen = static(cond, dict(state.picks), orders[id(cond)])
+                    assert seen is None or seen == verdict, (k, cond, state)
+                    compared += 1
+                    decided += seen is not None
+        assert compared > 500 and decided > 200
 
 
 class TestStats:

@@ -10,7 +10,7 @@ from cakewalk.engine import (
 )
 from cakewalk.errors import BudgetExceededError, DomainError
 from cakewalk.ir import (
-    BcChoose, BcCut, BcLeaf, BcTree, GccMode, IdGen, stats,
+    BcChoose, BcCut, BcLeaf, BcTree, GccMode, IdGen, children_of, stats,
 )
 from cakewalk.library import (
     gen_cut_and_choose, gen_dubins_spanier, gen_selfridge_conway_bc,
@@ -18,11 +18,12 @@ from cakewalk.library import (
 )
 from cakewalk.oracle import (
     BoundsQuery, Grid, GuaranteeOracle, Notion, build_grid, check_equiv,
+    strong_query_vectors,
 )
-from cakewalk.transform import bc_to_gcc, gcc_to_bc
+from cakewalk.transform import bc_to_gcc, dag_to_tree, gcc_to_bc
 from cakewalk.valuation import Valuation, random_valuation, uniform
 
-from helpers import random_bc_tree, random_gcc
+from helpers import random_bc_tree, random_dag, random_gcc
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +324,61 @@ class TestAgainstBruteForce:
                 assert oracle.guarantee_total_envy(agent) == expect
 
 
+class _CountingMemo(dict):
+    """Counts the lookups that find an entry (the oracle reads with ``get``)."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        value = dict.get(self, key, default)
+        if value is not None:
+            self.hits += 1
+        return value
+
+
+class TestDagOracle:
+    def reconverging_dags(self):
+        """Random DAGs with at least one node reached from two parents."""
+        for seed in range(300):
+            dag = random_dag(random.Random(seed), 2, 25)
+            parents: dict[int, int] = {}
+            for node in dag.nodes.values():
+                for kid in children_of(node):
+                    parents[kid] = parents.get(kid, 0) + 1
+            if len(dag.nodes) >= 6 and max(parents.values(), default=0) >= 2:
+                yield seed, dag
+
+    def test_dag_matches_its_tree_expansion(self):
+        hits = cases = 0
+        for seed, dag in self.reconverging_dags():
+            tree, _, _ = dag_to_tree(dag)
+            vals = [random_valuation(seed, 2), random_valuation(seed + 1, 2)]
+            grid = build_grid(vals, 2)
+            on_dag = GuaranteeOracle(dag, vals, grid)
+            on_tree = GuaranteeOracle(tree, vals, grid)
+            on_dag._memo = _CountingMemo()
+            for agent, other in ((1, 2), (2, 1)):
+                assert on_dag.guarantee_value(agent) == on_tree.guarantee_value(agent)
+                assert (on_dag.guarantee_pair_envy(agent, other)
+                        == on_tree.guarantee_pair_envy(agent, other))
+            assert on_tree._memo == {}
+            hits += on_dag._memo.hits
+            cases += 1
+        assert cases >= 10
+        assert hits >= 1
+
+    def test_memo_stays_empty_on_trees(self):
+        bc, gcc, _ = gen_cut_and_choose()
+        vals = [random_valuation(4, 3), random_valuation(5, 3)]
+        grid = build_grid(vals, 2)
+        for p in (bc, gcc, bc_to_gcc(bc)):
+            oracle = GuaranteeOracle(p, vals, grid)
+            oracle.guarantee_value(1)
+            oracle.guarantee_total_envy(2)
+            oracle.can_guarantee(BoundsQuery.make(2, {1: F(1, 4)}))
+            assert oracle._memo == {}
+
+
 class TestMonotonicity:
     def test_weaker_bounds_never_flip_to_false(self):
         for seed in range(10):
@@ -373,6 +429,15 @@ class TestCheckEquiv:
         p = leaf_all_to(1, 2)
         with pytest.raises(DomainError):
             check_equiv(p, p, "mystery", GRID2, [uniform(), uniform()])
+
+    def test_strong_query_vectors_are_unique(self):
+        for n in (2, 3):
+            for agent in range(1, n + 1):
+                vectors = strong_query_vectors(n, agent, 32)
+                keys = [tuple(sorted(v.items())) for v in vectors]
+                assert len(set(keys)) == len(keys)
+                # the lattice comes first, in order
+                assert vectors[0] == {j: F(0) for j in range(1, n + 1) if j != agent}
 
     def test_cut_and_choose_strong_equivalent_to_gcc_image(self):
         bc, _, _ = gen_cut_and_choose()
