@@ -161,8 +161,8 @@ class GuaranteeOracle:
             cross = self._leaf_cross(state)
             return all(_envy(cross, i, j) <= m for j, m in bounds)
 
-        return self._solve(("can", i, bounds), leaf_ok, i, (False, True),
-                           agent_maximizes=True)
+        return self._solve(("can", i, bounds), leaf_ok, i, agent_maximizes=True,
+                           extremes=(False, True))
 
     def guarantee_value(self, agent: int) -> Fraction:
         """max over the agent's grid strategies of the worst-case V_i(X_i)."""
@@ -171,8 +171,7 @@ class GuaranteeOracle:
             cross = self._leaf_cross(state)
             return cross[agent - 1][agent - 1]
 
-        return self._solve(("value", agent), score, agent, (ZERO, ONE),
-                           agent_maximizes=True)
+        return self._solve(("value", agent), score, agent, agent_maximizes=True)
 
     def guarantee_pair_envy(self, agent: int, other: int) -> Fraction:
         """min over the agent's strategies of the worst-case envy(agent, other)."""
@@ -182,7 +181,7 @@ class GuaranteeOracle:
         def score(state):
             return _envy(self._leaf_cross(state), agent, other)
 
-        return self._solve(("pair", agent, other), score, agent, (ZERO, ONE),
+        return self._solve(("pair", agent, other), score, agent,
                            agent_maximizes=False)
 
     def guarantee_total_envy(self, agent: int) -> Fraction:
@@ -193,19 +192,21 @@ class GuaranteeOracle:
             return sum((_envy(cross, agent, j)
                         for j in range(1, self.protocol.agents + 1) if j != agent), ZERO)
 
-        return self._solve(("total", agent), score, agent, (ZERO, ONE),
-                           agent_maximizes=False)
+        return self._solve(("total", agent), score, agent, agent_maximizes=False)
 
     # -- the recursion --------------------------------------------------------
 
-    def _solve(self, qkey, score, agent: int, extremes, agent_maximizes: bool):
+    def _solve(self, qkey, score, agent: int, agent_maximizes: bool,
+               extremes=None):
         """Max/min over the game tree; leaves scored by ``score``.
 
-        ``extremes`` is (lowest, highest) score: (False, True) for yes/no
-        queries, (ZERO, ONE) for values and envies.  A side that reaches its
-        own extreme skips its remaining moves, which cannot change the result.
+        Yes/no queries pass ``extremes=(False, True)``: a side that reaches
+        its own extreme skips its remaining moves, as ``any``/``all`` would.
+        Values and envies pass none and look at every move, so their cost
+        depends on the protocol and the grid, not on the valuations: an
+        early stop at 0 or 1 pays off only for some valuation profiles.
         """
-        lowest, highest = extremes
+        lowest, highest = extremes or (None, None)
         memo = self._memo if isinstance(self.protocol, BcDag) else None
 
         def rec(state):
@@ -226,7 +227,8 @@ class GuaranteeOracle:
             else:
                 better, result, stop = min, highest, lowest
             for nxt in nexts:
-                result = better(result, rec(nxt))
+                outcome = rec(nxt)
+                result = outcome if result is None else better(result, outcome)
                 if result == stop:
                     break
             if memo is not None:
