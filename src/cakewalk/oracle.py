@@ -8,6 +8,15 @@ universal, and leaves are scored exactly.  Results are exact for the
 grid-restricted game; they are meaningful for the continuous game only
 when the grid contains the positions the intended strategies need, so
 callers should pin grids explicitly.
+
+Leaves are scored in integers.  Every position the search visits is a grid
+point: cuts are placed at ``Grid.within`` points (or at the interval's own
+left end, itself a visited position, when the interval holds none), and
+every other piece end is 0, 1 or an earlier cut.  So each agent's value of
+a piece is a sum of differences of their cumulative values at grid points,
+and those are held as integer numerators over one common denominator per
+oracle.  Queries return ``Fraction`` results built from these integers, so
+they equal the values exact rational arithmetic would give.
 """
 
 from __future__ import annotations
@@ -16,6 +25,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from time import perf_counter
 from typing import Sequence
 
 from .engine import (
@@ -83,13 +94,19 @@ class BoundsQuery:
         return BoundsQuery(agent, tuple(sorted(bounds.items())))
 
 
-def _envy(cross, i: int, j: int) -> Fraction:
+def _envy(cross, i: int, j: int) -> int:
     """envy(i, j) = max(V_i(X_j) - V_i(X_i), 0) from a leaf's cross-values."""
-    return max(cross[i - 1][j - 1] - cross[i - 1][i - 1], ZERO)
+    return max(cross[i - 1][j - 1] - cross[i - 1][i - 1], 0)
 
 
 class GuaranteeOracle:
     """Backward induction over one protocol, one grid, one valuation profile.
+
+    Each agent's value of [0, x] at every grid point x is held as an integer
+    numerator over ``denominator``, the least common denominator of all
+    those values; leaf cross-values, envies and the scores the search
+    compares are integers over it.  Only the results the queries return are
+    ``Fraction``s.
 
     Leaf cross-value matrices are cached across queries.  On a DAG, subgame
     results are memoized on (node, cut positions, piece picks), which fully
@@ -110,6 +127,15 @@ class GuaranteeOracle:
         self.evals = 0
         self._leaf_cache: dict = {}
         self._memo: dict = {}
+        self._query = ""
+        self._started = 0.0
+        prefix = [[v.value(ZERO, x) for x in grid.points] for v in self.vals]
+        self.denominator = lcm(*(f.denominator for row in prefix for f in row))
+        self._prefix = [
+            tuple(f.numerator * (self.denominator // f.denominator) for f in row)
+            for row in prefix
+        ]
+        self._index = {x: k for k, x in enumerate(grid.points)}
 
     # -- plumbing -----------------------------------------------------------
 
@@ -117,22 +143,34 @@ class GuaranteeOracle:
         self.evals += 1
         if self.evals > self.budget:
             raise BudgetExceededError(
-                f"oracle budget of {self.budget} node evaluations exceeded;"
+                f"oracle budget of {self.budget} node evaluations exceeded in"
+                f" {self._query}: {self.evals} evaluations made,"
+                f" {perf_counter() - self._started:.3f} s elapsed;"
                 " result inconclusive"
             )
+
+    def _check_agents(self, *agents: int):
+        n = self.protocol.agents
+        for a in agents:
+            if a not in range(1, n + 1):
+                raise DomainError(f"agent {a} out of range 1..{n}")
 
     def _key(self, state: ExecState):
         nid = state.node if isinstance(self.protocol, BcDag) else state.node.nid
         return (nid, state.cuts, state.picks)
 
     def _leaf_cross(self, state: ExecState):
+        """Matrix (i, j) = V_i(X_j) * denominator, from the prefix table."""
         key = self._key(state)
         hit = self._leaf_cache.get(key)
         if hit is None:
             alloc = leaf_allocation(self.protocol, state)
+            index = self._index
+            spans = [[(index[lo], index[hi]) for lo, hi in piece]
+                     for piece in alloc.pieces]
             hit = tuple(
-                tuple(v.value_of(alloc.pieces[j]) for j in range(self.protocol.agents))
-                for v in self.vals
+                tuple(sum(row[b] - row[a] for a, b in piece) for piece in spans)
+                for row in self._prefix
             )
             self._leaf_cache[key] = hit
         return hit
@@ -150,56 +188,70 @@ class GuaranteeOracle:
         count = len(node.children) if kind == "choose" else len(node.pieces)
         return node.agent, [step_choose(self.protocol, state, i) for i in range(count)]
 
+    def _fraction(self, score: int) -> Fraction:
+        return Fraction(score, self.denominator)
+
     # -- the four guarantee queries ------------------------------------------
 
     def can_guarantee(self, query: BoundsQuery) -> bool:
         """Can ``query.agent`` force envy(i, j) <= M_j for every listed j?"""
         i = query.agent
-        bounds = query.bounds
+        self._check_agents(i, *(j for j, _ in query.bounds))
+        den = self.denominator
+        # envy / den <= m  <=>  envy * m.denominator <= m.numerator * den
+        limits = [(j, m.denominator, m.numerator * den) for j, m in query.bounds]
 
         def leaf_ok(state) -> bool:
             cross = self._leaf_cross(state)
-            return all(_envy(cross, i, j) <= m for j, m in bounds)
+            return all(_envy(cross, i, j) * d <= lim for j, d, lim in limits)
 
-        return self._solve(("can", i, bounds), leaf_ok, i, agent_maximizes=True,
-                           extremes=(False, True))
+        pretty = ", ".join(f"{j}: {format_frac(m)}" for j, m in query.bounds)
+        return self._solve(f"can_guarantee({i}, {{{pretty}}})", leaf_ok, i,
+                           agent_maximizes=True, extremes=(False, True))
 
     def guarantee_value(self, agent: int) -> Fraction:
         """max over the agent's grid strategies of the worst-case V_i(X_i)."""
+        self._check_agents(agent)
 
         def score(state):
             cross = self._leaf_cross(state)
             return cross[agent - 1][agent - 1]
 
-        return self._solve(("value", agent), score, agent, agent_maximizes=True)
+        return self._fraction(self._solve(f"guarantee_value({agent})", score,
+                                          agent, agent_maximizes=True))
 
     def guarantee_pair_envy(self, agent: int, other: int) -> Fraction:
         """min over the agent's strategies of the worst-case envy(agent, other)."""
+        self._check_agents(agent, other)
         if agent == other:
             raise DomainError("envy toward oneself is identically zero")
 
         def score(state):
             return _envy(self._leaf_cross(state), agent, other)
 
-        return self._solve(("pair", agent, other), score, agent,
-                           agent_maximizes=False)
+        return self._fraction(self._solve(
+            f"guarantee_pair_envy({agent}, {other})", score, agent,
+            agent_maximizes=False))
 
     def guarantee_total_envy(self, agent: int) -> Fraction:
         """min over the agent's strategies of the worst-case total envy."""
+        self._check_agents(agent)
+        others = [j for j in range(1, self.protocol.agents + 1) if j != agent]
 
         def score(state):
             cross = self._leaf_cross(state)
-            return sum((_envy(cross, agent, j)
-                        for j in range(1, self.protocol.agents + 1) if j != agent), ZERO)
+            return sum(_envy(cross, agent, j) for j in others)
 
-        return self._solve(("total", agent), score, agent, agent_maximizes=False)
+        return self._fraction(self._solve(f"guarantee_total_envy({agent})",
+                                          score, agent, agent_maximizes=False))
 
     # -- the recursion --------------------------------------------------------
 
-    def _solve(self, qkey, score, agent: int, agent_maximizes: bool,
+    def _solve(self, query: str, score, agent: int, agent_maximizes: bool,
                extremes=None):
         """Max/min over the game tree; leaves scored by ``score``.
 
+        ``query`` names the query in budget errors and keys its memo entries.
         Yes/no queries pass ``extremes=(False, True)``: a side that reaches
         its own extreme skips its remaining moves, as ``any``/``all`` would.
         Values and envies pass none and look at every move, so their cost
@@ -208,6 +260,7 @@ class GuaranteeOracle:
         """
         lowest, highest = extremes or (None, None)
         memo = self._memo if isinstance(self.protocol, BcDag) else None
+        self._query, self._started = query, perf_counter()
 
         def rec(state):
             self._bump()
@@ -217,7 +270,7 @@ class GuaranteeOracle:
             if kind == "ifelse":
                 return rec(step_ifelse(self.protocol, state))
             if memo is not None:
-                key = (qkey, self._key(state))
+                key = (query, self._key(state))
                 hit = memo.get(key)
                 if hit is not None:
                     return hit

@@ -10,7 +10,7 @@ from cakewalk.ir import (
     And, BcChoose, BcCut, BcDag, BcLeaf, BcTree, ChoseAt, DagChoose, DagCut,
     DagLeaf, ELSE, END, ExtBcTree, ExtChoose, ExtCut, ExtLeaf, ExtSegment,
     GccChoose, GccCut, GccIfElse, GccLeaf, GccTree, IdGen, Not, ORIGIN, at,
-    validate_dag, validate_ext,
+    children_of, validate_dag, validate_ext,
 )
 
 
@@ -191,6 +191,31 @@ def random_dag(rng: random.Random, agents: int = 2, max_nodes: int = 25) -> BcDa
         if validate_dag(candidate).ok:
             dag = candidate
     return dag
+
+
+class CountingMemo(dict):
+    """Counts the lookups that find an entry (the oracle reads with ``get``)."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        value = dict.get(self, key, default)
+        if value is not None:
+            self.hits += 1
+        return value
+
+
+def reconverging_dags(count: int = 300):
+    """Seeds in range(count) whose ``random_dag`` has at least 6 nodes and a
+    node reached from two parents, with that DAG."""
+    for seed in range(count):
+        dag = random_dag(random.Random(seed), 2, 25)
+        parents: dict[int, int] = {}
+        for node in dag.nodes.values():
+            for kid in children_of(node):
+                parents[kid] = parents.get(kid, 0) + 1
+        if len(dag.nodes) >= 6 and max(parents.values(), default=0) >= 2:
+            yield seed, dag
 
 
 def random_gcc(rng: random.Random, agents: int = 2, max_steps: int = 6) -> GccTree:

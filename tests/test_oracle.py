@@ -10,7 +10,7 @@ from cakewalk.engine import (
 )
 from cakewalk.errors import BudgetExceededError, DomainError
 from cakewalk.ir import (
-    BcChoose, BcCut, BcLeaf, BcTree, GccMode, IdGen, children_of, stats,
+    BcChoose, BcCut, BcLeaf, BcTree, GccMode, IdGen, stats,
 )
 from cakewalk.library import (
     gen_cut_and_choose, gen_dubins_spanier, gen_selfridge_conway_bc,
@@ -23,7 +23,7 @@ from cakewalk.oracle import (
 from cakewalk.transform import bc_to_gcc, dag_to_tree, gcc_to_bc
 from cakewalk.valuation import Valuation, random_valuation, uniform
 
-from helpers import random_bc_tree, random_dag, random_gcc
+from helpers import CountingMemo, random_bc_tree, random_gcc, reconverging_dags
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +266,62 @@ class TestBudget:
         vals = [uniform()] * 3
         grid = build_grid(vals, 4)
         oracle = GuaranteeOracle(tree, vals, grid, budget=50)
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match=(
+                r"budget of 50 node evaluations exceeded in guarantee_value\(1\):"
+                r" 51 evaluations made, \d+\.\d{3} s elapsed")):
             oracle.guarantee_value(1)
+
+    def test_message_names_the_query_that_ran_out(self):
+        # The budget covers every query of one oracle: the second query
+        # trips it, and its message counts the evaluations of both.
+        bc, _, _ = gen_cut_and_choose()
+        vals = [uniform(), uniform()]
+        oracle = GuaranteeOracle(bc, vals, build_grid(vals, 2), budget=15)
+        assert oracle.guarantee_value(2) == F(1, 2)
+        assert oracle.evals == 10
+        with pytest.raises(BudgetExceededError, match=(
+                r"in guarantee_pair_envy\(1, 2\): 16 evaluations made, "
+                r"[0-9.]+ s elapsed")):
+            oracle.guarantee_pair_envy(1, 2)
+        tree, _ = gen_selfridge_conway_bc()
+        oracle = GuaranteeOracle(tree, [uniform()] * 3, GRID2, budget=20)
+        with pytest.raises(BudgetExceededError,
+                           match=r"in can_guarantee\(1, \{2: 0, 3: 1/4\}\): 21 evaluations"):
+            oracle.can_guarantee(BoundsQuery.make(1, {3: F(1, 4), 2: F(0)}))
+        with pytest.raises(BudgetExceededError, match=r"in guarantee_total_envy\(3\)"):
+            oracle.guarantee_total_envy(3)
+
+
+class TestAgentRange:
+    """Agents and bound indices outside 1..n are refused, not read modulo n."""
+
+    def oracle(self):
+        bc, _, _ = gen_cut_and_choose()
+        vals = [uniform(), uniform()]
+        return GuaranteeOracle(bc, vals, build_grid(vals, 2))
+
+    @pytest.mark.parametrize("agent", [0, -1, 3])
+    def test_guarantee_value(self, agent):
+        with pytest.raises(DomainError, match="out of range"):
+            self.oracle().guarantee_value(agent)
+
+    @pytest.mark.parametrize("agent", [0, -1, 3])
+    def test_guarantee_total_envy(self, agent):
+        with pytest.raises(DomainError, match="out of range"):
+            self.oracle().guarantee_total_envy(agent)
+
+    @pytest.mark.parametrize("agent, other", [(1, 0), (0, 1), (1, -1), (3, 1), (1, 3)])
+    def test_guarantee_pair_envy(self, agent, other):
+        with pytest.raises(DomainError, match="out of range"):
+            self.oracle().guarantee_pair_envy(agent, other)
+
+    @pytest.mark.parametrize("agent, bounds", [
+        (1, {0: F(0)}), (1, {2: F(0), 3: F(0)}), (1, {-1: F(1, 2)}),
+        (0, {1: F(0)}), (3, {1: F(0)}),
+    ])
+    def test_can_guarantee(self, agent, bounds):
+        with pytest.raises(DomainError, match="out of range"):
+            self.oracle().can_guarantee(BoundsQuery.make(agent, bounds))
 
 
 class TestAgainstBruteForce:
@@ -324,39 +378,16 @@ class TestAgainstBruteForce:
                 assert oracle.guarantee_total_envy(agent) == expect
 
 
-class _CountingMemo(dict):
-    """Counts the lookups that find an entry (the oracle reads with ``get``)."""
-
-    hits = 0
-
-    def get(self, key, default=None):
-        value = dict.get(self, key, default)
-        if value is not None:
-            self.hits += 1
-        return value
-
-
 class TestDagOracle:
-    def reconverging_dags(self):
-        """Random DAGs with at least one node reached from two parents."""
-        for seed in range(300):
-            dag = random_dag(random.Random(seed), 2, 25)
-            parents: dict[int, int] = {}
-            for node in dag.nodes.values():
-                for kid in children_of(node):
-                    parents[kid] = parents.get(kid, 0) + 1
-            if len(dag.nodes) >= 6 and max(parents.values(), default=0) >= 2:
-                yield seed, dag
-
     def test_dag_matches_its_tree_expansion(self):
         hits = cases = 0
-        for seed, dag in self.reconverging_dags():
+        for seed, dag in reconverging_dags():
             tree, _, _ = dag_to_tree(dag)
             vals = [random_valuation(seed, 2), random_valuation(seed + 1, 2)]
             grid = build_grid(vals, 2)
             on_dag = GuaranteeOracle(dag, vals, grid)
             on_tree = GuaranteeOracle(tree, vals, grid)
-            on_dag._memo = _CountingMemo()
+            on_dag._memo = CountingMemo()
             for agent, other in ((1, 2), (2, 1)):
                 assert on_dag.guarantee_value(agent) == on_tree.guarantee_value(agent)
                 assert (on_dag.guarantee_pair_envy(agent, other)
