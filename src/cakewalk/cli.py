@@ -50,6 +50,13 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _parse_json(text: str, path: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"{path} is not valid JSON: {exc}") from None
+
+
 def _write_text(path, text: str):
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -75,7 +82,7 @@ def load_protocol(path: str, mode: GccMode = GccMode.EXTENSIVE) -> Protocol:
     text = _read_text(path)
     body = text.lstrip()
     if body.startswith("{"):
-        p = jsonio.protocol_from_json(json.loads(text))
+        p = jsonio.protocol_from_json(_parse_json(text, path))
         report = _validate(p, mode)
         if not report.ok:
             raise DomainError(f"protocol in {path} is invalid:\n{report}")
@@ -97,7 +104,7 @@ def _dump_protocol(p: Protocol, fmt: str, out):
 
 def _load_vals(args, agents: int):
     if args.vals:
-        vals = jsonio.valuations_from_json(json.loads(_read_text(args.vals)))
+        vals = jsonio.valuations_from_json(_parse_json(_read_text(args.vals), args.vals))
     elif args.random_vals:
         segments = int(args.random_vals)
         vals = [random_valuation(args.seed + i, segments) for i in range(agents)]
@@ -194,7 +201,7 @@ def human_strategy(agent: int) -> Strategy:
 
 def scripted_strategy(path: str) -> Strategy:
     """Decisions looked up by node id from a JSON file."""
-    obj = json.loads(_read_text(path))
+    obj = _parse_json(_read_text(path), path)
     decisions = obj.get("decisions", obj)
 
     def play(ctx: DecisionContext):

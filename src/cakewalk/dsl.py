@@ -27,8 +27,8 @@ from .ir import (
     And, BcChoose, BcCut, BcDag, BcLeaf, BcTree, ChoseAt, Condition,
     CutInAt, CutRef, DagChoose, DagCut, DagLeaf, ELSE, END, Else, ExtBcTree,
     ExtChoose, ExtCut, ExtLeaf, ExtSegment, GccChoose, GccCut, GccIfElse,
-    GccLeaf, GccTree, IdGen, Less, Not, Or, ORIGIN, Protocol, at,
-    validate_bc, validate_dag, validate_ext, validate_gcc, GccMode,
+    GccLeaf, GccTree, IdGen, Less, Not, Or, ORIGIN, Protocol, at, renumber,
+    validate_bc, validate_dag, validate_ext, validate_gcc, GccMode, _children,
 )
 
 # ---------------------------------------------------------------------------
@@ -500,22 +500,62 @@ def _ref_text(ref: CutRef) -> str:
     return ref.kind
 
 
+_COND_WORDS = {Less: "<", ChoseAt: "chose-at", CutInAt: "cut-in-at",
+               And: "and", Or: "or", Not: "not"}
+_COND_FIELD_TEXT = {
+    "left": _ref_text, "right": _ref_text, "node": _label, "index": str,
+    "parts": lambda v: " ".join(map(_cond_text, v)), "part": lambda v: _cond_text(v),
+}
+
+
 def _cond_text(cond: Condition) -> str:
     if isinstance(cond, Else):
         return "else"
-    if isinstance(cond, Less):
-        return f"(< {_ref_text(cond.left)} {_ref_text(cond.right)})"
-    if isinstance(cond, ChoseAt):
-        return f"(chose-at {_label(cond.node)} {cond.index})"
-    if isinstance(cond, CutInAt):
-        return f"(cut-in-at {_label(cond.node)} {cond.index})"
-    if isinstance(cond, And):
-        return "(and " + " ".join(_cond_text(c) for c in cond.parts) + ")"
-    if isinstance(cond, Or):
-        return "(or " + " ".join(_cond_text(c) for c in cond.parts) + ")"
-    if isinstance(cond, Not):
-        return f"(not {_cond_text(cond.part)})"
-    raise DomainError(f"unknown condition {type(cond).__name__}")
+    if type(cond) not in _COND_WORDS:
+        raise DomainError(f"unknown condition {type(cond).__name__}")
+    args = (_COND_FIELD_TEXT[name](v) for name, v in cond.__dict__.items())
+    return f"({_COND_WORDS[type(cond)]} {' '.join(args)})"
+
+
+_MODEL_WORDS = {BcTree: "bc", ExtBcTree: "extbc", GccTree: "gcc", BcDag: "bcdag"}
+_NODE_WORDS = {
+    BcCut: "cut", BcChoose: "choose", BcLeaf: "leaf",
+    DagCut: "cut", DagChoose: "choose", DagLeaf: "leaf",
+    ExtCut: "cut", ExtChoose: "choose", ExtLeaf: "leaf",
+    GccCut: "gcc-cut", GccChoose: "gcc-choose", GccIfElse: "if", GccLeaf: "gcc-leaf",
+}
+# Nodes that refs and conditions can name carry a label after their agent.
+_LABELLED = (ExtCut, GccCut, GccChoose)
+
+# How a field reads in a node's opening line, by field name.  A tree node's
+# children follow on their own lines; a DAG node names its children here.
+_FIELD_TEXT = {
+    "agent": lambda v: f":agent {v}",
+    "piece": lambda v: f":piece {v}",
+    "left": lambda v: f":left {_ref_text(v)}",
+    "right": lambda v: f":right {_ref_text(v)}",
+    "pieces": lambda v: " ".join(
+        f"(piece {_ref_text(lo)} {_ref_text(hi)})" for lo, hi in v),
+    "assign": lambda v: " ".join(f"({k} -> {a})" for k, a in enumerate(v, 1)),
+    "segments": lambda v: " ".join(
+        f"({_ref_text(s.left)} {_ref_text(s.right)} -> {s.agent})" for s in v),
+}
+_DAG_TEXT = {
+    **_FIELD_TEXT,
+    "child": lambda v: f":child {_label(v)}",
+    "children": lambda v: " ".join(map(_label, v)),
+}
+
+
+def _opening(node, field_text) -> str:
+    """``(keyword`` and the node's fields, without the closing parenthesis."""
+    words = ["(" + _NODE_WORDS[type(node)]]
+    for name, value in node.__dict__.items():
+        if name in field_text:
+            words.append(field_text[name](value))
+        if name == "agent" and isinstance(node, _LABELLED):
+            words.append(f":label {_label(node.nid)}")
+    return " ".join(words)
 
 
 def print_protocol(p: Protocol) -> str:
@@ -524,99 +564,27 @@ def print_protocol(p: Protocol) -> str:
     Node ids are renumbered to preorder so the emitted labels coincide with
     the ids a reparse assigns, making print-then-parse a fixpoint.
     """
-    from .ir import renumber
-
-    p, _ = renumber(p)
-    out: list[str] = []
-
-    def emit(line: str, depth: int):
-        out.append("  " * depth + line)
-
-    def bc_node(node, depth):
-        if isinstance(node, BcCut):
-            emit(f"(cut :agent {node.agent} :piece {node.piece}", depth)
-            bc_node(node.child, depth + 1)
-            out[-1] += ")"
-        elif isinstance(node, BcChoose):
-            emit(f"(choose :agent {node.agent}", depth)
-            for child in node.children:
-                bc_node(child, depth + 1)
-            out[-1] += ")"
-        else:
-            pairs = " ".join(
-                f"({k + 1} -> {a})" for k, a in enumerate(node.assign)
-            )
-            emit(f"(leaf {pairs})", depth)
-
-    def ext_node(node, depth):
-        if isinstance(node, ExtCut):
-            emit(
-                f"(cut :agent {node.agent} :label {_label(node.nid)}"
-                f" :left {_ref_text(node.left)} :right {_ref_text(node.right)}",
-                depth,
-            )
-            ext_node(node.child, depth + 1)
-            out[-1] += ")"
-        elif isinstance(node, ExtChoose):
-            emit(f"(choose :agent {node.agent}", depth)
-            for child in node.children:
-                ext_node(child, depth + 1)
-            out[-1] += ")"
-        else:
-            segs = " ".join(
-                f"({_ref_text(s.left)} {_ref_text(s.right)} -> {s.agent})"
-                for s in node.segments
-            )
-            emit(f"(leaf {segs})", depth)
-
-    def gcc_node(node, depth):
-        if isinstance(node, (GccCut, GccChoose)):
-            kind = "gcc-cut" if isinstance(node, GccCut) else "gcc-choose"
-            pieces = " ".join(
-                f"(piece {_ref_text(lo)} {_ref_text(hi)})" for lo, hi in node.pieces
-            )
-            emit(f"({kind} :agent {node.agent} :label {_label(node.nid)} {pieces}",
-                 depth)
-            gcc_node(node.child, depth + 1)
-            out[-1] += ")"
-        elif isinstance(node, GccIfElse):
-            emit("(if", depth)
-            for cond, child in node.branches:
-                emit(f"({_cond_text(cond)}", depth + 1)
-                gcc_node(child, depth + 2)
-                out[-1] += ")"
-            out[-1] += ")"
-        else:
-            emit("(gcc-leaf)", depth)
-
-    if isinstance(p, BcTree):
-        emit(f"(bc :agents {p.agents}", 0)
-        bc_node(p.root, 1)
-        out[-1] += ")"
-    elif isinstance(p, ExtBcTree):
-        emit(f"(extbc :agents {p.agents}", 0)
-        ext_node(p.root, 1)
-        out[-1] += ")"
-    elif isinstance(p, GccTree):
-        emit(f"(gcc :agents {p.agents}", 0)
-        gcc_node(p.root, 1)
-        out[-1] += ")"
-    elif isinstance(p, BcDag):
-        emit(f"(bcdag :agents {p.agents}", 0)
-        order = [p.root] + sorted(n for n in p.nodes if n != p.root)
-        for nid in order:
-            node = p.nodes[nid]
-            if isinstance(node, DagCut):
-                body = (f"(cut :agent {node.agent} :piece {node.piece}"
-                        f" :child {_label(node.child)})")
-            elif isinstance(node, DagChoose):
-                kids = " ".join(_label(c) for c in node.children)
-                body = f"(choose :agent {node.agent} {kids})"
-            else:
-                pairs = " ".join(f"({k + 1} -> {a})" for k, a in enumerate(node.assign))
-                body = f"(leaf {pairs})"
-            emit(f"(node {_label(nid)} {body})", 1)
-        out[-1] += ")"
-    else:
+    if type(p) not in _MODEL_WORDS:
         raise DomainError(f"unknown protocol type {type(p).__name__}")
+    p, _ = renumber(p)
+    out = [f"({_MODEL_WORDS[type(p)]} :agents {p.agents}"]
+
+    def emit(node, depth: int):
+        out.append("  " * depth + _opening(node, _FIELD_TEXT))
+        if isinstance(node, GccIfElse):
+            for cond, child in node.branches:
+                out.append("  " * (depth + 1) + f"({_cond_text(cond)}")
+                emit(child, depth + 2)
+                out[-1] += ")"
+        else:
+            for child in _children(node):
+                emit(child, depth + 1)
+        out[-1] += ")"
+
+    if isinstance(p, BcDag):
+        for nid in sorted(p.nodes):  # the root is 0 after renumbering
+            out.append(f"  (node {_label(nid)} {_opening(p.nodes[nid], _DAG_TEXT)}))")
+    else:
+        emit(p.root, 1)
+    out[-1] += ")"
     return "\n".join(out) + "\n"

@@ -18,7 +18,8 @@ with the node's path; an empty report means the protocol is valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cache
 from enum import Enum
 from typing import Iterable, Iterator, Union
 
@@ -298,6 +299,12 @@ Protocol = Union[BcTree, BcDag, ExtBcTree, GccTree]
 
 def children_of(node) -> tuple:
     """Child nodes, in order; for DAG nodes, child ids."""
+    return _children(node)
+
+
+# Per-node walks call ``_children`` directly: tools that wrap the public
+# functions, such as the benchmark's span tracer, then see a walk as one call.
+def _children(node) -> tuple:
     if isinstance(node, (BcCut, DagCut, ExtCut, GccCut, GccChoose)):
         return (node.child,)
     if isinstance(node, (BcChoose, DagChoose, ExtChoose)):
@@ -316,22 +323,82 @@ def iter_nodes(p: Protocol) -> Iterator:
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(reversed(children_of(node)))
+        stack.extend(reversed(_children(node)))
+
+
+def _map_ref(ref: CutRef, ids) -> CutRef:
+    if ref.kind != "cut":
+        return ref
+    nid = ids(ref.cut)
+    return ref if nid == ref.cut else at(nid)
+
+
+# How ``_map_fields`` rebuilds a field, by field name; other fields are kept.
+# With ``ids`` None only the child fields are rebuilt.
+_REBUILD_KIDS = {
+    "child": lambda v, ids, kids: next(kids),
+    "children": lambda v, ids, kids: tuple(kids),
+    "branches": lambda v, ids, kids: tuple(
+        (cond if ids is None else _map_node(cond, ids), next(kids)) for cond, _ in v),
+}
+_REBUILD = {
+    **_REBUILD_KIDS,
+    "nid": lambda v, ids, kids: ids(v),
+    "node": lambda v, ids, kids: ids(v),
+    "left": lambda v, ids, kids: _map_ref(v, ids),
+    "right": lambda v, ids, kids: _map_ref(v, ids),
+    "pieces": lambda v, ids, kids: tuple(
+        (_map_ref(lo, ids), _map_ref(hi, ids)) for lo, hi in v),
+    "segments": lambda v, ids, kids: tuple(_map_node(seg, ids) for seg in v),
+    "parts": lambda v, ids, kids: tuple(_map_node(part, ids) for part in v),
+    "part": lambda v, ids, kids: _map_node(v, ids),
+}
+
+
+@cache
+def _rebuilt_fields(cls, with_ids: bool) -> tuple:
+    """(name, rebuild) for each field of ``cls`` that ``_map_fields`` rebuilds."""
+    table = _REBUILD if with_ids else _REBUILD_KIDS
+    return tuple((name, table[name]) for name in cls.__dataclass_fields__ if name in table)
+
+
+def _map_fields(node, ids=None, kids=()) -> dict:
+    """The fields of ``node`` with every node id it holds passed through
+    ``ids`` (kept when ``ids`` is None) and its children (child ids, for a
+    DAG node) taken from ``kids``.
+
+    Node ids are its own, the cuts its refs name, the nodes its conditions
+    read and its DAG edges.  Conditions and leaf segments map the same way.
+    Fields are rebuilt in declaration order, so a lazy ``kids`` is drawn only
+    after the node's own ids are mapped.
+    """
+    kids = iter(kids)
+    fields = node.__dict__.copy()
+    for name, rebuild in _rebuilt_fields(type(node), ids is not None):
+        fields[name] = rebuild(fields[name], ids, kids)
+    return fields
+
+
+def _map_node(node, ids=None, kids=()):
+    """``node`` rebuilt from ``_map_fields(node, ids, kids)``.
+
+    As ``copy.copy`` does, the copy takes the fields as they are, without
+    calling ``__init__`` (node classes do no checks there), which spares a
+    frozen dataclass's per-field ``object.__setattr__``.
+    """
+    new = object.__new__(type(node))
+    object.__setattr__(new, "__dict__", _map_fields(node, ids, kids))
+    return new
 
 
 def replace_child(node, index: int, new_child):
-    """Functional child replacement for tree nodes."""
-    if isinstance(node, (BcCut, ExtCut, GccCut, GccChoose)):
-        assert index == 0
-        return type(node)(**{**node.__dict__, "child": new_child})
-    if isinstance(node, (BcChoose, ExtChoose)):
-        kids = node.children[:index] + (new_child,) + node.children[index + 1 :]
-        return type(node)(**{**node.__dict__, "children": kids})
-    if isinstance(node, GccIfElse):
-        branches = list(node.branches)
-        branches[index] = (branches[index][0], new_child)
-        return GccIfElse(node.nid, tuple(branches))
-    raise DomainError(f"{type(node).__name__} has no children")
+    """Functional child replacement for tree nodes (kept for callers outside
+    the package; ``perfbench/test_perfbench.py`` uses it)."""
+    kids = list(children_of(node))
+    if not kids:
+        raise DomainError(f"{type(node).__name__} has no children")
+    kids[index] = new_child
+    return _map_node(node, kids=kids)
 
 
 class IdGen:
@@ -595,21 +662,13 @@ class _OrderBuilder:
 
 
 def _ext_path_to(t: ExtBcTree, target_nid: int):
-    """Root-to-node path (inclusive), or None if the id is absent."""
-
-    def walk(node, acc):
-        acc.append(node)
-        if node.nid == target_nid:
-            return True
-        for child in children_of(node):
-            if walk(child, acc):
-                return True
-        acc.pop()
-        return False
-
-    acc: list = []
-    if walk(t.root, acc):
-        return acc
+    """Root-to-node path (inclusive) in preorder's first match, or None."""
+    stack = [(t.root,)]
+    while stack:
+        path = stack.pop()
+        if path[-1].nid == target_nid:
+            return list(path)
+        stack.extend(path + (kid,) for kid in reversed(children_of(path[-1])))
     return None
 
 
@@ -968,14 +1027,7 @@ class ProtocolStats:
     max_branching: int
 
     def to_json(self):
-        return {
-            "nodes": self.nodes,
-            "cuts": self.cuts,
-            "chooses": self.chooses,
-            "leaves": self.leaves,
-            "depth": self.depth,
-            "max_branching": self.max_branching,
-        }
+        return asdict(self)
 
 
 def stats(p: Protocol) -> ProtocolStats:
@@ -992,223 +1044,95 @@ def stats(p: Protocol) -> ProtocolStats:
             leaves += 1
         branching = max(branching, len(children_of(node)))
 
-    if isinstance(p, BcDag):
-        memo: dict[int, int] = {}
+    dag = isinstance(p, BcDag)
 
-        def height(nid: int) -> int:
-            if nid in memo:
-                return memo[nid]
-            memo[nid] = 1 + max(map(height, children_of(p.nodes[nid])), default=0)
-            return memo[nid]
+    def height(key) -> int:
+        """Nodes on the longest path down from a node (in a DAG, a node id)."""
+        return 1 + max(map(height, children_of(p.nodes[key] if dag else key)), default=0)
 
-        depth = height(p.root)
-    else:
-        def tree_height(node) -> int:
-            return 1 + max(map(tree_height, children_of(node)), default=0)
-
-        depth = tree_height(p.root)
-    return ProtocolStats(nodes, cuts, chooses, leaves, depth, branching)
+    if dag:
+        height = cache(height)  # each shared child is measured once
+    return ProtocolStats(nodes, cuts, chooses, leaves, height(p.root), branching)
 
 
 # ---------------------------------------------------------------------------
-# Structural equality (node ids matched by position, not value)
-
-
-def structurally_equal(p1: Protocol, p2: Protocol) -> bool:
-    """True when the protocols are isomorphic, ignoring raw node-id values."""
-    if type(p1) is not type(p2) or p1.agents != p2.agents:
-        return False
-    pairing: dict[int, int] = {}
-
-    def ref_eq(a: CutRef, b: CutRef) -> bool:
-        if a.kind != b.kind:
-            return False
-        if a.kind != "cut":
-            return True
-        return pairing.get(a.cut) == b.cut
-
-    def cond_eq(a: Condition, b: Condition) -> bool:
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, Less):
-            return ref_eq(a.left, b.left) and ref_eq(a.right, b.right)
-        if isinstance(a, (ChoseAt, CutInAt)):
-            return pairing.get(a.node) == b.node and a.index == b.index
-        if isinstance(a, Else):
-            return True
-        if isinstance(a, (And, Or)):
-            return len(a.parts) == len(b.parts) and all(
-                cond_eq(x, y) for x, y in zip(a.parts, b.parts)
-            )
-        if isinstance(a, Not):
-            return cond_eq(a.part, b.part)
-        return False
-
-    def walk(a, b) -> bool:
-        if type(a) is not type(b):
-            return False
-        pairing[a.nid] = b.nid
-        if isinstance(a, BcCut):
-            return a.agent == b.agent and a.piece == b.piece and walk(a.child, b.child)
-        if isinstance(a, BcChoose) or isinstance(a, ExtChoose):
-            return (
-                a.agent == b.agent
-                and len(a.children) == len(b.children)
-                and all(walk(x, y) for x, y in zip(a.children, b.children))
-            )
-        if isinstance(a, BcLeaf):
-            return a.assign == b.assign
-        if isinstance(a, ExtCut):
-            return (
-                a.agent == b.agent
-                and ref_eq(a.left, b.left)
-                and ref_eq(a.right, b.right)
-                and walk(a.child, b.child)
-            )
-        if isinstance(a, ExtLeaf):
-            return len(a.segments) == len(b.segments) and all(
-                sa.agent == sb.agent and ref_eq(sa.left, sb.left) and ref_eq(sa.right, sb.right)
-                for sa, sb in zip(a.segments, b.segments)
-            )
-        if isinstance(a, (GccCut, GccChoose)):
-            return (
-                a.agent == b.agent
-                and len(a.pieces) == len(b.pieces)
-                and all(
-                    ref_eq(pa[0], pb[0]) and ref_eq(pa[1], pb[1])
-                    for pa, pb in zip(a.pieces, b.pieces)
-                )
-                and walk(a.child, b.child)
-            )
-        if isinstance(a, GccIfElse):
-            return len(a.branches) == len(b.branches) and all(
-                cond_eq(ca, cb) and walk(xa, xb)
-                for (ca, xa), (cb, xb) in zip(a.branches, b.branches)
-            )
-        if isinstance(a, GccLeaf):
-            return True
-        return False
-
-    if isinstance(p1, BcDag):
-        def walk_dag(na: int, nb: int) -> bool:
-            if na in pairing:
-                return pairing[na] == nb
-            pairing[na] = nb
-            a, b = p1.nodes[na], p2.nodes[nb]
-            if type(a) is not type(b):
-                return False
-            if isinstance(a, DagCut):
-                return a.agent == b.agent and a.piece == b.piece and walk_dag(a.child, b.child)
-            if isinstance(a, DagChoose):
-                return (
-                    a.agent == b.agent
-                    and len(a.children) == len(b.children)
-                    and all(walk_dag(x, y) for x, y in zip(a.children, b.children))
-                )
-            return a.assign == b.assign
-
-        return walk_dag(p1.root, p2.root)
-
-    return walk(p1.root, p2.root)
-
-
-# ---------------------------------------------------------------------------
-# Deterministic renumbering (preorder ids)
+# Deterministic renumbering (preorder ids) and structural equality
 
 
 def renumber(p: Protocol) -> tuple[Protocol, dict[int, int]]:
-    """Rewrite node ids to preorder positions; returns (protocol, old->new)."""
+    """Rewrite node ids to preorder positions; returns (protocol, old->new).
+
+    Raises ``DomainError`` when a ref, condition or DAG edge names a node id
+    that the protocol does not hold.
+    """
     mapping: dict[int, int] = {}
-    gen = IdGen()
+    ids = mapping.__getitem__
+    try:
+        if isinstance(p, BcDag):
 
-    def fix_ref(ref: CutRef) -> CutRef:
-        return at(mapping[ref.cut]) if ref.kind == "cut" else ref
+            def visit(nid):
+                if nid not in mapping:
+                    mapping[nid] = len(mapping)
+                    for kid in _children(p.nodes[nid]):
+                        visit(kid)
 
-    def fix_cond(c: Condition) -> Condition:
-        if isinstance(c, Less):
-            return Less(fix_ref(c.left), fix_ref(c.right))
-        if isinstance(c, ChoseAt):
-            return ChoseAt(mapping[c.node], c.index)
-        if isinstance(c, CutInAt):
-            return CutInAt(mapping[c.node], c.index)
-        if isinstance(c, And):
-            return And(tuple(fix_cond(x) for x in c.parts))
-        if isinstance(c, Or):
-            return Or(tuple(fix_cond(x) for x in c.parts))
-        if isinstance(c, Not):
-            return Not(fix_cond(c.part))
-        return c
+            visit(p.root)
+            nodes = {}
+            for old, new in mapping.items():
+                node = p.nodes[old]
+                nodes[new] = _map_node(node, ids, map(ids, _children(node)))
+            return BcDag(p.agents, mapping[p.root], nodes), mapping
 
-    def walk(node):
-        mapping[node.nid] = gen()
-        nid = mapping[node.nid]
-        if isinstance(node, BcCut):
-            return BcCut(nid, node.agent, node.piece, walk(node.child))
-        if isinstance(node, BcChoose):
-            return BcChoose(nid, node.agent, tuple(walk(c) for c in node.children))
-        if isinstance(node, BcLeaf):
-            return BcLeaf(nid, node.assign)
-        if isinstance(node, ExtCut):
-            left, right = fix_ref(node.left), fix_ref(node.right)
-            return ExtCut(nid, node.agent, left, right, walk(node.child))
-        if isinstance(node, ExtChoose):
-            return ExtChoose(nid, node.agent, tuple(walk(c) for c in node.children))
-        if isinstance(node, ExtLeaf):
-            return ExtLeaf(
-                nid,
-                tuple(
-                    ExtSegment(fix_ref(s.left), fix_ref(s.right), s.agent)
-                    for s in node.segments
-                ),
-            )
-        if isinstance(node, GccCut):
-            pieces = tuple((fix_ref(a), fix_ref(b)) for a, b in node.pieces)
-            return GccCut(nid, node.agent, pieces, walk(node.child))
-        if isinstance(node, GccChoose):
-            pieces = tuple((fix_ref(a), fix_ref(b)) for a, b in node.pieces)
-            return GccChoose(nid, node.agent, pieces, walk(node.child))
-        if isinstance(node, GccIfElse):
-            return GccIfElse(
-                nid, tuple((fix_cond(c), walk(ch)) for c, ch in node.branches)
-            )
-        if isinstance(node, GccLeaf):
-            return GccLeaf(nid)
-        raise DomainError(f"unknown node type {type(node).__name__}")
+        gen = IdGen()
 
-    if isinstance(p, BcDag):
-        order: list[int] = []
-        seen: set[int] = set()
+        # Refs and conditions point to ancestors, which preorder visits first.
+        def walk(node):
+            mapping[node.nid] = gen()
+            return _map_node(node, ids, map(walk, _children(node)))
 
-        def visit(nid):
-            if nid in seen:
-                return
-            seen.add(nid)
-            order.append(nid)
-            for kid in children_of(p.nodes[nid]):
-                visit(kid)
+        return type(p)(p.agents, walk(p.root)), mapping
+    except KeyError as exc:
+        raise DomainError(f"node {exc.args[0]} is named but not in the protocol") from None
 
-        visit(p.root)
-        mapping = {old: i for i, old in enumerate(order)}
-        new_nodes: dict[int, DagNode] = {}
-        for old in order:
-            node = p.nodes[old]
-            nid = mapping[old]
-            if isinstance(node, DagCut):
-                new_nodes[nid] = DagCut(nid, node.agent, node.piece, mapping[node.child])
-            elif isinstance(node, DagChoose):
-                new_nodes[nid] = DagChoose(
-                    nid, node.agent, tuple(mapping[c] for c in node.children)
-                )
-            else:
-                new_nodes[nid] = DagLeaf(nid, node.assign)
-        return BcDag(p.agents, mapping[p.root], new_nodes), mapping
 
-    # Refs and conditions point to ancestors, which preorder visits first.
-    root = walk(p.root)
-    if isinstance(p, BcTree):
-        return BcTree(p.agents, root), mapping
-    if isinstance(p, ExtBcTree):
-        return ExtBcTree(p.agents, root), mapping
-    if isinstance(p, GccTree):
-        return GccTree(p.agents, root), mapping
-    raise DomainError(f"unknown protocol type {type(p).__name__}")
+def structurally_equal(p1: Protocol, p2: Protocol) -> bool:
+    """True when the protocols are isomorphic, ignoring raw node-id values.
+
+    One preorder walk pairs the node ids of ``p1`` with those of ``p2``, one
+    to one.  Each node of ``p1``, its ids mapped through the pairing and its
+    children swapped for its partner's, must have its partner's fields.  A
+    ref or condition naming a node not yet paired makes them unequal, as it
+    makes ``renumber`` refuse.
+    """
+    if type(p1) is not type(p2) or p1.agents != p2.agents:
+        return False
+    pairs: dict[int, int] = {}
+    paired: set[int] = set()
+    ids = pairs.__getitem__
+
+    def pair(x: int, y: int) -> bool:
+        """Pair ``x`` with ``y``; False when either is paired otherwise."""
+        if x in pairs or y in paired:
+            return pairs.get(x) == y
+        pairs[x] = y
+        paired.add(y)
+        return True
+
+    def same(a, b) -> bool:
+        kids_a, kids_b = _children(a), _children(b)
+        return (type(a) is type(b) and len(kids_a) == len(kids_b)
+                and pair(a.nid, b.nid)
+                and _map_fields(a, ids, kids_b) == b.__dict__
+                and all(map(same_kid, kids_a, kids_b)))
+
+    def same_dag_kid(x: int, y: int) -> bool:
+        # A shared child is compared when first reached; later, only its pairing.
+        if x in pairs or y in paired:
+            return pairs.get(x) == y
+        return same(p1.nodes[x], p2.nodes[y])
+
+    same_kid = same_dag_kid if isinstance(p1, BcDag) else same
+    try:
+        return same_kid(p1.root, p2.root)
+    except KeyError:
+        return False

@@ -2,18 +2,54 @@
 
 Field order is fixed so serialized protocols are byte-stable golden files.
 Node ids are renumbered to preorder on write; readers keep the stored ids.
+
+Protocols go through two tables.  ``_MODELS`` maps each model name to its
+protocol class and its node kinds (the ``kind`` key) to node classes, and
+``_OPS`` maps condition ops to condition classes.  A node is written as its
+``id``, its ``kind``, then one key per remaining dataclass field, in field
+order; a condition as its ``op`` and then its fields.  ``_WRITE`` and
+``_READ`` hold one codec per field name, shared by every class that has the
+field; ``child``, ``children`` and ``branches`` nest whole nodes in a tree
+and hold node ids in a DAG.  The reader raises ``DomainError`` naming the
+node and the field for a missing or mistyped field.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
 from .ir import (
-    And, BcChoose, BcCut, BcDag, BcLeaf, BcTree, ChoseAt, Condition,
-    CutInAt, CutRef, DagChoose, DagCut, DagLeaf, ELSE, END, Else, ExtBcTree,
-    ExtChoose, ExtCut, ExtLeaf, ExtSegment, GccChoose, GccCut, GccIfElse,
-    GccLeaf, GccTree, Less, Not, Or, ORIGIN, Protocol, at, renumber,
+    And, BcChoose, BcCut, BcDag, BcLeaf, BcTree, ChoseAt, CutInAt, CutRef,
+    DagChoose, DagCut, DagLeaf, END, Else, ExtBcTree, ExtChoose, ExtCut,
+    ExtLeaf, ExtSegment, GccChoose, GccCut, GccIfElse, GccLeaf, GccTree, Less,
+    Not, Or, ORIGIN, Protocol, at, renumber,
 )
 from .valuation import Valuation
+
+_MODELS = {
+    "bc": (BcTree, {"cut": BcCut, "choose": BcChoose, "leaf": BcLeaf}),
+    "extbc": (ExtBcTree, {"cut": ExtCut, "choose": ExtChoose, "leaf": ExtLeaf}),
+    "gcc": (GccTree, {"cut": GccCut, "choose": GccChoose, "ifelse": GccIfElse,
+                      "leaf": GccLeaf}),
+    "bcdag": (BcDag, {"cut": DagCut, "choose": DagChoose, "leaf": DagLeaf}),
+}
+_OPS = {"else": Else, "less": Less, "chose-at": ChoseAt, "cut-in-at": CutInAt,
+        "and": And, "or": Or, "not": Not}
+
+_MODEL_OF = {cls: model for model, (cls, _) in _MODELS.items()}
+_KIND_OF = {cls: kind for _, kinds in _MODELS.values() for kind, cls in kinds.items()}
+_OP_OF = {cls: op for op, cls in _OPS.items()}
+
+
+def _int(v) -> int:
+    if type(v) is not int:
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _list(v) -> list:
+    if not isinstance(v, list):
+        raise TypeError(f"expected a list, got {v!r}")
+    return v
 
 
 def _ref_json(ref: CutRef):
@@ -26,187 +62,128 @@ def _ref_from(obj) -> CutRef:
     if obj == "end":
         return END
     if isinstance(obj, dict) and "cut" in obj:
-        return at(int(obj["cut"]))
-    raise DomainError(f"malformed cut ref {obj!r}")
+        return at(_int(obj["cut"]))
+    raise ValueError(f"malformed cut ref {obj!r}")
 
 
-def _cond_json(cond: Condition):
-    if isinstance(cond, Else):
-        return {"op": "else"}
-    if isinstance(cond, Less):
-        return {"op": "less", "left": _ref_json(cond.left), "right": _ref_json(cond.right)}
-    if isinstance(cond, ChoseAt):
-        return {"op": "chose-at", "node": cond.node, "index": cond.index}
-    if isinstance(cond, CutInAt):
-        return {"op": "cut-in-at", "node": cond.node, "index": cond.index}
-    if isinstance(cond, And):
-        return {"op": "and", "parts": [_cond_json(c) for c in cond.parts]}
-    if isinstance(cond, Or):
-        return {"op": "or", "parts": [_cond_json(c) for c in cond.parts]}
-    if isinstance(cond, Not):
-        return {"op": "not", "part": _cond_json(cond.part)}
-    raise DomainError(f"unknown condition {type(cond).__name__}")
+def _fields_json(obj, sub) -> dict:
+    """The fields of a node (after its id), segment or condition, by name."""
+    return {name: _WRITE[name](v, sub) if name in _WRITE else v
+            for name, v in obj.__dict__.items() if name != "nid"}
 
 
-def _cond_from(obj) -> Condition:
-    op = obj.get("op")
-    if op == "else":
-        return ELSE
-    if op == "less":
-        return Less(_ref_from(obj["left"]), _ref_from(obj["right"]))
-    if op == "chose-at":
-        return ChoseAt(int(obj["node"]), int(obj["index"]))
-    if op == "cut-in-at":
-        return CutInAt(int(obj["node"]), int(obj["index"]))
-    if op == "and":
-        return And(tuple(_cond_from(c) for c in obj["parts"]))
-    if op == "or":
-        return Or(tuple(_cond_from(c) for c in obj["parts"]))
-    if op == "not":
-        return Not(_cond_from(obj["part"]))
-    raise DomainError(f"unknown condition op {op!r}")
+def _cond_json(cond) -> dict:
+    return {"op": _OP_OF[type(cond)], **_fields_json(cond, None)}
+
+
+def _node_json(node, sub) -> dict:
+    return {"id": node.nid, "kind": _KIND_OF[type(node)], **_fields_json(node, sub)}
+
+
+# ``sub`` writes (reads) a child: a nested node in a tree, a node id in a DAG.
+# Integer fields (``agent``, ``piece``, ``node``, ``index``) are written as
+# they are.
+_WRITE = {
+    "assign": lambda v, sub: list(v),
+    "left": lambda v, sub: _ref_json(v),
+    "right": lambda v, sub: _ref_json(v),
+    "pieces": lambda v, sub: [{"left": _ref_json(lo), "right": _ref_json(hi)}
+                              for lo, hi in v],
+    "segments": lambda v, sub: [_fields_json(seg, None) for seg in v],
+    "parts": lambda v, sub: [_cond_json(part) for part in v],
+    "part": lambda v, sub: _cond_json(v),
+    "child": lambda v, sub: sub(v),
+    "children": lambda v, sub: [sub(kid) for kid in v],
+    "branches": lambda v, sub: [{"condition": _cond_json(cond), "child": sub(kid)}
+                                for cond, kid in v],
+}
+
+_READ = {
+    "agent": lambda v, sub: _int(v),
+    "piece": lambda v, sub: _int(v),
+    "node": lambda v, sub: _int(v),
+    "index": lambda v, sub: _int(v),
+    "assign": lambda v, sub: tuple(map(_int, _list(v))),
+    "left": lambda v, sub: _ref_from(v),
+    "right": lambda v, sub: _ref_from(v),
+    "pieces": lambda v, sub: tuple((_ref_from(o["left"]), _ref_from(o["right"]))
+                                   for o in _list(v)),
+    "segments": lambda v, sub: tuple(ExtSegment(*_fields_from(o, ExtSegment))
+                                     for o in _list(v)),
+    "parts": lambda v, sub: tuple(map(_cond_from, _list(v))),
+    "part": lambda v, sub: _cond_from(v),
+    "child": lambda v, sub: sub(v),
+    "children": lambda v, sub: tuple(map(sub, _list(v))),
+    "branches": lambda v, sub: tuple((_cond_from(o["condition"]), sub(o["child"]))
+                                     for o in _list(v)),
+}
+
+
+def _fields_from(obj: dict, cls) -> list:
+    """The field values of a segment or condition of class ``cls``."""
+    return [_READ[name](obj[name], None) for name in cls.__dataclass_fields__]
+
+
+def _cond_from(obj):
+    cls = _OPS.get(obj["op"])
+    if cls is None:
+        raise ValueError(f"unknown condition op {obj['op']!r}")
+    return cls(*_fields_from(obj, cls))
+
+
+def _why(exc: Exception) -> str:
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
+def _node_from(obj: dict, kinds: dict, sub):
+    nid = _int(obj["id"])  # a bad id is an error in the field that holds the node
+    kind = obj.get("kind")
+    cls = kinds.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise DomainError(f"node {nid}: unknown node kind {kind!r}")
+    values = []
+    for name in list(cls.__dataclass_fields__)[1:]:  # the fields after the id
+        if name not in obj:
+            raise DomainError(f"node {nid}: missing field {name!r}")
+        try:
+            values.append(_READ[name](obj[name], sub))
+        except (KeyError, TypeError, ValueError) as exc:
+            # A nested node raises its own DomainError; this is about this one.
+            raise DomainError(f"node {nid}: malformed field {name!r}: {_why(exc)}") from None
+    return cls(nid, *values)
 
 
 def protocol_to_json(p: Protocol) -> dict:
+    model = _MODEL_OF.get(type(p))
+    if model is None:
+        raise DomainError(f"unknown protocol type {type(p).__name__}")
     p, _ = renumber(p)
-
-    def bc_node(node):
-        if isinstance(node, BcCut):
-            return {"id": node.nid, "kind": "cut", "agent": node.agent,
-                    "piece": node.piece, "child": bc_node(node.child)}
-        if isinstance(node, BcChoose):
-            return {"id": node.nid, "kind": "choose", "agent": node.agent,
-                    "children": [bc_node(c) for c in node.children]}
-        return {"id": node.nid, "kind": "leaf", "assign": list(node.assign)}
-
-    def ext_node(node):
-        if isinstance(node, ExtCut):
-            return {"id": node.nid, "kind": "cut", "agent": node.agent,
-                    "left": _ref_json(node.left), "right": _ref_json(node.right),
-                    "child": ext_node(node.child)}
-        if isinstance(node, ExtChoose):
-            return {"id": node.nid, "kind": "choose", "agent": node.agent,
-                    "children": [ext_node(c) for c in node.children]}
-        return {"id": node.nid, "kind": "leaf", "segments": [
-            {"left": _ref_json(s.left), "right": _ref_json(s.right), "agent": s.agent}
-            for s in node.segments
-        ]}
-
-    def gcc_node(node):
-        if isinstance(node, (GccCut, GccChoose)):
-            return {
-                "id": node.nid,
-                "kind": "cut" if isinstance(node, GccCut) else "choose",
-                "agent": node.agent,
-                "pieces": [
-                    {"left": _ref_json(lo), "right": _ref_json(hi)}
-                    for lo, hi in node.pieces
-                ],
-                "child": gcc_node(node.child),
-            }
-        if isinstance(node, GccIfElse):
-            return {"id": node.nid, "kind": "ifelse", "branches": [
-                {"condition": _cond_json(c), "child": gcc_node(ch)}
-                for c, ch in node.branches
-            ]}
-        return {"id": node.nid, "kind": "leaf"}
-
-    if isinstance(p, BcTree):
-        return {"model": "bc", "agents": p.agents, "root": bc_node(p.root)}
-    if isinstance(p, ExtBcTree):
-        return {"model": "extbc", "agents": p.agents, "root": ext_node(p.root)}
-    if isinstance(p, GccTree):
-        return {"model": "gcc", "agents": p.agents, "root": gcc_node(p.root)}
     if isinstance(p, BcDag):
-        nodes = []
-        for nid in sorted(p.nodes):
-            node = p.nodes[nid]
-            if isinstance(node, DagCut):
-                nodes.append({"id": nid, "kind": "cut", "agent": node.agent,
-                              "piece": node.piece, "child": node.child})
-            elif isinstance(node, DagChoose):
-                nodes.append({"id": nid, "kind": "choose", "agent": node.agent,
-                              "children": list(node.children)})
-            else:
-                nodes.append({"id": nid, "kind": "leaf", "assign": list(node.assign)})
-        return {"model": "bcdag", "agents": p.agents, "root": p.root, "nodes": nodes}
-    raise DomainError(f"unknown protocol type {type(p).__name__}")
+        nodes = [_node_json(p.nodes[nid], int) for nid in sorted(p.nodes)]
+        return {"model": model, "agents": p.agents, "root": p.root, "nodes": nodes}
+
+    def sub(node):
+        return _node_json(node, sub)
+
+    return {"model": model, "agents": p.agents, "root": sub(p.root)}
 
 
 def protocol_from_json(obj: dict) -> Protocol:
     try:
-        model = obj["model"]
-        agents = int(obj["agents"])
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"malformed protocol object: {exc}")
+        model, agents = obj["model"], _int(obj["agents"])
+        if not isinstance(model, str) or model not in _MODELS:
+            raise DomainError(f"unknown protocol model {model!r}")
+        cls, kinds = _MODELS[model]
+        if cls is BcDag:
+            nodes = [_node_from(o, kinds, _int) for o in _list(obj["nodes"])]
+            return BcDag(agents, _int(obj["root"]), {n.nid: n for n in nodes})
 
-    def bc_node(o):
-        kind = o["kind"]
-        if kind == "cut":
-            return BcCut(int(o["id"]), int(o["agent"]), int(o["piece"]),
-                         bc_node(o["child"]))
-        if kind == "choose":
-            return BcChoose(int(o["id"]), int(o["agent"]),
-                            tuple(bc_node(c) for c in o["children"]))
-        if kind == "leaf":
-            return BcLeaf(int(o["id"]), tuple(int(a) for a in o["assign"]))
-        raise DomainError(f"unknown bc node kind {kind!r}")
+        def sub(o):
+            return _node_from(o, kinds, sub)
 
-    def ext_node(o):
-        kind = o["kind"]
-        if kind == "cut":
-            return ExtCut(int(o["id"]), int(o["agent"]), _ref_from(o["left"]),
-                          _ref_from(o["right"]), ext_node(o["child"]))
-        if kind == "choose":
-            return ExtChoose(int(o["id"]), int(o["agent"]),
-                             tuple(ext_node(c) for c in o["children"]))
-        if kind == "leaf":
-            return ExtLeaf(int(o["id"]), tuple(
-                ExtSegment(_ref_from(s["left"]), _ref_from(s["right"]),
-                           int(s["agent"]))
-                for s in o["segments"]
-            ))
-        raise DomainError(f"unknown extbc node kind {kind!r}")
-
-    def gcc_node(o):
-        kind = o["kind"]
-        if kind in ("cut", "choose"):
-            pieces = tuple(
-                (_ref_from(s["left"]), _ref_from(s["right"])) for s in o["pieces"]
-            )
-            cls = GccCut if kind == "cut" else GccChoose
-            return cls(int(o["id"]), int(o["agent"]), pieces, gcc_node(o["child"]))
-        if kind == "ifelse":
-            return GccIfElse(int(o["id"]), tuple(
-                (_cond_from(b["condition"]), gcc_node(b["child"]))
-                for b in o["branches"]
-            ))
-        if kind == "leaf":
-            return GccLeaf(int(o["id"]))
-        raise DomainError(f"unknown gcc node kind {kind!r}")
-
-    if model == "bc":
-        return BcTree(agents, bc_node(obj["root"]))
-    if model == "extbc":
-        return ExtBcTree(agents, ext_node(obj["root"]))
-    if model == "gcc":
-        return GccTree(agents, gcc_node(obj["root"]))
-    if model == "bcdag":
-        nodes = {}
-        for o in obj["nodes"]:
-            nid, kind = int(o["id"]), o["kind"]
-            if kind == "cut":
-                nodes[nid] = DagCut(nid, int(o["agent"]), int(o["piece"]),
-                                    int(o["child"]))
-            elif kind == "choose":
-                nodes[nid] = DagChoose(nid, int(o["agent"]),
-                                       tuple(int(c) for c in o["children"]))
-            elif kind == "leaf":
-                nodes[nid] = DagLeaf(nid, tuple(int(a) for a in o["assign"]))
-            else:
-                raise DomainError(f"unknown dag node kind {kind!r}")
-        return BcDag(agents, int(obj["root"]), nodes)
-    raise DomainError(f"unknown protocol model {model!r}")
+        return cls(agents, sub(obj["root"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed protocol object: {_why(exc)}") from None
 
 
 def valuations_to_json(vals) -> dict:

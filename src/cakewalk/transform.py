@@ -26,8 +26,8 @@ from .ir import (
     CutRef, DagChoose, DagCut, ELSE, END, ExtBcTree, ExtChoose, ExtCut,
     ExtLeaf, ExtNode, ExtSegment, GccChoose, GccCut, GccIfElse, GccLeaf,
     GccMode, GccTree, IdGen, Less, ORIGIN, at, children_of, fold_condition,
-    iter_nodes, renumber, replace_child, stats, validate_bc, validate_dag,
-    validate_ext, validate_gcc,
+    iter_nodes, renumber, stats, validate_bc, validate_dag, validate_ext,
+    validate_gcc, _children, _map_node,
 )
 
 DEFAULT_SIZE_BUDGET = 1_000_000
@@ -280,10 +280,12 @@ def _hoist_first(node, lower):
         for i, child in enumerate(node.children):
             if isinstance(child, (BcCut, ExtCut)):
                 return lower(node, i), True
-    for i, child in enumerate(children_of(node)):
+    for i, child in enumerate(_children(node)):
         new_child, moved = _hoist_first(child, lower)
         if moved:
-            return replace_child(node, i, new_child), True
+            kids = list(_children(node))
+            kids[i] = new_child
+            return _map_node(node, kids=kids), True
     return node, False
 
 
@@ -300,7 +302,8 @@ def cuts_before_choices_ext(
 
     def lower(choose: ExtChoose, i: int) -> ExtCut:
         cut = choose.children[i]
-        return replace_child(cut, 0, replace_child(choose, i, cut.child))
+        kids = choose.children[:i] + (cut.child,) + choose.children[i + 1:]
+        return _map_node(cut, kids=[_map_node(choose, kids=kids)])
 
     root = t.root
     guard = stats(t).nodes ** 2 + 1
@@ -484,7 +487,7 @@ def cuts_before_choices_bc(
         cut = choose.children[i]
         kids = tuple(cut.child if j == i else insert_cut(other, cut.piece)
                      for j, other in enumerate(choose.children))
-        return replace_child(cut, 0, BcChoose(choose.nid, choose.agent, kids))
+        return _map_node(cut, kids=[_map_node(choose, kids=kids)])
 
     root, moved = t.root, True
     while moved:

@@ -34,7 +34,10 @@ from cakewalk.transform import (
 )
 from cakewalk.valuation import envy_matrix, random_valuation, uniform
 
-from helpers import rand_profile, random_bc_tree, random_dag, random_ext_tree, random_gcc
+from helpers import (
+    rand_profile, random_bc_tree, random_dag, random_ext_tree, random_gcc,
+    reconverging_dags,
+)
 from test_oracle import BruteForce
 
 
@@ -326,6 +329,7 @@ def test_11_dsl_round_trip_and_fuzz():
         protocols.append(random_ext_tree(random.Random(seed), 3, 18))
         protocols.append(random_dag(random.Random(seed), 2, 14))
         protocols.append(random_gcc(random.Random(seed), 2, 5))
+    protocols += [dag for _, dag in reconverging_dags()]
     for idx, p in enumerate(protocols):
         text = print_protocol(p)
         again, diagnostics = parse(text)

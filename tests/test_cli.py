@@ -300,6 +300,27 @@ class TestErrors:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", [
+        '{"model":"bc","agents":1,"root":{"id":0,"kind":"cut","piece":1}}',
+        '{"model":"bc","agents":1,"root":{"id":0,"kind":"leaf","assign":5}}',
+        '{"model":"bcdag","agents":1,"root":0,"nodes":[{"id":0,"kind":"leaf"}]}',
+        '{"model":"bc","agents":1,"root":{"id":0,',
+    ], ids=["missing-agent", "int-assign", "dag-leaf-no-assign", "truncated"])
+    def test_malformed_json_is_one_error_line(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, _, err = run_cli(capsys, "stats", str(bad))
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_truncated_vals_is_one_error_line(self, capsys, tmp_path, cc_json):
+        vals = tmp_path / "vals.json"
+        vals.write_text('{"valuations": [')
+        code, _, err = run_cli(capsys, "run", cc_json, "--vals", str(vals))
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "stats", "/nonexistent.cake")
         assert code == 2

@@ -9,7 +9,9 @@ from cakewalk.library import (
     gen_selfridge_conway_bc, gen_selfridge_conway_gcc,
 )
 
-from helpers import random_bc_tree, random_dag, random_ext_tree, random_gcc
+from helpers import (
+    random_bc_tree, random_dag, random_ext_tree, random_gcc, reconverging_dags,
+)
 
 
 def assert_round_trip(p):
@@ -61,6 +63,8 @@ class TestRoundTrip:
             assert_round_trip(random_ext_tree(random.Random(seed), 3, 18))
             assert_round_trip(random_dag(random.Random(seed), 2, 14))
             assert_round_trip(random_gcc(random.Random(seed), 2, 5))
+        for _, dag in reconverging_dags():
+            assert_round_trip(dag)
 
     def test_print_deterministic(self):
         tree, _ = gen_selfridge_conway_bc()

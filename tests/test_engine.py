@@ -15,7 +15,9 @@ from cakewalk.library import gen_cut_and_choose, gen_selfridge_conway_bc
 from cakewalk.transform import dag_to_tree, retarget_trace
 from cakewalk.valuation import envy_matrix, random_valuation, uniform
 
-from helpers import rand_profile, random_bc_tree, random_dag, random_gcc
+from helpers import (
+    rand_profile, random_bc_tree, random_dag, random_gcc, reconverging_dags,
+)
 
 
 def const_cut(z):
@@ -153,8 +155,8 @@ class TestReplay:
             replay(bc, wrong)
 
     def test_trace_transported_through_dag_map(self):
-        for seed in range(8):
-            dag = random_dag(random.Random(seed), 2, 14)
+        dags = [(seed, random_dag(random.Random(seed), 2, 14)) for seed in range(8)]
+        for seed, dag in dags + list(reconverging_dags()):
             tree, nmap, _ = dag_to_tree(dag)
             vals = [uniform(), uniform()]
             trace, alloc = run(dag, rand_profile(seed, 2), vals)

@@ -1,24 +1,32 @@
 import random
+from dataclasses import fields, is_dataclass
 from fractions import Fraction as F
 
 import pytest
 
 from cakewalk import engine, ir
+from cakewalk.dsl import print_protocol
+from cakewalk.errors import DomainError
 from cakewalk.engine import run
 from cakewalk.ir import (
     And, BcChoose, BcCut, BcDag, BcLeaf, BcTree, ChoseAt, CutInAt, DagChoose,
     DagCut, DagLeaf, ELSE, END, ExtBcTree, ExtChoose, ExtCut, ExtLeaf,
     ExtSegment, GccChoose, GccCut, GccIfElse, GccLeaf, GccMode, GccTree,
-    IdGen, Less, Not, ORIGIN, Order, at, renumber, static_cut_order, stats,
-    structurally_equal, validate_bc, validate_dag, validate_ext, validate_gcc,
+    CutRef, IdGen, Less, Not, ORIGIN, Order, at, renumber, static_cut_order,
+    stats, structurally_equal, validate_bc, validate_dag, validate_ext,
+    validate_gcc,
 )
+from cakewalk.jsonio import protocol_to_json
 from cakewalk.library import (
     gen_cut_and_choose, gen_dubins_spanier, gen_even_paz,
     gen_selfridge_conway_bc, gen_selfridge_conway_gcc,
 )
 from cakewalk.valuation import random_valuation, uniform
 
-from helpers import rand_profile, random_ext_tree, random_gcc
+from helpers import (
+    rand_profile, random_bc_tree, random_dag, random_ext_tree, random_gcc,
+    reconverging_dags,
+)
 
 
 def bc_leaf_only():
@@ -410,3 +418,119 @@ class TestStats:
         assert stats(relabeled) == stats(tree)
         assert structurally_equal(tree, relabeled)
         assert validate_bc(relabeled).ok
+
+
+# ---------------------------------------------------------------------------
+# Structural equality, checked against copies built here field by field
+
+# Int fields that hold node ids: node and DAG-edge ids, the cut a ref names,
+# the node a condition reads, and a DAG's root.
+ID_FIELDS = {"nid", "node", "cut", "root", "child", "children"}
+
+
+def edit(value, fn, name=None):
+    """A copy of ``value`` with every int field passed through ``fn(name, v)``."""
+    if isinstance(value, int):
+        return fn(name, value)
+    if isinstance(value, tuple):
+        return tuple(edit(v, fn, name) for v in value)
+    if isinstance(value, dict):  # a DAG's node map
+        return {fn("nid", k): edit(v, fn) for k, v in value.items()}
+    if isinstance(value, CutRef) and value.kind != "cut":
+        return value
+    if is_dataclass(value):
+        return type(value)(**{f.name: edit(getattr(value, f.name), fn, f.name)
+                              for f in fields(value)})
+    return value
+
+
+def relabelled(p, rng):
+    """``p`` with its node ids permuted at random, every reference following."""
+    ids = sorted({n.nid for n in ir.iter_nodes(p)})
+    perm = dict(zip(ids, rng.sample(range(10 * len(ids) + 10), len(ids))))
+    return edit(p, lambda name, v: perm[v] if name in ID_FIELDS else v)
+
+
+def single_field_changes(p, rng, limit=60):
+    """Copies of ``p`` that each change one agent, piece, assign entry, ref,
+    condition index or DAG edge (node ids themselves are left alone)."""
+    sites = 0
+
+    def count(name, v):
+        nonlocal sites
+        sites += name not in ("nid", "agents")
+        return v
+
+    edit(p, count)
+    for target in sorted(rng.sample(range(sites), min(sites, limit))):
+        seen = -1
+
+        def bump(name, v):
+            nonlocal seen
+            if name in ("nid", "agents"):
+                return v
+            seen += 1
+            return v + 1 if seen == target else v
+
+        yield edit(p, bump)
+
+
+def equality_cases():
+    cases = [gen_cut_and_choose()[1], gen_dubins_spanier(3, "gcc")[0],
+             gen_even_paz(2, "gcc")[0], gen_selfridge_conway_gcc()[0],
+             gen_even_paz(2, "extbc")[0], ordered_cuts_gcc()]
+    for seed in range(12):
+        cases.append(random_bc_tree(random.Random(seed), 2, 15))
+        cases.append(random_ext_tree(random.Random(seed), 3, 18))
+        cases.append(random_gcc(random.Random(seed), 2, 5))
+        cases.append(random_dag(random.Random(seed), 2, 14))
+    cases += [dag for _, dag in reconverging_dags(120)]
+    return cases
+
+
+class TestStructuralEquality:
+    def test_dag_sharing_either_order(self):
+        shared = BcDag(1, 0, {0: DagChoose(0, 1, (1, 1)), 1: DagLeaf(1, (1,))})
+        distinct = BcDag(1, 0, {0: DagChoose(0, 1, (1, 2)), 1: DagLeaf(1, (1,)),
+                                2: DagLeaf(2, (1,))})
+        assert not structurally_equal(shared, distinct)
+        assert not structurally_equal(distinct, shared)
+
+    def test_missing_cut_is_a_domain_error(self):
+        tree = GccTree(1, GccIfElse(0, (
+            (Less(at(7), END), GccLeaf(1)), (ELSE, GccLeaf(2)))))
+        for write in (renumber, protocol_to_json, print_protocol):
+            with pytest.raises(DomainError, match=r"\b7\b"):
+                write(tree)
+        assert not structurally_equal(tree, tree)
+
+    def test_missing_dag_child_is_a_domain_error(self):
+        dag = BcDag(1, 0, {0: DagCut(0, 1, 1, 5)})
+        with pytest.raises(DomainError, match=r"\b5\b"):
+            renumber(dag)
+        assert not structurally_equal(dag, dag)
+
+    def test_node_class_matters(self):
+        # A gcc-cut and a gcc-choose hold the same fields.
+        gcc = gen_cut_and_choose()[1]
+        fields_of_root = {f.name: getattr(gcc.root, f.name) for f in fields(gcc.root)}
+        assert isinstance(gcc.root, GccCut)
+        choose = GccTree(gcc.agents, GccChoose(**fields_of_root))
+        assert not structurally_equal(gcc, choose)
+        assert not structurally_equal(choose, gcc)
+
+    def test_relabelled_copies_are_equal(self):
+        rng = random.Random(5)
+        for p in equality_cases():
+            copy = relabelled(p, rng)
+            assert structurally_equal(p, copy) and structurally_equal(copy, p)
+
+    def test_single_field_changes_are_unequal(self):
+        rng = random.Random(6)
+        checked = 0
+        for p in equality_cases():
+            for changed in single_field_changes(p, rng):
+                assert not structurally_equal(p, changed), changed
+                assert not structurally_equal(changed, p), changed
+                checked += 1
+        assert checked > 500
