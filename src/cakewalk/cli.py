@@ -202,19 +202,25 @@ def human_strategy(agent: int) -> Strategy:
 def scripted_strategy(path: str) -> Strategy:
     """Decisions looked up by node id from a JSON file."""
     obj = _parse_json(_read_text(path), path)
-    decisions = obj.get("decisions", obj)
+    decisions = obj.get("decisions", obj) if isinstance(obj, dict) else obj
+    if not isinstance(decisions, dict):
+        raise DomainError(f"{path} must hold an object of decisions keyed by node id")
 
     def play(ctx: DecisionContext):
         key = str(ctx.node.nid)
         if key not in decisions:
             raise DomainError(f"scripted file has no decision for node {key}")
         value = decisions[key]
-        if ctx.kind == "cut":
-            return frac(value)
-        if ctx.kind == "gcc-cut":
-            piece, z = value
-            return int(piece), frac(z)
-        return int(value)
+        try:
+            if ctx.kind == "cut":
+                return frac(value)
+            if ctx.kind == "gcc-cut":
+                piece, z = value
+                return int(piece), frac(z)
+            return int(value)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise DomainError(
+                f"scripted decision for node {key} is malformed: {value!r}") from None
 
     return play
 

@@ -5,9 +5,10 @@ itself, stops at the leaf and asks a ``decide`` callback for the event at
 each other node.  ``run`` decides by querying one strategy per agent for cut
 positions and branch/piece choices, and returns a ``Trace`` plus the final
 exact ``Allocation``; ``replay`` and ``transform.retarget_trace`` decide by
-following a recorded trace (``follow``).  The small-step helpers (``step_*``,
-``ExecState``) are also used by the guarantee oracle, so execution semantics
-live in one place.  Conditions are read through ``ir.fold_condition``.
+following a recorded trace (``follow``).  Conditions are read through
+``ir.fold_condition``.  The guarantee oracle plays the same rules on grid
+indices instead of stepping ``ExecState``s; the small-step helpers here
+(``step_*``, ``ExecState``) are the reference its tests compare it with.
 """
 
 from __future__ import annotations
@@ -173,7 +174,11 @@ def cut_intervals(p: Protocol, state: ExecState) -> tuple[Interval, ...]:
     """Candidate intervals for the cut at the current node."""
     node = _node_of(p, state)
     if isinstance(node, (BcCut, DagCut)):
-        return (partition_of(state.cuts)[node.piece - 1],)
+        parts = partition_of(state.cuts)
+        if not 0 < node.piece <= len(parts):
+            raise ExecutionError(f"cut piece {node.piece} out of range 1..{len(parts)}",
+                                 node=node.nid, agent=node.agent)
+        return (parts[node.piece - 1],)
     positions = cut_positions_of(state)
     if isinstance(node, ExtCut):
         lo = resolve_ref(node.left, positions)

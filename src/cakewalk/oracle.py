@@ -9,14 +9,29 @@ grid-restricted game; they are meaningful for the continuous game only
 when the grid contains the positions the intended strategies need, so
 callers should pin grids explicitly.
 
-Leaves are scored in integers.  Every position the search visits is a grid
-point: cuts are placed at ``Grid.within`` points (or at the interval's own
-left end, itself a visited position, when the interval holds none), and
-every other piece end is 0, 1 or an earlier cut.  So each agent's value of
-a piece is a sum of differences of their cumulative values at grid points,
-and those are held as integer numerators over one common denominator per
-oracle.  Queries return ``Fraction`` results built from these integers, so
-they equal the values exact rational arithmetic would give.
+The game is played on grid indices.  Every position the search visits is a
+grid point: a cut is placed at a grid point of its interval, and every
+interval end is 0, 1 or an earlier cut.  So the oracle holds each cut as
+the index of its grid point, offers a cut every index from its interval's
+left end to its right end, and compares positions by comparing indices (the
+grid is strictly increasing).  Each agent's value of [0, x] at every grid
+point x is an integer numerator over one common denominator per oracle, so
+a piece's value is a difference of two table entries.  Queries return
+``Fraction`` results built from these integers; they equal the values exact
+rational arithmetic would give.
+
+The game follows the interpreter's rules (``engine``) move for move and
+raises the same ``ExecutionError`` where a protocol goes wrong at run time:
+a BC cut in a piece that does not exist, an inverted cut interval or piece,
+a ref to a cut never made, a condition on an undecided pick, an if-else with
+no matching branch, and a leaf whose piece count or allocation is invalid.
+It skips the checks that cannot fail here.  The interpreter checks each move
+a strategy returns (a cut inside its interval, a branch or piece index in
+range); the oracle only generates legal moves.  A BC or DAG leaf's pieces
+come from the sorted cuts, so they always partition the cake and only their
+count is checked.  Extended and GCC leaves are still checked to partition
+the cake (``valuation.check_allocation`` on indices), with positions printed
+in the error.
 """
 
 from __future__ import annotations
@@ -29,15 +44,22 @@ from math import lcm
 from time import perf_counter
 from typing import Sequence
 
-from .engine import (
-    ExecState, current_kind, cut_intervals, initial_state, leaf_allocation,
-    step_choose, step_cut, step_ifelse, _node_of,
+# step_cut is not called here; perfbench/test_perfbench.py
+# (test_install_and_uninstall_restore_the_program) reads it through this
+# module to check that the tracer patches and restores aliases.
+from .engine import step_cut  # noqa: F401
+from .errors import BudgetExceededError, DomainError, ExecutionError
+from .ir import (
+    BcChoose, BcCut, BcDag, BcLeaf, DagChoose, DagCut, DagLeaf, ExtChoose,
+    ExtCut, ExtLeaf, GccChoose, GccCut, GccIfElse, GccLeaf, Less, Protocol,
+    fold_condition,
 )
-from .errors import BudgetExceededError, DomainError
-from .ir import BcDag, Protocol
-from .valuation import ONE, Valuation, ZERO, format_frac
+from .valuation import ONE, Valuation, ZERO, check_allocation, format_frac
 
 DEFAULT_BUDGET = 5_000_000
+
+_LEAVES = (BcLeaf, DagLeaf, ExtLeaf, GccLeaf)
+_BRANCHES = (BcChoose, DagChoose, ExtChoose)
 
 
 @dataclass(frozen=True)
@@ -99,19 +121,26 @@ def _envy(cross, i: int, j: int) -> int:
     return max(cross[i - 1][j - 1] - cross[i - 1][i - 1], 0)
 
 
+def _same(node):
+    return node
+
+
 class GuaranteeOracle:
     """Backward induction over one protocol, one grid, one valuation profile.
 
-    Each agent's value of [0, x] at every grid point x is held as an integer
-    numerator over ``denominator``, the least common denominator of all
-    those values; leaf cross-values, envies and the scores the search
-    compares are integers over it.  Only the results the queries return are
-    ``Fraction``s.
+    A game state is the current node, the cuts made so far as (cut node id,
+    grid index) pairs in creation order, the GCC picks as (node id, piece
+    index) pairs, and the GCC allocations so far as (agent, lo, hi) triples
+    of an agent and two grid indices.  Each agent's value of [0, x] at every
+    grid point x is held as an integer numerator over ``denominator``, the
+    least common denominator of all those values; leaf cross-values, envies
+    and the scores the search compares are integers over it.  Only the
+    results the queries return are ``Fraction``s.
 
-    Leaf cross-value matrices are cached across queries.  On a DAG, subgame
-    results are memoized on (node, cut positions, piece picks), which fully
-    determines the pending allocation; a tree reaches each such key once per
-    query, so there the memo would never hit and stays empty.
+    Leaf cross-value matrices are cached across queries, keyed on (node id,
+    cuts, picks).  On a DAG, subgame results are memoized on the same key,
+    which fully determines the pending allocation; a tree reaches each such
+    key once per query, so there the memo would never hit and stays empty.
     """
 
     def __init__(self, p: Protocol, vals: Sequence[Valuation], grid: Grid,
@@ -135,19 +164,18 @@ class GuaranteeOracle:
             tuple(f.numerator * (self.denominator // f.denominator) for f in row)
             for row in prefix
         ]
-        self._index = {x: k for k, x in enumerate(grid.points)}
+        self._last = len(grid.points) - 1  # the grid index of position 1
+        self._node_of = p.nodes.__getitem__ if isinstance(p, BcDag) else _same
 
     # -- plumbing -----------------------------------------------------------
 
-    def _bump(self):
-        self.evals += 1
-        if self.evals > self.budget:
-            raise BudgetExceededError(
-                f"oracle budget of {self.budget} node evaluations exceeded in"
-                f" {self._query}: {self.evals} evaluations made,"
-                f" {perf_counter() - self._started:.3f} s elapsed;"
-                " result inconclusive"
-            )
+    def _over_budget(self):
+        raise BudgetExceededError(
+            f"oracle budget of {self.budget} node evaluations exceeded in"
+            f" {self._query}: {self.evals} evaluations made,"
+            f" {perf_counter() - self._started:.3f} s elapsed;"
+            " result inconclusive"
+        )
 
     def _check_agents(self, *agents: int):
         n = self.protocol.agents
@@ -155,101 +183,142 @@ class GuaranteeOracle:
             if a not in range(1, n + 1):
                 raise DomainError(f"agent {a} out of range 1..{n}")
 
-    def _key(self, state: ExecState):
-        nid = state.node if isinstance(self.protocol, BcDag) else state.node.nid
-        return (nid, state.cuts, state.picks)
+    def _fraction(self, score: int) -> Fraction:
+        return Fraction(score, self.denominator)
 
-    def _leaf_cross(self, state: ExecState):
+    # -- the game on grid indices ---------------------------------------------
+
+    def _at(self, ref, positions: dict[int, int]) -> int:
+        """The grid index of a cut ref; ``positions`` maps cut ids to indices."""
+        if ref.kind == "origin":
+            return 0
+        if ref.kind == "end":
+            return self._last
+        try:
+            return positions[ref.cut]
+        except KeyError:
+            raise ExecutionError(f"ref to cut {ref.cut} that was never made")
+
+    def _spans(self, pieces, cuts, inverted_at=None) -> list[tuple[int, int]]:
+        """GCC pieces as (lo, hi) index pairs.  With ``inverted_at``, the id
+        of a cut node, an inverted piece raises as it does at that cut."""
+        positions = dict(cuts)
+        spans = []
+        for left, right in pieces:
+            lo, hi = self._at(left, positions), self._at(right, positions)
+            if inverted_at is not None and lo > hi:
+                raise ExecutionError("piece inverted at run time", node=inverted_at)
+            spans.append((lo, hi))
+        return spans
+
+    def _bounds(self, cuts) -> list[int]:
+        """Piece ends of the BC partition: 0, the sorted cuts, the last index."""
+        return [0, *sorted(z for _, z in cuts), self._last]
+
+    def _cut_interval(self, node, cuts) -> tuple[int, int]:
+        """The interval a BC, DAG or extended cut must fall in."""
+        if isinstance(node, (BcCut, DagCut)):
+            bounds = self._bounds(cuts)
+            if not 0 < node.piece < len(bounds):
+                raise ExecutionError(
+                    f"cut piece {node.piece} out of range 1..{len(bounds) - 1}",
+                    node=node.nid, agent=node.agent,
+                )
+            return bounds[node.piece - 1], bounds[node.piece]
+        if isinstance(node, ExtCut):
+            positions = dict(cuts)
+            lo, hi = self._at(node.left, positions), self._at(node.right, positions)
+            if lo > hi:
+                raise ExecutionError("cut interval inverted at run time", node=node.nid)
+            return lo, hi
+        raise DomainError("current node is not a cut or a choose")
+
+    def _moves(self, node, cuts, picks, allocated) -> list[tuple]:
+        """Successor states of a cut or choose node, in the interpreter's
+        order: a cut tries each of its pieces, and in each every grid index
+        from the piece's left end to its right end."""
+        if isinstance(node, _BRANCHES):
+            node_of = self._node_of
+            return [(node_of(kid), cuts, picks, allocated) for kid in node.children]
+        nid = node.nid
+        if isinstance(node, GccChoose):
+            return [(node.child, cuts, picks + ((nid, k),),
+                     allocated + ((node.agent, lo, hi),))
+                    for k, (lo, hi) in enumerate(self._spans(node.pieces, cuts))]
+        if isinstance(node, GccCut):
+            return [(node.child, cuts + ((nid, z),), picks + ((nid, k),), allocated)
+                    for k, (lo, hi) in enumerate(self._spans(node.pieces, cuts, nid))
+                    for z in range(lo, hi + 1)]
+        lo, hi = self._cut_interval(node, cuts)
+        child = self._node_of(node.child)
+        return [(child, cuts + ((nid, z),), picks, allocated)
+                for z in range(lo, hi + 1)]
+
+    def _branch(self, node: GccIfElse, cuts, picks):
+        """The child of the first if-else branch whose condition holds."""
+        positions, chosen = dict(cuts), dict(picks)
+
+        def atom(a) -> bool:
+            if isinstance(a, Less):  # indices order as the positions do
+                return self._at(a.left, positions) < self._at(a.right, positions)
+            if a.node not in chosen:
+                raise ExecutionError(f"condition references undecided node {a.node}")
+            return chosen[a.node] == a.index
+
+        for cond, child in node.branches:
+            if fold_condition(cond, atom):
+                return child
+        raise ExecutionError("no if-else branch matched", node=node.nid)
+
+    def _leaf_pieces(self, node, cuts, allocated) -> list[list[tuple[int, int]]]:
+        """Each agent's intervals at a leaf, as (lo, hi) index pairs."""
+        pieces: list[list[tuple[int, int]]] = [[] for _ in range(self.protocol.agents)]
+        if isinstance(node, (BcLeaf, DagLeaf)):
+            bounds = self._bounds(cuts)
+            if len(bounds) - 1 != len(node.assign):
+                raise ExecutionError(
+                    f"leaf expects {len(node.assign)} pieces,"
+                    f" partition has {len(bounds) - 1}",
+                    node=node.nid,
+                )
+            for k, agent in enumerate(node.assign):
+                pieces[agent - 1].append((bounds[k], bounds[k + 1]))
+            return pieces  # consecutive pieces of sorted cuts: a partition
+        if isinstance(node, ExtLeaf):
+            positions = dict(cuts)
+            for seg in node.segments:
+                lo, hi = self._at(seg.left, positions), self._at(seg.right, positions)
+                if lo > hi:
+                    raise ExecutionError("segment inverted at run time", node=node.nid)
+                pieces[seg.agent - 1].append((lo, hi))
+        else:
+            for agent, lo, hi in allocated:
+                pieces[agent - 1].append((lo, hi))
+            for row in pieces:
+                row.sort()
+        try:
+            check_allocation(pieces, self._last, self.grid.points.__getitem__)
+        except DomainError as exc:
+            raise ExecutionError(f"allocation invalid at leaf: {exc}", node=node.nid)
+        return pieces
+
+    def _leaf_cross(self, node, cuts, picks, allocated):
         """Matrix (i, j) = V_i(X_j) * denominator, from the prefix table."""
-        key = self._key(state)
+        key = (node.nid, cuts, picks)
         hit = self._leaf_cache.get(key)
         if hit is None:
-            alloc = leaf_allocation(self.protocol, state)
-            index = self._index
-            spans = [[(index[lo], index[hi]) for lo, hi in piece]
-                     for piece in alloc.pieces]
+            pieces = self._leaf_pieces(node, cuts, allocated)
             hit = tuple(
-                tuple(sum(row[b] - row[a] for a, b in piece) for piece in spans)
+                tuple([sum([row[b] - row[a] for a, b in piece]) for piece in pieces])
                 for row in self._prefix
             )
             self._leaf_cache[key] = hit
         return hit
 
-    def _actions(self, state: ExecState, kind: str):
-        """Decision points: (acting agent, list of successor states)."""
-        node = _node_of(self.protocol, state)
-        if kind == "cut":
-            intervals = cut_intervals(self.protocol, state)
-            nexts = []
-            for j, (lo, hi) in enumerate(intervals):
-                for z in self.grid.within(lo, hi):
-                    nexts.append(step_cut(self.protocol, state, j, z))
-            return node.agent, nexts
-        count = len(node.children) if kind == "choose" else len(node.pieces)
-        return node.agent, [step_choose(self.protocol, state, i) for i in range(count)]
-
-    def _fraction(self, score: int) -> Fraction:
-        return Fraction(score, self.denominator)
-
-    # -- the four guarantee queries ------------------------------------------
-
-    def can_guarantee(self, query: BoundsQuery) -> bool:
-        """Can ``query.agent`` force envy(i, j) <= M_j for every listed j?"""
-        i = query.agent
-        self._check_agents(i, *(j for j, _ in query.bounds))
-        den = self.denominator
-        # envy / den <= m  <=>  envy * m.denominator <= m.numerator * den
-        limits = [(j, m.denominator, m.numerator * den) for j, m in query.bounds]
-
-        def leaf_ok(state) -> bool:
-            cross = self._leaf_cross(state)
-            return all(_envy(cross, i, j) * d <= lim for j, d, lim in limits)
-
-        pretty = ", ".join(f"{j}: {format_frac(m)}" for j, m in query.bounds)
-        return self._solve(f"can_guarantee({i}, {{{pretty}}})", leaf_ok, i,
-                           agent_maximizes=True, extremes=(False, True))
-
-    def guarantee_value(self, agent: int) -> Fraction:
-        """max over the agent's grid strategies of the worst-case V_i(X_i)."""
-        self._check_agents(agent)
-
-        def score(state):
-            cross = self._leaf_cross(state)
-            return cross[agent - 1][agent - 1]
-
-        return self._fraction(self._solve(f"guarantee_value({agent})", score,
-                                          agent, agent_maximizes=True))
-
-    def guarantee_pair_envy(self, agent: int, other: int) -> Fraction:
-        """min over the agent's strategies of the worst-case envy(agent, other)."""
-        self._check_agents(agent, other)
-        if agent == other:
-            raise DomainError("envy toward oneself is identically zero")
-
-        def score(state):
-            return _envy(self._leaf_cross(state), agent, other)
-
-        return self._fraction(self._solve(
-            f"guarantee_pair_envy({agent}, {other})", score, agent,
-            agent_maximizes=False))
-
-    def guarantee_total_envy(self, agent: int) -> Fraction:
-        """min over the agent's strategies of the worst-case total envy."""
-        self._check_agents(agent)
-        others = [j for j in range(1, self.protocol.agents + 1) if j != agent]
-
-        def score(state):
-            cross = self._leaf_cross(state)
-            return sum(_envy(cross, agent, j) for j in others)
-
-        return self._fraction(self._solve(f"guarantee_total_envy({agent})",
-                                          score, agent, agent_maximizes=False))
-
-    # -- the recursion --------------------------------------------------------
-
     def _solve(self, query: str, score, agent: int, agent_maximizes: bool,
                extremes=None):
-        """Max/min over the game tree; leaves scored by ``score``.
+        """Max/min over the game from the root; ``score`` maps a leaf's
+        cross-value matrix to its score.
 
         ``query`` names the query in budget errors and keys its memo entries.
         Yes/no queries pass ``extremes=(False, True)``: a side that reaches
@@ -262,25 +331,26 @@ class GuaranteeOracle:
         memo = self._memo if isinstance(self.protocol, BcDag) else None
         self._query, self._started = query, perf_counter()
 
-        def rec(state):
-            self._bump()
-            kind = current_kind(self.protocol, state)
-            if kind == "leaf":
-                return score(state)
-            if kind == "ifelse":
-                return rec(step_ifelse(self.protocol, state))
+        def rec(node, cuts, picks, allocated):
+            self.evals += 1
+            if self.evals > self.budget:
+                self._over_budget()
+            if isinstance(node, _LEAVES):
+                return score(self._leaf_cross(node, cuts, picks, allocated))
+            if isinstance(node, GccIfElse):
+                return rec(self._branch(node, cuts, picks), cuts, picks, allocated)
             if memo is not None:
-                key = (query, self._key(state))
+                key = (query, (node.nid, cuts, picks))
                 hit = memo.get(key)
                 if hit is not None:
                     return hit
-            actor, nexts = self._actions(state, kind)
-            if (actor == agent) == agent_maximizes:
+            nexts = self._moves(node, cuts, picks, allocated)
+            if (node.agent == agent) == agent_maximizes:
                 better, result, stop = max, lowest, highest
             else:
                 better, result, stop = min, highest, lowest
             for nxt in nexts:
-                outcome = rec(nxt)
+                outcome = rec(*nxt)
                 result = outcome if result is None else better(result, outcome)
                 if result == stop:
                     break
@@ -288,7 +358,51 @@ class GuaranteeOracle:
                 memo[key] = result
             return result
 
-        return rec(initial_state(self.protocol))
+        return rec(self._node_of(self.protocol.root), (), (), ())
+
+    # -- the four guarantee queries ------------------------------------------
+
+    def can_guarantee(self, query: BoundsQuery) -> bool:
+        """Can ``query.agent`` force envy(i, j) <= M_j for every listed j?"""
+        i = query.agent
+        self._check_agents(i, *(j for j, _ in query.bounds))
+        den = self.denominator
+        # envy / den <= m  <=>  envy * m.denominator <= m.numerator * den
+        limits = [(j, m.denominator, m.numerator * den) for j, m in query.bounds]
+
+        def leaf_ok(cross) -> bool:
+            return all(_envy(cross, i, j) * d <= lim for j, d, lim in limits)
+
+        pretty = ", ".join(f"{j}: {format_frac(m)}" for j, m in query.bounds)
+        return self._solve(f"can_guarantee({i}, {{{pretty}}})", leaf_ok, i,
+                           agent_maximizes=True, extremes=(False, True))
+
+    def guarantee_value(self, agent: int) -> Fraction:
+        """max over the agent's grid strategies of the worst-case V_i(X_i)."""
+        self._check_agents(agent)
+        return self._fraction(self._solve(
+            f"guarantee_value({agent})",
+            lambda cross: cross[agent - 1][agent - 1], agent,
+            agent_maximizes=True))
+
+    def guarantee_pair_envy(self, agent: int, other: int) -> Fraction:
+        """min over the agent's strategies of the worst-case envy(agent, other)."""
+        self._check_agents(agent, other)
+        if agent == other:
+            raise DomainError("envy toward oneself is identically zero")
+        return self._fraction(self._solve(
+            f"guarantee_pair_envy({agent}, {other})",
+            lambda cross: _envy(cross, agent, other), agent,
+            agent_maximizes=False))
+
+    def guarantee_total_envy(self, agent: int) -> Fraction:
+        """min over the agent's strategies of the worst-case total envy."""
+        self._check_agents(agent)
+        others = [j for j in range(1, self.protocol.agents + 1) if j != agent]
+        return self._fraction(self._solve(
+            f"guarantee_total_envy({agent})",
+            lambda cross: sum(_envy(cross, agent, j) for j in others), agent,
+            agent_maximizes=False))
 
 
 # Convenience wrappers for one-shot queries; repeated queries against the

@@ -120,7 +120,7 @@ class Valuation:
         try:
             bps = tuple(frac(x) for x in obj["breakpoints"])
             ds = tuple(frac(x) for x in obj["densities"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"malformed valuation object: {exc}") from exc
         return Valuation(bps, ds)
 
@@ -157,34 +157,38 @@ def random_valuation(seed: int, segments: int) -> Valuation:
     return Valuation(bps, ds)
 
 
-def check_allocation(pieces: Sequence[Sequence[Interval]]) -> None:
+def check_allocation(pieces: Sequence[Sequence[Interval]], end=ONE,
+                     show=str) -> None:
     """Raise DomainError unless pieces form a partition of [0, 1].
 
     Interiors must be pairwise disjoint, the union must cover the whole
     cake, and each agent's intervals must be sorted.  Empty intervals
-    [x, x] are allowed anywhere.
+    [x, x] are allowed anywhere.  Positions are ``Fraction``s from 0 to
+    ``end`` (1); any ordered positions from 0 will do, such as grid indices
+    with ``show`` mapping each to the position printed in errors.
     """
     covering = []
     for who, intervals in enumerate(pieces):
         prev = None
         for lo, hi in intervals:
-            if not (ZERO <= lo <= hi <= ONE):
-                raise DomainError(f"agent {who + 1} holds a bad interval [{lo}, {hi}]")
+            if not (0 <= lo <= hi <= end):
+                raise DomainError(
+                    f"agent {who + 1} holds a bad interval [{show(lo)}, {show(hi)}]")
             if prev is not None and lo < prev:
                 raise DomainError(f"agent {who + 1} intervals out of order")
             prev = hi
             if lo < hi:
                 covering.append((lo, hi))
     covering.sort()
-    cursor = ZERO
+    cursor = 0
     for lo, hi in covering:
         if lo < cursor:
-            raise DomainError(f"overlapping allocation near {lo}")
+            raise DomainError(f"overlapping allocation near {show(lo)}")
         if lo > cursor:
-            raise DomainError(f"unallocated cake in [{cursor}, {lo}]")
+            raise DomainError(f"unallocated cake in [{show(cursor)}, {show(lo)}]")
         cursor = hi
-    if cursor != ONE:
-        raise DomainError(f"unallocated cake in [{cursor}, 1]")
+    if cursor != end:
+        raise DomainError(f"unallocated cake in [{show(cursor)}, {show(end)}]")
 
 
 @dataclass(frozen=True)

@@ -321,6 +321,32 @@ class TestErrors:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("valuation", [
+        {"breakpoints": ["a"], "densities": []},
+        {"breakpoints": ["0", "1"], "densities": ["x"]},
+        {"breakpoints": ["0", "1"], "densities": ["1/0"]},
+    ], ids=["letter-breakpoint", "letter-density", "zero-denominator"])
+    def test_non_numeric_vals_is_one_error_line(self, capsys, tmp_path, cc_json,
+                                                valuation):
+        vals = tmp_path / "vals.json"
+        vals.write_text(json.dumps({"valuations": [valuation, valuation]}))
+        code, _, err = run_cli(capsys, "run", cc_json, "--vals", str(vals))
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("script", [[1, 2], {"decisions": [1]}, {"0": "x"}],
+                             ids=["list", "list-of-decisions", "letter-cut"])
+    def test_malformed_script_is_one_error_line(self, capsys, tmp_path, cc_json,
+                                                script):
+        first = tmp_path / "s1.json"
+        first.write_text(json.dumps(script))
+        second = tmp_path / "s2.json"
+        second.write_text(json.dumps({"1": 1}))
+        code, _, err = run_cli(capsys, "run", cc_json, "--random-vals", "1",
+                               "--strategies", f"scripted:{first},scripted:{second}")
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "stats", "/nonexistent.cake")
         assert code == 2

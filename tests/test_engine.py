@@ -64,6 +64,15 @@ class TestRun:
             run(p, [const_cut(F(3, 2))], [uniform()])
         assert err.value.node == 0 and err.value.agent == 1
 
+    @pytest.mark.parametrize("piece", [0, 3, -1])
+    def test_bc_cut_in_a_missing_piece_rejected(self, piece):
+        # Before any cut the partition has one piece; piece 0 must not wrap
+        # round to the last piece.
+        p = BcTree(2, BcCut(0, 1, piece, BcLeaf(1, (1, 2))))
+        with pytest.raises(ExecutionError, match=(
+                rf"cut piece {piece} out of range 1\.\.1 \(node 0, agent 1\)")):
+            run(p, [const_cut(F(1, 2))] * 2, [uniform(), uniform()])
+
     def test_bad_branch_index_rejected(self):
         p = BcTree(1, BcChoose(0, 1, (BcLeaf(1, (1,)),)))
         with pytest.raises(ExecutionError):

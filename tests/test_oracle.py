@@ -8,9 +8,9 @@ from cakewalk.engine import (
     current_kind, initial_state, leaf_allocation, step_choose, step_cut,
     step_ifelse, _node_of, cut_intervals,
 )
-from cakewalk.errors import BudgetExceededError, DomainError
+from cakewalk.errors import BudgetExceededError, DomainError, ExecutionError
 from cakewalk.ir import (
-    BcChoose, BcCut, BcLeaf, BcTree, GccMode, IdGen, stats,
+    BcChoose, BcCut, BcDag, BcLeaf, BcTree, DagCut, DagLeaf, GccMode, IdGen, stats,
 )
 from cakewalk.library import (
     gen_cut_and_choose, gen_dubins_spanier, gen_selfridge_conway_bc,
@@ -290,6 +290,19 @@ class TestBudget:
             oracle.can_guarantee(BoundsQuery.make(1, {3: F(1, 4), 2: F(0)}))
         with pytest.raises(BudgetExceededError, match=r"in guarantee_total_envy\(3\)"):
             oracle.guarantee_total_envy(3)
+
+
+class TestRunTimeErrors:
+    @pytest.mark.parametrize("piece", [0, 3, -1])
+    def test_bc_cut_in_a_missing_piece(self, piece):
+        # Piece 0 must not wrap round to the last piece and value it.
+        tree = BcTree(2, BcCut(0, 1, piece, BcLeaf(1, (1, 2))))
+        dag = BcDag(2, 0, {0: DagCut(0, 1, piece, 1), 1: DagLeaf(1, (1, 2))})
+        for p in (tree, dag):
+            oracle = GuaranteeOracle(p, [uniform(), uniform()], GRID2)
+            with pytest.raises(ExecutionError, match=(
+                    rf"cut piece {piece} out of range 1\.\.1 \(node 0, agent 1\)")):
+                oracle.guarantee_value(1)
 
 
 class TestAgentRange:

@@ -1,28 +1,47 @@
-"""The integer-scoring oracle against the ``Fraction`` scoring it replaced.
+"""The oracle's game on grid indices against the engine-driven game it replaced.
 
-``FractionOracle`` scores every leaf the way ``GuaranteeOracle`` did before
-it held grid values as integers: ``Valuation.value_of`` for each piece, and
-``Fraction`` envies, sums and bound comparisons.  It keeps the oracle's
-recursion (``_solve``), which ``test_oracle.TestAgainstBruteForce`` checks
-on its own, so a difference here can only come from the integer leaf
-values, scores, bound test or the conversion of results.
+``FractionOracle`` plays the game the way ``GuaranteeOracle`` did before it
+held states as grid indices: every move is an ``engine`` step on an
+``ExecState`` of ``Fraction`` positions, cut candidates come from
+``Grid.within``, every leaf is built by ``engine.leaf_allocation`` (which
+checks that it partitions the cake) and valued with ``Valuation.value_of``,
+and envies, sums and bound comparisons are ``Fraction``s.  Its ``_solve``,
+``_actions`` and ``_key`` are the oracle's former code.  So the oracle's
+results, evaluation counts, cache sizes and run-time errors are checked
+against the interpreter's own semantics.
 """
 
 import json
 import random
 from fractions import Fraction as F
+from time import perf_counter
+
+import pytest
 
 from cakewalk import oracle
-from cakewalk.engine import leaf_allocation
-from cakewalk.ir import stats
-from cakewalk.library import gen_cut_and_choose, gen_selfridge_conway_bc
+from cakewalk.engine import (
+    ExecState, current_kind, cut_intervals, initial_state, leaf_allocation,
+    step_choose, step_cut, step_ifelse, _node_of,
+)
+from cakewalk.errors import ExecutionError
+from cakewalk.ir import (
+    BcChoose, BcCut, BcDag, BcLeaf, BcTree, ChoseAt, DagCut, DagLeaf, END,
+    ExtBcTree, ExtCut, ExtLeaf, ExtSegment, GccChoose, GccCut, GccIfElse, GccLeaf,
+    GccTree, Less, ORIGIN, at, stats,
+)
+from cakewalk.library import (
+    gen_cut_and_choose, gen_dubins_spanier, gen_even_paz,
+    gen_selfridge_conway_bc, gen_selfridge_conway_gcc,
+)
 from cakewalk.oracle import (
     BoundsQuery, Grid, GuaranteeOracle, Notion, build_grid, check_equiv,
 )
 from cakewalk.transform import bc_to_gcc
 from cakewalk.valuation import ONE, ZERO, random_valuation, uniform
 
-from helpers import CountingMemo, random_bc_tree, random_gcc, reconverging_dags
+from helpers import (
+    CountingMemo, random_bc_tree, random_ext_tree, random_gcc, reconverging_dags,
+)
 
 THIRDS = Grid((F(0), F(1, 3), F(2, 3), F(1)))
 
@@ -32,7 +51,16 @@ def _envy(cross, i, j):
 
 
 class FractionOracle(GuaranteeOracle):
-    """The reference: leaves valued with ``Valuation.value_of``."""
+    """The reference: the game stepped by the engine, scored in ``Fraction``s."""
+
+    def _bump(self):
+        self.evals += 1
+        if self.evals > self.budget:
+            self._over_budget()
+
+    def _key(self, state: ExecState):
+        nid = state.node if isinstance(self.protocol, BcDag) else state.node.nid
+        return (nid, state.cuts, state.picks)
 
     def _leaf_cross(self, state):
         key = self._key(state)
@@ -43,6 +71,62 @@ class FractionOracle(GuaranteeOracle):
                         for v in self.vals)
             self._leaf_cache[key] = hit
         return hit
+
+    def _actions(self, state: ExecState, kind: str):
+        """Decision points: (acting agent, list of successor states)."""
+        node = _node_of(self.protocol, state)
+        if kind == "cut":
+            intervals = cut_intervals(self.protocol, state)
+            nexts = []
+            for j, (lo, hi) in enumerate(intervals):
+                for z in self.grid.within(lo, hi):
+                    nexts.append(step_cut(self.protocol, state, j, z))
+            return node.agent, nexts
+        count = len(node.children) if kind == "choose" else len(node.pieces)
+        return node.agent, [step_choose(self.protocol, state, i) for i in range(count)]
+
+    def _solve(self, query: str, score, agent: int, agent_maximizes: bool,
+               extremes=None):
+        """Max/min over the game tree; leaves scored by ``score``.
+
+        ``query`` names the query in budget errors and keys its memo entries.
+        Yes/no queries pass ``extremes=(False, True)``: a side that reaches
+        its own extreme skips its remaining moves, as ``any``/``all`` would.
+        Values and envies pass none and look at every move, so their cost
+        depends on the protocol and the grid, not on the valuations: an
+        early stop at 0 or 1 pays off only for some valuation profiles.
+        """
+        lowest, highest = extremes or (None, None)
+        memo = self._memo if isinstance(self.protocol, BcDag) else None
+        self._query, self._started = query, perf_counter()
+
+        def rec(state):
+            self._bump()
+            kind = current_kind(self.protocol, state)
+            if kind == "leaf":
+                return score(state)
+            if kind == "ifelse":
+                return rec(step_ifelse(self.protocol, state))
+            if memo is not None:
+                key = (query, self._key(state))
+                hit = memo.get(key)
+                if hit is not None:
+                    return hit
+            actor, nexts = self._actions(state, kind)
+            if (actor == agent) == agent_maximizes:
+                better, result, stop = max, lowest, highest
+            else:
+                better, result, stop = min, highest, lowest
+            for nxt in nexts:
+                outcome = rec(nxt)
+                result = outcome if result is None else better(result, outcome)
+                if result == stop:
+                    break
+            if memo is not None:
+                memo[key] = result
+            return result
+
+        return rec(initial_state(self.protocol))
 
     def can_guarantee(self, query):
         i = query.agent
@@ -119,7 +203,30 @@ def assert_matches_reference(p, vals, grid, budget=5_000_000, agents=None):
                 query = BoundsQuery.make(i, {**envies, j: m})
                 assert fast.can_guarantee(query) is ref.can_guarantee(query)
     assert fast.evals == ref.evals
+    assert len(fast._memo) == len(ref._memo)
+    assert len(fast._leaf_cache) == len(ref._leaf_cache)
     return fast
+
+
+def assert_queries_match(p, vals, grid, *calls):
+    """Each ``(method name, args)`` call gives the same result on both
+    oracles, and they make the same evaluations and cache entries."""
+    fast = GuaranteeOracle(p, vals, grid)
+    ref = FractionOracle(p, vals, grid)
+    for name, args in calls:
+        want = getattr(ref, name)(*args)
+        got = getattr(fast, name)(*args)
+        if isinstance(want, bool):
+            assert got is want
+        else:
+            assert_same_fraction(got, want)
+    assert fast.evals == ref.evals
+    assert len(fast._memo) == len(ref._memo)
+    assert len(fast._leaf_cache) == len(ref._leaf_cache)
+
+
+def profile(agents, seed=1):
+    return [random_valuation(seed + k, 2) for k in range(agents)]
 
 
 def two_profile(seed):
@@ -188,6 +295,96 @@ class TestGridsWithoutBreakpoints:
             assert_matches_reference(bc, vals, THIRDS)
             p = random_bc_tree(random.Random(seed), 2, 10)
             assert_matches_reference(p, vals, THIRDS)
+
+
+class TestExtendedAndGccProtocols:
+    """The forms whose refs, conditions and leaf checks the oracle reads on
+    its own: extended trees and GCC protocols, on the thirds grid."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("model", ["extbc", "gcc"])
+    def test_dubins_spanier(self, n, model):
+        p, _ = gen_dubins_spanier(n, model)
+        assert_matches_reference(p, profile(n), THIRDS, agents=(1,))
+
+    def test_even_paz_four_agents(self):
+        # GCC if-else branches decided by Less on two cuts
+        p, _ = gen_even_paz(4, "gcc")
+        assert_queries_match(p, profile(4), THIRDS, ("guarantee_value", (1,)),
+                             ("can_guarantee", (BoundsQuery.make(1, {2: ZERO}),)))
+
+    def test_selfridge_conway_gcc(self):
+        p, _ = gen_selfridge_conway_gcc()
+        assert_queries_match(p, profile(3), THIRDS, ("guarantee_value", (1,)),
+                             ("guarantee_pair_envy", (1, 2)),
+                             ("can_guarantee", (BoundsQuery.make(2, {3: F(1, 3)}),)))
+
+    def test_random_extended_trees(self):
+        cases = 0
+        for seed in range(60):
+            p = random_ext_tree(random.Random(seed), 2 + seed % 2, 12)
+            if stats(p).cuts < 2:
+                continue
+            assert_matches_reference(p, profile(p.agents, seed), THIRDS)
+            cases += 1
+        assert cases >= 15
+
+
+def _gcc_cut_then(child):
+    """Agent 1 cuts the whole cake (node 0), then ``child``."""
+    return GccTree(2, GccCut(0, 1, ((ORIGIN, END),), child))
+
+
+def _ext_cut_then(child):
+    return ExtBcTree(2, ExtCut(0, 1, ORIGIN, END, child))
+
+
+def _gcc_two_picks(piece_of_agent_1):
+    """Agent 1 takes ``piece_of_agent_1``, agent 2 the whole cake."""
+    return GccChoose(1, 1, (piece_of_agent_1,),
+                     GccChoose(2, 2, ((ORIGIN, END),), GccLeaf(3)))
+
+
+RUN_TIME_ERRORS = {
+    # the first cut at 1/3 gives agent 1 [0, 1/3] and agent 2 [0, 1]
+    "gcc-leaf-overlap": _gcc_cut_then(_gcc_two_picks((ORIGIN, at(0)))),
+    "gcc-cut-piece-inverted": _gcc_cut_then(
+        GccCut(1, 2, ((END, at(0)),), GccLeaf(2))),
+    "ref-to-a-cut-never-made": GccTree(
+        2, GccChoose(0, 1, ((ORIGIN, at(7)),), GccLeaf(1))),
+    "gcc-chosen-piece-inverted": _gcc_cut_then(_gcc_two_picks((at(0), ORIGIN))),
+    "no-branch-matches": _gcc_cut_then(
+        GccIfElse(1, ((Less(at(0), ORIGIN), GccLeaf(2)),))),
+    "less-on-a-cut-never-made": GccTree(
+        2, GccIfElse(0, ((Less(at(3), END), GccLeaf(1)),))),
+    "undecided-pick": GccTree(2, GccIfElse(0, ((ChoseAt(5, 0), GccLeaf(1)),))),
+    "ext-cut-inverted": _ext_cut_then(
+        ExtCut(1, 2, END, at(0), ExtLeaf(2, (ExtSegment(ORIGIN, END, 1),)))),
+    "ext-segment-inverted": _ext_cut_then(ExtLeaf(
+        1, (ExtSegment(at(0), ORIGIN, 1), ExtSegment(ORIGIN, END, 2)))),
+    "ext-segments-out-of-order": _ext_cut_then(ExtLeaf(
+        1, (ExtSegment(at(0), END, 1), ExtSegment(ORIGIN, at(0), 1)))),
+    "ext-cake-unallocated": _ext_cut_then(
+        ExtLeaf(1, (ExtSegment(ORIGIN, at(0), 1),))),
+    "bc-cut-piece-0": BcTree(2, BcCut(0, 1, 0, BcLeaf(1, (1, 2)))),
+    "bc-cut-piece-3": BcTree(2, BcCut(0, 1, 3, BcLeaf(1, (1, 2)))),
+    "bc-leaf-piece-count": BcTree(
+        2, BcChoose(0, 2, (BcLeaf(1, (1,)), BcCut(2, 1, 1, BcLeaf(3, (1,)))))),
+    "dag-cut-piece-minus-1": BcDag(2, 0, {0: DagCut(0, 1, -1, 1),
+                                          1: DagLeaf(1, (1, 2))}),
+}
+
+
+class TestRunTimeErrors:
+    @pytest.mark.parametrize("name", RUN_TIME_ERRORS)
+    def test_same_error_as_the_engine(self, name):
+        p = RUN_TIME_ERRORS[name]
+        errors = []
+        for cls in (FractionOracle, GuaranteeOracle):
+            with pytest.raises(ExecutionError) as caught:
+                cls(p, profile(2), THIRDS).guarantee_value(1)
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == errors[1]
 
 
 class TestEquivReport:
