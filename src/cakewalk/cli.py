@@ -19,8 +19,7 @@ from . import dsl, jsonio, library, oracle, transform
 from .engine import DecisionContext, Strategy, Trace, allocation_values, run
 from .errors import BudgetExceededError, CakeError, DomainError
 from .ir import (
-    BcDag, BcTree, ExtBcTree, GccMode, GccTree, Protocol, renumber, stats,
-    validate_bc, validate_dag, validate_ext, validate_gcc,
+    BcDag, BcTree, ExtBcTree, GccMode, GccTree, Protocol, renumber, stats, validate,
 )
 from .valuation import envy_matrix, format_frac, frac, random_valuation
 
@@ -67,23 +66,13 @@ def _write_text(path, text: str):
             fh.write(text)
 
 
-def _validate(p: Protocol, mode: GccMode):
-    if isinstance(p, BcTree):
-        return validate_bc(p)
-    if isinstance(p, ExtBcTree):
-        return validate_ext(p)
-    if isinstance(p, GccTree):
-        return validate_gcc(p, mode)
-    return validate_dag(p)
-
-
 def load_protocol(path: str, mode: GccMode = GccMode.EXTENSIVE) -> Protocol:
     """Read, validate, and canonicalize a protocol file."""
     text = _read_text(path)
     body = text.lstrip()
     if body.startswith("{"):
         p = jsonio.protocol_from_json(_parse_json(text, path))
-        report = _validate(p, mode)
+        report = validate(p, mode)
         if not report.ok:
             raise DomainError(f"protocol in {path} is invalid:\n{report}")
     else:

@@ -15,20 +15,26 @@ nodes explicitly.  ``parse`` never raises on malformed input: it returns
 ``(protocol_or_None, diagnostics)`` where every diagnostic carries a source
 span.  ``print_protocol`` emits the canonical form, and parsing it back
 yields a structurally identical protocol.
+
+Every model lowers through one node lowerer, ``_Lowering.node``: a node's
+head word is looked up in the printer's ``_NODE_WORDS`` read backwards, and
+each field has one reader, shared by every class that has the field.  A DAG
+holds the BC node classes; its child fields hold node labels, read as
+values, where a tree's hold nested node forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from .errors import DomainError
 from .ir import (
-    And, BcChoose, BcCut, BcDag, BcLeaf, BcTree, ChoseAt, Condition,
-    CutInAt, CutRef, DagChoose, DagCut, DagLeaf, ELSE, END, Else, ExtBcTree,
-    ExtChoose, ExtCut, ExtLeaf, ExtSegment, GccChoose, GccCut, GccIfElse,
-    GccLeaf, GccTree, IdGen, Less, Not, Or, ORIGIN, Protocol, at, renumber,
-    validate_bc, validate_dag, validate_ext, validate_gcc, GccMode, _children,
+    And, BcChoose, BcCut, BcDag, BcLeaf, BcTree, ChoseAt, Condition, CutInAt,
+    CutRef, ELSE, END, Else, ExtBcTree, ExtChoose, ExtCut, ExtLeaf, ExtSegment,
+    GccChoose, GccCut, GccIfElse, GccLeaf, GccMode, GccTree, IdGen, Less, Not,
+    Or, ORIGIN, Protocol, at, renumber, validate, _children,
 )
 
 # ---------------------------------------------------------------------------
@@ -182,7 +188,7 @@ def _int(form, what: str) -> int:
         raise _ParseFailure(atom.span, f"{what} must be an integer, got {atom.text!r}")
 
 
-def _keywords(items, span, allowed: tuple[str, ...]):
+def _keywords(items, allowed: tuple[str, ...]):
     """Consume leading :key value pairs; returns (dict, remaining items)."""
     out = {}
     i = 0
@@ -222,106 +228,188 @@ class _Labels:
 
 
 # ---------------------------------------------------------------------------
-# Per-model lowering
+# Spellings shared by the lowerer and the printer
+
+# Per model word: the protocol class, its node classes, and how diagnostics
+# name one of its node forms and node kinds.
+_MODELS = {
+    "bc": (BcTree, (BcCut, BcChoose, BcLeaf), "a bc node", "bc"),
+    "extbc": (ExtBcTree, (ExtCut, ExtChoose, ExtLeaf), "an extended node", "extended"),
+    "gcc": (GccTree, (GccCut, GccChoose, GccIfElse, GccLeaf), "a gcc node", "gcc"),
+    "bcdag": (BcDag, (BcCut, BcChoose, BcLeaf), "a node form", "dag"),
+}
+_MODEL_WORDS = {cls: word for word, (cls, *_) in _MODELS.items()}
+_NODE_WORDS = {
+    BcCut: "cut", BcChoose: "choose", BcLeaf: "leaf",
+    ExtCut: "cut", ExtChoose: "choose", ExtLeaf: "leaf",
+    GccCut: "gcc-cut", GccChoose: "gcc-choose", GccIfElse: "if", GccLeaf: "gcc-leaf",
+}
+# Nodes that refs and conditions can name carry a label after their agent.
+_LABELLED = (ExtCut, GccCut, GccChoose)
 
 
-def _lower_bc_node(form, gen: IdGen):
-    lst = _expect_list(form, "a bc node")
-    head = _head(lst, "node")
-    if head == "cut":
-        kw, rest = _keywords(lst.items[1:], lst.span, ("agent", "piece"))
-        if "agent" not in kw or "piece" not in kw:
-            raise _ParseFailure(lst.span, "cut needs :agent and :piece")
-        if len(rest) != 1:
-            raise _ParseFailure(lst.span, "cut takes exactly one child")
-        nid = gen()
-        return BcCut(nid, _int(kw["agent"], ":agent"), _int(kw["piece"], ":piece"),
-                     _lower_bc_node(rest[0], gen))
-    if head == "choose":
-        kw, rest = _keywords(lst.items[1:], lst.span, ("agent",))
-        if "agent" not in kw:
-            raise _ParseFailure(lst.span, "choose needs :agent")
-        if not rest:
-            raise _ParseFailure(lst.span, "choose needs at least one child")
-        nid = gen()
-        return BcChoose(nid, _int(kw["agent"], ":agent"),
-                        tuple(_lower_bc_node(c, gen) for c in rest))
-    if head == "leaf":
-        pairs = {}
-        for item in lst.items[1:]:
-            entry = _expect_list(item, "a (piece -> agent) pair")
-            if (len(entry.items) != 3
-                    or not isinstance(entry.items[1], Atom)
-                    or entry.items[1].text != "->"):
-                raise _ParseFailure(entry.span, "expected (piece -> agent)")
-            piece = _int(entry.items[0], "piece index")
-            agent = _int(entry.items[2], "agent")
-            if piece in pairs:
-                raise _ParseFailure(entry.span, f"piece {piece} assigned twice")
-            pairs[piece] = agent
-        if not pairs or sorted(pairs) != list(range(1, len(pairs) + 1)):
-            raise _ParseFailure(lst.span, "leaf must assign pieces 1..m exactly once")
-        return BcLeaf(gen(), tuple(pairs[k] for k in sorted(pairs)))
-    raise _ParseFailure(lst.span, f"unknown bc node kind {head!r}")
+# ---------------------------------------------------------------------------
+# Lowering: one table-driven node lowerer for every model
+#
+# A node form is ``(head :key value ... item ...)``.  ``_Lowering.node``
+# checks its keywords, then reads the field its items hold (``_ITEMS``),
+# then checks its number of child items, and only then gives it an id and
+# reads its other values, in ``_READ_ORDER``.  When an input has several
+# faults, that order decides which one is reported.
 
 
-def _lower_ext_node(form, gen: IdGen, labels: _Labels):
-    lst = _expect_list(form, "an extended node")
-    head = _head(lst, "node")
-    if head == "cut":
-        kw, rest = _keywords(lst.items[1:], lst.span, ("agent", "label", "left", "right"))
-        for need in ("agent", "label", "left", "right"):
-            if need not in kw:
-                raise _ParseFailure(lst.span, f"cut needs :{need}")
-        if len(rest) != 1:
-            raise _ParseFailure(lst.span, "cut takes exactly one child")
-        nid = gen()
-        left = labels.ref(_expect_atom(kw["left"], ":left ref"))
-        right = labels.ref(_expect_atom(kw["right"], ":right ref"))
-        labels.define(_expect_atom(kw["label"], ":label"), nid)
-        return ExtCut(nid, _int(kw["agent"], ":agent"), left, right,
-                      _lower_ext_node(rest[0], gen, labels))
-    if head == "choose":
-        kw, rest = _keywords(lst.items[1:], lst.span, ("agent",))
-        if "agent" not in kw:
-            raise _ParseFailure(lst.span, "choose needs :agent")
-        if not rest:
-            raise _ParseFailure(lst.span, "choose needs at least one child")
-        nid = gen()
-        return ExtChoose(nid, _int(kw["agent"], ":agent"),
-                         tuple(_lower_ext_node(c, gen, labels) for c in rest))
-    if head == "leaf":
-        segments = []
-        for item in lst.items[1:]:
-            entry = _expect_list(item, "a (left right -> agent) segment")
-            if (len(entry.items) != 4
-                    or not isinstance(entry.items[2], Atom)
-                    or entry.items[2].text != "->"):
-                raise _ParseFailure(entry.span, "expected (left right -> agent)")
-            left = labels.ref(_expect_atom(entry.items[0], "segment left"))
-            right = labels.ref(_expect_atom(entry.items[1], "segment right"))
-            segments.append(ExtSegment(left, right, _int(entry.items[3], "agent")))
-        if not segments:
-            raise _ParseFailure(lst.span, "leaf needs at least one segment")
-        return ExtLeaf(gen(), tuple(segments))
-    raise _ParseFailure(lst.span, f"unknown extended node kind {head!r}")
+def _read_assign(items, lst, head, labels):
+    pairs = {}
+    for item in items:
+        entry = _expect_list(item, "a (piece -> agent) pair").items
+        if len(entry) != 3 or not isinstance(entry[1], Atom) or entry[1].text != "->":
+            raise _ParseFailure(item.span, "expected (piece -> agent)")
+        piece = _int(entry[0], "piece index")
+        agent = _int(entry[2], "agent")
+        if piece in pairs:
+            raise _ParseFailure(item.span, f"piece {piece} assigned twice")
+        pairs[piece] = agent
+    if not pairs or sorted(pairs) != list(range(1, len(pairs) + 1)):
+        raise _ParseFailure(lst.span, "leaf must assign pieces 1..m exactly once")
+    return tuple(pairs[k] for k in sorted(pairs)), []
 
 
-def _lower_pieces(items, labels: _Labels) -> tuple:
-    pieces = []
-    rest = []
+def _read_segments(items, lst, head, labels):
+    segments = []
+    for item in items:
+        entry = _expect_list(item, "a (left right -> agent) segment").items
+        if len(entry) != 4 or not isinstance(entry[2], Atom) or entry[2].text != "->":
+            raise _ParseFailure(item.span, "expected (left right -> agent)")
+        segments.append(ExtSegment(labels.ref(_expect_atom(entry[0], "segment left")),
+                                   labels.ref(_expect_atom(entry[1], "segment right")),
+                                   _int(entry[3], "agent")))
+    if not segments:
+        raise _ParseFailure(lst.span, "leaf needs at least one segment")
+    return tuple(segments), []
+
+
+def _read_pieces(items, lst, head, labels):
+    pieces, rest = [], []
     for item in items:
         if isinstance(item, SList) and item.items and isinstance(item.items[0], Atom) \
                 and item.items[0].text == "piece":
             if len(item.items) != 3:
                 raise _ParseFailure(item.span, "expected (piece left right)")
-            pieces.append((
-                labels.ref(_expect_atom(item.items[1], "piece left")),
-                labels.ref(_expect_atom(item.items[2], "piece right")),
-            ))
+            pieces.append((labels.ref(_expect_atom(item.items[1], "piece left")),
+                           labels.ref(_expect_atom(item.items[2], "piece right"))))
         else:
             rest.append(item)
+    if not pieces:
+        raise _ParseFailure(lst.span, f"{head} needs at least one (piece ...)")
     return tuple(pieces), rest
+
+
+def _read_labels(items, lst, head, labels):
+    kids = tuple(labels.node(_expect_atom(item, "child label")) for item in items)
+    if not kids:
+        raise _ParseFailure(lst.span, f"{head} needs at least one child")
+    return kids, []
+
+
+# Fields read from the items, by field name: each reader returns the value
+# and the items it leaves.  A DAG node's children are labels, read here.
+_ITEMS = {"assign": _read_assign, "segments": _read_segments, "pieces": _read_pieces,
+          "children": _read_labels}
+# Fields spelled ``:key value``, by field name; ``:child`` only in a DAG.
+_KEYWORDS = {
+    "agent": lambda v, labels: _int(v, ":agent"),
+    "piece": lambda v, labels: _int(v, ":piece"),
+    "left": lambda v, labels: labels.ref(_expect_atom(v, ":left ref")),
+    "right": lambda v, labels: labels.ref(_expect_atom(v, ":right ref")),
+    "child": lambda v, labels: labels.node(_expect_atom(v, ":child")),
+}
+# Fields a tree node fills with nested node forms, and the count each needs.
+_KIDS = {"child": "takes exactly one child", "children": "needs at least one child",
+         "branches": "needs at least one branch"}
+# Refs come before the node's own label, so that a cut cannot name itself,
+# and children last; but a GCC cut or choose reads its agent after its child.
+_READ_ORDER = ("left", "right", "label", "agent", "piece", *_KIDS)
+_GCC_NODES = (GccCut, GccChoose)  # they may also leave out their label
+
+
+@cache
+def _plan(cls, dag: bool) -> tuple:
+    """(keywords, item field, child field, read order) of a ``cls`` form.
+
+    Keywords are in printed order, the order a missing one is reported.
+    The item field is one of ``_ITEMS``, the child field one of ``_KIDS``.
+    """
+    fields = list(cls.__dataclass_fields__)[1:]
+    keys = [name for name in fields if name in _KEYWORDS and (dag or name != "child")]
+    if cls in _LABELLED:
+        keys.insert(1, "label")
+    items = next((name for name in fields
+                  if name in _ITEMS and (dag or name != "children")), None)
+    kids = next((name for name in fields
+                 if name in _KIDS and name not in keys and name != items), None)
+    steps = sorted(keys + ([kids] if kids else []), key=_READ_ORDER.index)
+    if cls in _GCC_NODES:
+        steps.append(steps.pop(steps.index("agent")))
+    return tuple(keys), items, kids, tuple(steps)
+
+
+class _Lowering:
+    """Lowers the node forms of one model, numbering nodes in preorder."""
+
+    def __init__(self, model: str):
+        _, classes, self.noun, self.kind = _MODELS[model]
+        self.forms = {_NODE_WORDS[cls]: (cls, *_plan(cls, model == "bcdag"))
+                      for cls in classes}
+        self.labels = _Labels()
+        self.gen = IdGen()
+
+    def node(self, form, nid: Optional[int] = None):
+        """The node of ``form``, with id ``nid`` or the next preorder id.
+
+        Children are lowered here, not through a table, so that a tree
+        level costs one Python frame (two for a choose).
+        """
+        lst = _expect_list(form, self.noun)
+        head = _head(lst, "node")
+        if head not in self.forms:
+            raise _ParseFailure(lst.span, f"unknown {self.kind} node kind {head!r}")
+        cls, keys, items, kids, steps = self.forms[head]
+        # A form without keywords reads ``:x`` as an item; ``(gcc-leaf)``
+        # has no fields and ignores its items.
+        kw, rest = _keywords(lst.items[1:], keys) if keys else ({}, lst.items[1:])
+        for key in keys:
+            if key not in kw and not (key == "label" and cls in _GCC_NODES):
+                raise _ParseFailure(lst.span, f"{head} needs :{key}")
+        values = {}
+        if items:
+            values[items], rest = _ITEMS[items](rest, lst, head, self.labels)
+        if kids:
+            if (len(rest) != 1) if kids == "child" else not rest:
+                raise _ParseFailure(lst.span, f"{head} {_KIDS[kids]}")
+        elif rest and keys:
+            raise _ParseFailure(lst.span, f"unexpected items in {self.kind} {head}")
+        if nid is None:
+            nid = self.gen()
+        for step in steps:
+            if step == "label":
+                if "label" in kw:
+                    self.labels.define(_expect_atom(kw["label"], ":label"), nid)
+            elif step in kw:
+                values[step] = _KEYWORDS[step](kw[step], self.labels)
+            elif step == "child":
+                values["child"] = self.node(rest[0])
+            elif step == "children":
+                values["children"] = tuple(map(self.node, rest))
+            else:
+                branches = []
+                for item in rest:
+                    entry = _expect_list(item, "an (condition node) branch")
+                    if len(entry.items) != 2:
+                        raise _ParseFailure(entry.span, "expected (condition node)")
+                    branches.append((_lower_condition(entry.items[0], self.labels),
+                                     self.node(entry.items[1])))
+                values["branches"] = tuple(branches)
+        return cls(nid, **values)
 
 
 def _lower_condition(form, labels: _Labels) -> Condition:
@@ -354,48 +442,8 @@ def _lower_condition(form, labels: _Labels) -> Condition:
     raise _ParseFailure(lst.span, f"unknown condition kind {head!r}")
 
 
-def _lower_gcc_node(form, gen: IdGen, labels: _Labels):
-    lst = _expect_list(form, "a gcc node")
-    head = _head(lst, "node")
-    if head in ("gcc-cut", "gcc-choose"):
-        kw, rest = _keywords(lst.items[1:], lst.span, ("agent", "label"))
-        if "agent" not in kw:
-            raise _ParseFailure(lst.span, f"{head} needs :agent")
-        pieces, rest = _lower_pieces(rest, labels)
-        if not pieces:
-            raise _ParseFailure(lst.span, f"{head} needs at least one (piece ...)")
-        if len(rest) != 1:
-            raise _ParseFailure(lst.span, f"{head} takes exactly one child")
-        nid = gen()
-        if "label" in kw:
-            labels.define(_expect_atom(kw["label"], ":label"), nid)
-        child = _lower_gcc_node(rest[0], gen, labels)
-        agent = _int(kw["agent"], ":agent")
-        if head == "gcc-cut":
-            return GccCut(nid, agent, pieces, child)
-        return GccChoose(nid, agent, pieces, child)
-    if head == "if":
-        branches = []
-        nid = gen()
-        for item in lst.items[1:]:
-            entry = _expect_list(item, "an (condition node) branch")
-            if len(entry.items) != 2:
-                raise _ParseFailure(entry.span, "expected (condition node)")
-            cond = _lower_condition(entry.items[0], labels)
-            branches.append((cond, _lower_gcc_node(entry.items[1], gen, labels)))
-        if not branches:
-            raise _ParseFailure(lst.span, "if needs at least one branch")
-        return GccIfElse(nid, tuple(branches))
-    if head == "gcc-leaf":
-        return GccLeaf(gen())
-    raise _ParseFailure(lst.span, f"unknown gcc node kind {head!r}")
-
-
-def _lower_dag(lst: SList, agents: int, rest) -> BcDag:
-    labels = _Labels()
-    gen = IdGen()
+def _lower_dag(lst: SList, agents: int, rest, cx: _Lowering) -> BcDag:
     bodies = []
-    root_label: Optional[Atom] = None
     for item in rest:
         entry = _expect_list(item, "a (node label form) entry")
         head = _head(entry, "dag entry")
@@ -404,42 +452,12 @@ def _lower_dag(lst: SList, agents: int, rest) -> BcDag:
         if len(entry.items) != 3:
             raise _ParseFailure(entry.span, "expected (node label form)")
         name = _expect_atom(entry.items[1], "node label")
-        labels.define(name, gen())
-        if root_label is None:
-            root_label = name
-        bodies.append((name, entry.items[2]))
-    if root_label is None:
+        nid = cx.gen()
+        cx.labels.define(name, nid)
+        bodies.append((nid, entry.items[2]))
+    if not bodies:
         raise _ParseFailure(lst.span, "dag needs at least one node")
-    nodes = {}
-    for name, body in bodies:
-        nid = labels.by_name[name.text]
-        blist = _expect_list(body, "a node form")
-        head = _head(blist, "node")
-        if head == "cut":
-            kw, extra = _keywords(blist.items[1:], blist.span,
-                                  ("agent", "piece", "child"))
-            for need in ("agent", "piece", "child"):
-                if need not in kw:
-                    raise _ParseFailure(blist.span, f"dag cut needs :{need}")
-            if extra:
-                raise _ParseFailure(blist.span, "unexpected items in dag cut")
-            nodes[nid] = DagCut(nid, _int(kw["agent"], ":agent"),
-                                _int(kw["piece"], ":piece"),
-                                labels.node(_expect_atom(kw["child"], ":child")))
-        elif head == "choose":
-            kw, extra = _keywords(blist.items[1:], blist.span, ("agent",))
-            if "agent" not in kw:
-                raise _ParseFailure(blist.span, "dag choose needs :agent")
-            kids = tuple(labels.node(_expect_atom(c, "child label")) for c in extra)
-            if not kids:
-                raise _ParseFailure(blist.span, "dag choose needs children")
-            nodes[nid] = DagChoose(nid, _int(kw["agent"], ":agent"), kids)
-        elif head == "leaf":
-            leaf = _lower_bc_node(blist, IdGen(nid))
-            nodes[nid] = DagLeaf(nid, leaf.assign)
-        else:
-            raise _ParseFailure(blist.span, f"unknown dag node kind {head!r}")
-    return BcDag(agents, labels.by_name[root_label.text], nodes)
+    return BcDag(agents, bodies[0][0], {nid: cx.node(body, nid) for nid, body in bodies})
 
 
 def parse(text: str) -> tuple[Optional[Protocol], list[Diagnostic]]:
@@ -448,40 +466,29 @@ def parse(text: str) -> tuple[Optional[Protocol], list[Diagnostic]]:
         form = _read(text)
         lst = _expect_list(form, "a protocol form")
         head = _head(lst, "protocol")
-        kw, rest = _keywords(lst.items[1:], lst.span, ("agents", "mode"))
+        kw, rest = _keywords(lst.items[1:], ("agents", "mode"))
         if "agents" not in kw:
             raise _ParseFailure(lst.span, f"{head} needs :agents")
         agents = _int(kw["agents"], ":agents")
-        if head == "bc":
-            if len(rest) != 1:
-                raise _ParseFailure(lst.span, "bc takes exactly one root node")
-            protocol: Protocol = BcTree(agents, _lower_bc_node(rest[0], IdGen()))
-            report = validate_bc(protocol)
-        elif head == "extbc":
-            if len(rest) != 1:
-                raise _ParseFailure(lst.span, "extbc takes exactly one root node")
-            protocol = ExtBcTree(agents,
-                                 _lower_ext_node(rest[0], IdGen(), _Labels()))
-            report = validate_ext(protocol)
-        elif head == "gcc":
-            if len(rest) != 1:
-                raise _ParseFailure(lst.span, "gcc takes exactly one root node")
-            mode = GccMode.EXTENSIVE
-            if "mode" in kw and _expect_atom(kw["mode"], ":mode").text == "restricted":
-                mode = GccMode.RESTRICTED
-            protocol = GccTree(agents,
-                               _lower_gcc_node(rest[0], IdGen(), _Labels()))
-            report = validate_gcc(protocol, mode)
-        elif head == "bcdag":
-            protocol = _lower_dag(lst, agents, rest)
-            report = validate_dag(protocol)
-        else:
+        if head not in _MODELS:
             raise _ParseFailure(lst.span, f"unknown protocol kind {head!r}")
+        cls = _MODELS[head][0]
+        cx = _Lowering(head)
+        mode = GccMode.EXTENSIVE
+        if cls is BcDag:
+            protocol: Protocol = _lower_dag(lst, agents, rest, cx)
+        else:
+            if len(rest) != 1:
+                raise _ParseFailure(lst.span, f"{head} takes exactly one root node")
+            if (cls is GccTree and "mode" in kw
+                    and _expect_atom(kw["mode"], ":mode").text == "restricted"):
+                mode = GccMode.RESTRICTED
+            protocol = cls(agents, cx.node(rest[0]))
     except _ParseFailure as failure:
         return None, [failure.diagnostic]
     diagnostics = [
         Diagnostic(SourceSpan(0, len(text), 1, 1), f"validation: {v}")
-        for v in report.errors
+        for v in validate(protocol, mode).errors
     ]
     return (protocol if not diagnostics else None), diagnostics
 
@@ -516,16 +523,6 @@ def _cond_text(cond: Condition) -> str:
     args = (_COND_FIELD_TEXT[name](v) for name, v in cond.__dict__.items())
     return f"({_COND_WORDS[type(cond)]} {' '.join(args)})"
 
-
-_MODEL_WORDS = {BcTree: "bc", ExtBcTree: "extbc", GccTree: "gcc", BcDag: "bcdag"}
-_NODE_WORDS = {
-    BcCut: "cut", BcChoose: "choose", BcLeaf: "leaf",
-    DagCut: "cut", DagChoose: "choose", DagLeaf: "leaf",
-    ExtCut: "cut", ExtChoose: "choose", ExtLeaf: "leaf",
-    GccCut: "gcc-cut", GccChoose: "gcc-choose", GccIfElse: "if", GccLeaf: "gcc-leaf",
-}
-# Nodes that refs and conditions can name carry a label after their agent.
-_LABELLED = (ExtCut, GccCut, GccChoose)
 
 # How a field reads in a node's opening line, by field name.  A tree node's
 # children follow on their own lines; a DAG node names its children here.

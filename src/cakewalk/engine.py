@@ -19,9 +19,8 @@ from typing import Callable, Optional, Sequence, Union
 
 from .errors import DomainError, ExecutionError, TraceMismatchError
 from .ir import (
-    BcChoose, BcCut, BcDag, BcLeaf, Condition, CutRef, DagChoose, DagCut,
-    DagLeaf, ExtChoose, ExtCut, ExtLeaf, GccChoose, GccCut, GccIfElse, GccLeaf,
-    Less, Protocol, fold_condition,
+    BcChoose, BcCut, BcDag, BcLeaf, Condition, CutRef, ExtChoose, ExtCut,
+    ExtLeaf, GccChoose, GccCut, GccIfElse, GccLeaf, Less, Protocol, fold_condition,
 )
 from .valuation import Allocation, Interval, ONE, Valuation, ZERO, format_frac, frac
 
@@ -157,23 +156,18 @@ def cut_positions_of(state: ExecState) -> dict[int, Fraction]:
     return {nid: pos for nid, pos in state.cuts}
 
 
+_KINDS = {BcCut: "cut", ExtCut: "cut", GccCut: "cut", BcChoose: "choose",
+          ExtChoose: "choose", GccChoose: "gcc-choose", GccIfElse: "ifelse"}
+
+
 def current_kind(p: Protocol, state: ExecState) -> str:
-    node = _node_of(p, state)
-    if isinstance(node, (BcCut, DagCut, ExtCut, GccCut)):
-        return "cut"
-    if isinstance(node, (BcChoose, DagChoose, ExtChoose)):
-        return "choose"
-    if isinstance(node, GccChoose):
-        return "gcc-choose"
-    if isinstance(node, GccIfElse):
-        return "ifelse"
-    return "leaf"
+    return _KINDS.get(type(_node_of(p, state)), "leaf")
 
 
 def cut_intervals(p: Protocol, state: ExecState) -> tuple[Interval, ...]:
     """Candidate intervals for the cut at the current node."""
     node = _node_of(p, state)
-    if isinstance(node, (BcCut, DagCut)):
+    if isinstance(node, BcCut):
         parts = partition_of(state.cuts)
         if not 0 < node.piece <= len(parts):
             raise ExecutionError(f"cut piece {node.piece} out of range 1..{len(parts)}",
@@ -229,7 +223,7 @@ def step_cut(p: Protocol, state: ExecState, piece_index: int, z: Fraction) -> Ex
 
 def step_choose(p: Protocol, state: ExecState, index: int) -> ExecState:
     node = _node_of(p, state)
-    if isinstance(node, (BcChoose, DagChoose, ExtChoose)):
+    if isinstance(node, (BcChoose, ExtChoose)):
         if not 0 <= index < len(node.children):
             raise ExecutionError(f"branch index {index} out of range",
                                  node=node.nid, agent=node.agent)
@@ -269,34 +263,42 @@ def step_ifelse(p: Protocol, state: ExecState) -> ExecState:
     raise ExecutionError("no if-else branch matched", node=node.nid)
 
 
+def _share_out(given, agents: int, leaf: int) -> list[list]:
+    """Each agent's pieces from ``(agent, piece)`` pairs, in order; an agent
+    outside 1..agents (which only unvalidated protocols hold) raises."""
+    rows: list[list] = [[] for _ in range(agents)]
+    for agent, piece in given:
+        if not 0 < agent <= agents:
+            raise ExecutionError(f"leaf gives a piece to agent {agent},"
+                                 f" outside 1..{agents}", node=leaf)
+        rows[agent - 1].append(piece)
+    return rows
+
+
 def leaf_allocation(p: Protocol, state: ExecState) -> Allocation:
     node = _node_of(p, state)
-    n = p.agents
-    pieces: list[list[Interval]] = [[] for _ in range(n)]
-    if isinstance(node, (BcLeaf, DagLeaf)):
+    if isinstance(node, BcLeaf):
         parts = partition_of(state.cuts)
         if len(parts) != len(node.assign):
             raise ExecutionError(
                 f"leaf expects {len(node.assign)} pieces, partition has {len(parts)}",
                 node=node.nid,
             )
-        for part, agent in zip(parts, node.assign):
-            pieces[agent - 1].append(part)
+        given = zip(node.assign, parts)
     elif isinstance(node, ExtLeaf):
         positions = cut_positions_of(state)
+        given = []
         for seg in node.segments:
             lo = resolve_ref(seg.left, positions)
             hi = resolve_ref(seg.right, positions)
             if lo > hi:
                 raise ExecutionError("segment inverted at run time", node=node.nid)
-            pieces[seg.agent - 1].append((lo, hi))
+            given.append((seg.agent, (lo, hi)))
     elif isinstance(node, GccLeaf):
-        for agent, interval in state.allocated:
-            pieces[agent - 1].append(interval)
-        for row in pieces:
-            row.sort()
+        given = sorted(state.allocated)  # each agent's pieces left to right
     else:
         raise DomainError("current node is not a leaf")
+    pieces = _share_out(given, p.agents, node.nid)
     try:
         return Allocation(tuple(tuple(row) for row in pieces))
     except DomainError as exc:

@@ -4,8 +4,9 @@ Four forms are supported:
 
 * ``BcTree``   -- branch-choice tree: cut / choose / leaf nodes, allocation
   happens only at leaves via a piece-index -> agent map.
-* ``BcDag``    -- the same node kinds with shared children, stored as an
-  id -> node map; every root-to-node path must make the same number of cuts.
+* ``BcDag``    -- the same BC nodes with shared children, stored as an
+  id -> node map; a node's ``child``/``children`` hold node ids instead of
+  nodes.  Every root-to-node path must make the same number of cuts.
 * ``ExtBcTree`` -- branch-choice tree where a cut may span several pieces
   (between two possibly non-adjacent earlier cuts) and leaves allocate
   between named cuts.
@@ -61,14 +62,14 @@ class BcCut:
     nid: int
     agent: int
     piece: int  # 1-based index into the current left-to-right partition
-    child: "BcNode"
+    child: "BcNode"  # in a BcDag, the child's node id
 
 
 @dataclass(frozen=True)
 class BcChoose:
     nid: int
     agent: int
-    children: tuple["BcNode", ...]
+    children: tuple["BcNode", ...]  # in a BcDag, node ids
 
 
 @dataclass(frozen=True)
@@ -86,35 +87,16 @@ class BcTree:
     root: BcNode
 
 
-@dataclass(frozen=True)
-class DagCut:
-    nid: int
-    agent: int
-    piece: int
-    child: int
-
-
-@dataclass(frozen=True)
-class DagChoose:
-    nid: int
-    agent: int
-    children: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class DagLeaf:
-    nid: int
-    assign: tuple[int, ...]
-
-
-DagNode = Union[DagCut, DagChoose, DagLeaf]
+# A DAG node is a BC node whose ``child``/``children`` are node ids; the
+# ``Dag*`` names stay for callers outside the package (perfbench/inputs.py).
+DagCut, DagChoose, DagLeaf = BcCut, BcChoose, BcLeaf
 
 
 @dataclass(frozen=True)
 class BcDag:
     agents: int
     root: int
-    nodes: dict[int, DagNode] = field(compare=False)
+    nodes: dict[int, BcNode] = field(compare=False)
 
     def __post_init__(self):
         for nid, node in self.nodes.items():
@@ -298,16 +280,16 @@ Protocol = Union[BcTree, BcDag, ExtBcTree, GccTree]
 
 
 def children_of(node) -> tuple:
-    """Child nodes, in order; for DAG nodes, child ids."""
+    """Child nodes, in order; for the nodes of a ``BcDag``, child ids."""
     return _children(node)
 
 
 # Per-node walks call ``_children`` directly: tools that wrap the public
 # functions, such as the benchmark's span tracer, then see a walk as one call.
 def _children(node) -> tuple:
-    if isinstance(node, (BcCut, DagCut, ExtCut, GccCut, GccChoose)):
+    if isinstance(node, (BcCut, ExtCut, GccCut, GccChoose)):
         return (node.child,)
-    if isinstance(node, (BcChoose, DagChoose, ExtChoose)):
+    if isinstance(node, (BcChoose, ExtChoose)):
         return node.children
     if isinstance(node, GccIfElse):
         return tuple(child for _, child in node.branches)
@@ -456,7 +438,33 @@ def _check_agent(report, path, nid, agent, n):
 
 
 # ---------------------------------------------------------------------------
-# BC tree validation
+# BC tree and DAG validation
+
+
+def _check_bc_node(report, path, node, cuts_above: int, n: int):
+    """The checks of one BC node, in a tree or a DAG, with ``cuts_above``
+    cuts on every path from the root to it."""
+    if isinstance(node, BcCut):
+        _check_agent(report, path, node.nid, node.agent, n)
+        if not 1 <= node.piece <= cuts_above + 1:
+            report.error(
+                path, node.nid,
+                f"cut into piece {node.piece} but only {cuts_above + 1} pieces exist",
+            )
+    elif isinstance(node, BcChoose):
+        _check_agent(report, path, node.nid, node.agent, n)
+        if not node.children:
+            report.error(path, node.nid, "choose node with no children")
+    elif isinstance(node, BcLeaf):
+        if len(node.assign) != cuts_above + 1:
+            report.error(
+                path, node.nid,
+                f"leaf assigns {len(node.assign)} pieces, expected {cuts_above + 1}",
+            )
+        for a in node.assign:
+            _check_agent(report, path, node.nid, a, n)
+    else:
+        report.error(path, node.nid, f"unknown node type {type(node).__name__}")
 
 
 def validate_bc(t: BcTree) -> ValidationReport:
@@ -467,37 +475,15 @@ def validate_bc(t: BcTree) -> ValidationReport:
         if node.nid in seen:
             report.error(path, node.nid, "duplicate node id")
         seen.add(node.nid)
+        _check_bc_node(report, path, node, cuts_above, t.agents)
         if isinstance(node, BcCut):
-            _check_agent(report, path, node.nid, node.agent, t.agents)
-            if not 1 <= node.piece <= cuts_above + 1:
-                report.error(
-                    path, node.nid,
-                    f"cut into piece {node.piece} but only {cuts_above + 1} pieces exist",
-                )
             walk(node.child, path + "/0", cuts_above + 1)
         elif isinstance(node, BcChoose):
-            _check_agent(report, path, node.nid, node.agent, t.agents)
-            if not node.children:
-                report.error(path, node.nid, "choose node with no children")
             for i, child in enumerate(node.children):
                 walk(child, f"{path}/{i}", cuts_above)
-        elif isinstance(node, BcLeaf):
-            if len(node.assign) != cuts_above + 1:
-                report.error(
-                    path, node.nid,
-                    f"leaf assigns {len(node.assign)} pieces, expected {cuts_above + 1}",
-                )
-            for a in node.assign:
-                _check_agent(report, path, node.nid, a, t.agents)
-        else:
-            report.error(path, node.nid, f"unknown node type {type(node).__name__}")
 
     walk(t.root, "root", 0)
     return report
-
-
-# ---------------------------------------------------------------------------
-# BC DAG validation
 
 
 def validate_dag(d: BcDag) -> ValidationReport:
@@ -515,8 +501,6 @@ def validate_dag(d: BcDag) -> ValidationReport:
             continue
         reached.add(nid)
         node = d.nodes[nid]
-        if isinstance(node, DagChoose) and not node.children:
-            report.error(f"node {nid}", nid, "choose node with no children")
         for kid in children_of(node):
             if kid not in d.nodes:
                 report.error(f"node {nid}", nid, f"edge to missing node {kid}")
@@ -548,12 +532,11 @@ def validate_dag(d: BcDag) -> ValidationReport:
 
     # Every root->node path must make the same number of cuts.
     depth: dict[int, int] = {d.root: 0}
-    order = [d.root]
     queue = [d.root]
     while queue:
         nid = queue.pop(0)
         node = d.nodes[nid]
-        step = 1 if isinstance(node, DagCut) else 0
+        step = 1 if isinstance(node, BcCut) else 0
         for kid in children_of(node):
             want = depth[nid] + step
             if kid in depth:
@@ -564,30 +547,12 @@ def validate_dag(d: BcDag) -> ValidationReport:
                     )
             else:
                 depth[kid] = want
-                order.append(kid)
                 queue.append(kid)
     if not report.ok:
         return report
 
     for nid, node in d.nodes.items():
-        path = f"node {nid}"
-        if isinstance(node, DagCut):
-            _check_agent(report, path, nid, node.agent, d.agents)
-            if not 1 <= node.piece <= depth[nid] + 1:
-                report.error(
-                    path, nid,
-                    f"cut into piece {node.piece} but only {depth[nid] + 1} pieces exist",
-                )
-        elif isinstance(node, DagChoose):
-            _check_agent(report, path, nid, node.agent, d.agents)
-        elif isinstance(node, DagLeaf):
-            if len(node.assign) != depth[nid] + 1:
-                report.error(
-                    path, nid,
-                    f"leaf assigns {len(node.assign)} pieces, expected {depth[nid] + 1}",
-                )
-            for a in node.assign:
-                _check_agent(report, path, nid, a, d.agents)
+        _check_bc_node(report, f"node {nid}", node, depth[nid], d.agents)
     return report
 
 
@@ -625,11 +590,12 @@ class PartialOrder:
 
 
 class _OrderBuilder:
-    """Incrementally closed <= relation over cut refs."""
+    """Incrementally closed <= relation over cut refs; a new builder starts
+    from a copy of ``refs`` and ``le``."""
 
-    def __init__(self):
-        self.refs: list[CutRef] = [ORIGIN, END]
-        self.le: set[tuple[CutRef, CutRef]] = {(ORIGIN, END)}
+    def __init__(self, refs=(ORIGIN, END), le=((ORIGIN, END),)):
+        self.refs: list[CutRef] = list(refs)
+        self.le: set[tuple[CutRef, CutRef]] = set(le)
 
     def snapshot(self) -> PartialOrder:
         return PartialOrder(tuple(self.refs), set(self.le))
@@ -718,9 +684,7 @@ def validate_ext(t: ExtBcTree) -> ValidationReport:
                         path, node.nid,
                         f"order of {node.left} and {node.right} is not derivable",
                     )
-            sub = _OrderBuilder()
-            sub.refs = list(builder.refs)
-            sub.le = set(builder.le)
+            sub = _OrderBuilder(builder.refs, builder.le)
             sub.bounded_cut(at(node.nid), [node.left, ORIGIN], [node.right, END])
             walk(node.child, path + "/0", cuts_above | {node.nid}, sub)
         elif isinstance(node, ExtChoose):
@@ -876,9 +840,7 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
             _check_agent(report, path, node.nid, node.agent, t.agents)
             check_pieces(path, node, cuts_above, order)
             check_unallocated(path, node, states, order, "cut offered")
-            sub = _OrderBuilder()
-            sub.refs = list(builder.refs)
-            sub.le = set(builder.le)
+            sub = _OrderBuilder(builder.refs, builder.le)
             z = at(node.nid)
             sub.add_le(ORIGIN, z)
             sub.add_le(z, END)
@@ -962,9 +924,7 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
                     # Dead branch for every symbolic state: still check its
                     # structure, with a pristine state.
                     branch_states = [({}, ())]
-                refined = _OrderBuilder()
-                refined.refs = list(builder.refs)
-                refined.le = set(builder.le)
+                refined = _OrderBuilder(builder.refs, builder.le)
                 _refine_with_condition(refined, cond, ancestors)
                 if complete and branch_states is not states:
                     # Every surviving state may agree on where an ancestor
@@ -1036,11 +996,11 @@ def stats(p: Protocol) -> ProtocolStats:
     branching = 0
     for node in iter_nodes(p):
         nodes += 1
-        if isinstance(node, (BcCut, DagCut, ExtCut, GccCut)):
+        if isinstance(node, (BcCut, ExtCut, GccCut)):
             cuts += 1
-        elif isinstance(node, (BcChoose, DagChoose, ExtChoose, GccChoose)):
+        elif isinstance(node, (BcChoose, ExtChoose, GccChoose)):
             chooses += 1
-        elif isinstance(node, (BcLeaf, DagLeaf, ExtLeaf, GccLeaf)):
+        elif isinstance(node, (BcLeaf, ExtLeaf, GccLeaf)):
             leaves += 1
         branching = max(branching, len(children_of(node)))
 
@@ -1063,34 +1023,43 @@ def renumber(p: Protocol) -> tuple[Protocol, dict[int, int]]:
     """Rewrite node ids to preorder positions; returns (protocol, old->new).
 
     Raises ``DomainError`` when a ref, condition or DAG edge names a node id
-    that the protocol does not hold.
+    that the protocol does not hold.  A subtree object that occurs twice is
+    numbered once per occurrence.  The walk keeps an explicit stack instead
+    of Python frames.
     """
     mapping: dict[int, int] = {}
     ids = mapping.__getitem__
     try:
         if isinstance(p, BcDag):
-
-            def visit(nid):
+            order = []  # each stored node once, in preorder
+            stack = [p.root]
+            while stack:
+                nid = stack.pop()
                 if nid not in mapping:
-                    mapping[nid] = len(mapping)
-                    for kid in _children(p.nodes[nid]):
-                        visit(kid)
+                    mapping[nid] = len(order)
+                    order.append(p.nodes[nid])
+                    stack.extend(reversed(_children(order[-1])))
+            nodes = {ids(node.nid): _map_node(node, ids, map(ids, _children(node)))
+                     for node in order}
+            return BcDag(p.agents, ids(p.root), nodes), mapping
 
-            visit(p.root)
-            nodes = {}
-            for old, new in mapping.items():
-                node = p.nodes[old]
-                nodes[new] = _map_node(node, ids, map(ids, _children(node)))
-            return BcDag(p.agents, mapping[p.root], nodes), mapping
-
-        gen = IdGen()
-
-        # Refs and conditions point to ancestors, which preorder visits first.
-        def walk(node):
-            mapping[node.nid] = gen()
-            return _map_node(node, ids, map(walk, _children(node)))
-
-        return type(p)(p.agents, walk(p.root)), mapping
+        # Each new node is made empty by its parent, which needs it as a
+        # child, and filled when the walk reaches it: its id is then its
+        # preorder position, and its refs and conditions name ancestors,
+        # which have theirs.
+        count = 0
+        root = object.__new__(type(p.root))
+        stack = [(p.root, root)]
+        while stack:
+            node, new = stack.pop()
+            mapping[node.nid] = count
+            count += 1
+            kids = shells = _children(node)
+            if kids:
+                shells = tuple(map(object.__new__, map(type, kids)))
+                stack.extend(zip(kids[::-1], shells[::-1]))
+            object.__setattr__(new, "__dict__", _map_fields(node, ids, shells))
+        return type(p)(p.agents, root), mapping
     except KeyError as exc:
         raise DomainError(f"node {exc.args[0]} is named but not in the protocol") from None
 
@@ -1101,38 +1070,48 @@ def structurally_equal(p1: Protocol, p2: Protocol) -> bool:
     One preorder walk pairs the node ids of ``p1`` with those of ``p2``, one
     to one.  Each node of ``p1``, its ids mapped through the pairing and its
     children swapped for its partner's, must have its partner's fields.  A
-    ref or condition naming a node not yet paired makes them unequal, as it
+    shared DAG child is compared when first reached; later, only its pairing.
+    A ref or condition naming a node not yet paired makes them unequal, as it
     makes ``renumber`` refuse.
     """
     if type(p1) is not type(p2) or p1.agents != p2.agents:
         return False
+    dag = isinstance(p1, BcDag)
     pairs: dict[int, int] = {}
     paired: set[int] = set()
     ids = pairs.__getitem__
-
-    def pair(x: int, y: int) -> bool:
-        """Pair ``x`` with ``y``; False when either is paired otherwise."""
-        if x in pairs or y in paired:
-            return pairs.get(x) == y
-        pairs[x] = y
-        paired.add(y)
-        return True
-
-    def same(a, b) -> bool:
-        kids_a, kids_b = _children(a), _children(b)
-        return (type(a) is type(b) and len(kids_a) == len(kids_b)
-                and pair(a.nid, b.nid)
-                and _map_fields(a, ids, kids_b) == b.__dict__
-                and all(map(same_kid, kids_a, kids_b)))
-
-    def same_dag_kid(x: int, y: int) -> bool:
-        # A shared child is compared when first reached; later, only its pairing.
-        if x in pairs or y in paired:
-            return pairs.get(x) == y
-        return same(p1.nodes[x], p2.nodes[y])
-
-    same_kid = same_dag_kid if isinstance(p1, BcDag) else same
+    stack = [(p1.root, p2.root)]
     try:
-        return same_kid(p1.root, p2.root)
+        while stack:
+            a, b = stack.pop()
+            if dag:
+                if a in pairs or b in paired:
+                    if pairs.get(a) != b:
+                        return False
+                    continue
+                a, b = p1.nodes[a], p2.nodes[b]
+            kids_a, kids_b = _children(a), _children(b)
+            if type(a) is not type(b) or len(kids_a) != len(kids_b):
+                return False
+            if a.nid in pairs or b.nid in paired:
+                if pairs.get(a.nid) != b.nid:
+                    return False
+            else:
+                pairs[a.nid] = b.nid
+                paired.add(b.nid)
+            if _map_fields(a, ids, kids_b) != b.__dict__:
+                return False
+            if kids_a:
+                stack.extend(zip(kids_a[::-1], kids_b[::-1]))
+        return True
     except KeyError:
         return False
+
+
+def validate(p: Protocol, mode: GccMode = GccMode.RESTRICTED) -> ValidationReport:
+    """The report of the validator for ``p``'s form; ``mode`` applies to GCC."""
+    if isinstance(p, GccTree):
+        return validate_gcc(p, mode)
+    if isinstance(p, BcDag):
+        return validate_dag(p)
+    return validate_ext(p) if isinstance(p, ExtBcTree) else validate_bc(p)

@@ -10,27 +10,28 @@ protocol class and its node kinds (the ``kind`` key) to node classes, and
 order; a condition as its ``op`` and then its fields.  ``_WRITE`` and
 ``_READ`` hold one codec per field name, shared by every class that has the
 field; ``child``, ``children`` and ``branches`` nest whole nodes in a tree
-and hold node ids in a DAG.  The reader raises ``DomainError`` naming the
-node and the field for a missing or mistyped field.
+and hold node ids in a DAG, whose nodes are BC nodes with child ids, so
+``bcdag`` and ``bc`` share one kind table.  The reader raises ``DomainError``
+naming the node and the field for a missing or mistyped field.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
 from .ir import (
-    And, BcChoose, BcCut, BcDag, BcLeaf, BcTree, ChoseAt, CutInAt, CutRef,
-    DagChoose, DagCut, DagLeaf, END, Else, ExtBcTree, ExtChoose, ExtCut,
-    ExtLeaf, ExtSegment, GccChoose, GccCut, GccIfElse, GccLeaf, GccTree, Less,
-    Not, Or, ORIGIN, Protocol, at, renumber,
+    And, BcChoose, BcCut, BcDag, BcLeaf, BcTree, ChoseAt, CutInAt, CutRef, END,
+    Else, ExtBcTree, ExtChoose, ExtCut, ExtLeaf, ExtSegment, GccChoose, GccCut,
+    GccIfElse, GccLeaf, GccTree, Less, Not, Or, ORIGIN, Protocol, at, renumber,
 )
 from .valuation import Valuation
 
+_BC_KINDS = {"cut": BcCut, "choose": BcChoose, "leaf": BcLeaf}
 _MODELS = {
-    "bc": (BcTree, {"cut": BcCut, "choose": BcChoose, "leaf": BcLeaf}),
+    "bc": (BcTree, _BC_KINDS),
     "extbc": (ExtBcTree, {"cut": ExtCut, "choose": ExtChoose, "leaf": ExtLeaf}),
     "gcc": (GccTree, {"cut": GccCut, "choose": GccChoose, "ifelse": GccIfElse,
                       "leaf": GccLeaf}),
-    "bcdag": (BcDag, {"cut": DagCut, "choose": DagChoose, "leaf": DagLeaf}),
+    "bcdag": (BcDag, _BC_KINDS),  # the same nodes, holding child ids
 }
 _OPS = {"else": Else, "less": Less, "chose-at": ChoseAt, "cut-in-at": CutInAt,
         "and": And, "or": Or, "not": Not}

@@ -44,22 +44,22 @@ from math import lcm
 from time import perf_counter
 from typing import Sequence
 
+from .engine import _share_out
 # step_cut is not called here; perfbench/test_perfbench.py
 # (test_install_and_uninstall_restore_the_program) reads it through this
 # module to check that the tracer patches and restores aliases.
 from .engine import step_cut  # noqa: F401
 from .errors import BudgetExceededError, DomainError, ExecutionError
 from .ir import (
-    BcChoose, BcCut, BcDag, BcLeaf, DagChoose, DagCut, DagLeaf, ExtChoose,
-    ExtCut, ExtLeaf, GccChoose, GccCut, GccIfElse, GccLeaf, Less, Protocol,
-    fold_condition,
+    BcChoose, BcCut, BcDag, BcLeaf, ExtChoose, ExtCut, ExtLeaf, GccChoose,
+    GccCut, GccIfElse, GccLeaf, Less, Protocol, fold_condition,
 )
 from .valuation import ONE, Valuation, ZERO, check_allocation, format_frac
 
 DEFAULT_BUDGET = 5_000_000
 
-_LEAVES = (BcLeaf, DagLeaf, ExtLeaf, GccLeaf)
-_BRANCHES = (BcChoose, DagChoose, ExtChoose)
+_LEAVES = (BcLeaf, ExtLeaf, GccLeaf)
+_BRANCHES = (BcChoose, ExtChoose)
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,7 @@ class GuaranteeOracle:
 
     def _cut_interval(self, node, cuts) -> tuple[int, int]:
         """The interval a BC, DAG or extended cut must fall in."""
-        if isinstance(node, (BcCut, DagCut)):
+        if isinstance(node, BcCut):
             bounds = self._bounds(cuts)
             if not 0 < node.piece < len(bounds):
                 raise ExecutionError(
@@ -272,8 +272,8 @@ class GuaranteeOracle:
 
     def _leaf_pieces(self, node, cuts, allocated) -> list[list[tuple[int, int]]]:
         """Each agent's intervals at a leaf, as (lo, hi) index pairs."""
-        pieces: list[list[tuple[int, int]]] = [[] for _ in range(self.protocol.agents)]
-        if isinstance(node, (BcLeaf, DagLeaf)):
+        agents = self.protocol.agents
+        if isinstance(node, BcLeaf):
             bounds = self._bounds(cuts)
             if len(bounds) - 1 != len(node.assign):
                 raise ExecutionError(
@@ -281,21 +281,19 @@ class GuaranteeOracle:
                     f" partition has {len(bounds) - 1}",
                     node=node.nid,
                 )
-            for k, agent in enumerate(node.assign):
-                pieces[agent - 1].append((bounds[k], bounds[k + 1]))
-            return pieces  # consecutive pieces of sorted cuts: a partition
+            # consecutive pieces of sorted cuts: a partition
+            return _share_out(zip(node.assign, zip(bounds, bounds[1:])), agents, node.nid)
         if isinstance(node, ExtLeaf):
             positions = dict(cuts)
+            given = []
             for seg in node.segments:
                 lo, hi = self._at(seg.left, positions), self._at(seg.right, positions)
                 if lo > hi:
                     raise ExecutionError("segment inverted at run time", node=node.nid)
-                pieces[seg.agent - 1].append((lo, hi))
+                given.append((seg.agent, (lo, hi)))
         else:
-            for agent, lo, hi in allocated:
-                pieces[agent - 1].append((lo, hi))
-            for row in pieces:
-                row.sort()
+            given = sorted((agent, (lo, hi)) for agent, lo, hi in allocated)
+        pieces = _share_out(given, agents, node.nid)
         try:
             check_allocation(pieces, self._last, self.grid.points.__getitem__)
         except DomainError as exc:

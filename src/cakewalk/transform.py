@@ -23,7 +23,7 @@ from .errors import (
 )
 from .ir import (
     BcChoose, BcCut, BcDag, BcLeaf, BcNode, BcTree, ChoseAt, Condition,
-    CutRef, DagChoose, DagCut, ELSE, END, ExtBcTree, ExtChoose, ExtCut,
+    CutRef, ELSE, END, ExtBcTree, ExtChoose, ExtCut,
     ExtLeaf, ExtNode, ExtSegment, GccChoose, GccCut, GccIfElse, GccLeaf,
     GccMode, GccTree, IdGen, Less, ORIGIN, at, children_of, fold_condition,
     iter_nodes, renumber, stats, validate_bc, validate_dag, validate_ext,
@@ -111,11 +111,7 @@ def dag_to_tree(
         new = gen()
         fwd[nid].add(new)
         back[new] = nid
-        if isinstance(node, DagCut):
-            return BcCut(new, node.agent, node.piece, expand(node.child))
-        if isinstance(node, DagChoose):
-            return BcChoose(new, node.agent, tuple(expand(c) for c in node.children))
-        return BcLeaf(new, node.assign)
+        return _map_node(node, lambda _: new, [expand(kid) for kid in _children(node)])
 
     tree = BcTree(d.agents, expand(d.root))
 

@@ -282,9 +282,9 @@ class TestErrors:
         assert code == 1
         assert "validation" in err
 
-    @pytest.mark.parametrize("suffix", [".cake", ".json"])
-    def test_deep_input_is_one_error_line(self, capsys, tmp_path, suffix):
-        depth = 1500  # a chain of single-child chooses
+    @staticmethod
+    def chain(tmp_path, depth: int, suffix: str) -> str:
+        """A file holding a chain of ``depth`` single-child chooses."""
         if suffix == ".cake":
             text = ("(bc :agents 1 " + "(choose :agent 1 " * depth
                     + "(leaf (1 -> 1))" + ")" * depth + ")")
@@ -294,11 +294,24 @@ class TestErrors:
                               % i for i in range(depth))
                     + '{"id": %d, "kind": "leaf", "assign": [1]}' % depth
                     + "]}" * depth + "}")
-        deep = tmp_path / f"deep{suffix}"
+        deep = tmp_path / f"deep{depth}{suffix}"
         deep.write_text(text)
-        code, _, err = run_cli(capsys, "stats", str(deep))
+        return str(deep)
+
+    @pytest.mark.parametrize("command", ["stats", "fmt"])
+    @pytest.mark.parametrize("suffix", [".cake", ".json"])
+    def test_deep_input_is_one_error_line(self, capsys, tmp_path, suffix, command):
+        code, _, err = run_cli(capsys, command, self.chain(tmp_path, 1500, suffix))
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["stats", "fmt"])
+    def test_400_deep_chain_is_processed(self, capsys, tmp_path, command):
+        # Reading, lowering, validating, renumbering, counting and printing
+        # each cost at most two Python frames per level.
+        code, out, _ = run_cli(capsys, command, self.chain(tmp_path, 400, ".cake"))
+        assert code == 0
+        assert "depth: 401" in out if command == "stats" else out.count("\n") == 402
 
     @pytest.mark.parametrize("text", [
         '{"model":"bc","agents":1,"root":{"id":0,"kind":"cut","piece":1}}',

@@ -6,7 +6,9 @@ single character and token mutations of it.  For each input the fixture
 ``corpus/dsl_corpus.json`` stores what ``parse`` returned: a sha256 of the
 printed protocol when the input is accepted, otherwise each diagnostic's
 span and message.  So a change to the lowerers that accepts, rejects or
-locates an input differently shows up here.
+locates an input differently shows up here.  ``RESPELLED`` lists the
+messages that may differ from the fixture: failures that the models used to
+spell differently, and that one node lowerer now spells once.
 
 Rebuild the fixture (only when a change in results is intended) with::
 
@@ -40,6 +42,16 @@ LIBRARY = [
     ("even-paz", "gcc", 2), ("even-paz", "gcc", 4),
     ("even-paz", "extbc", 2), ("even-paz", "extbc", 4),
 ]
+
+# A recorded message -> the messages that may replace it.
+RESPELLED = {
+    "cut needs :agent and :piece": {"cut needs :agent", "cut needs :piece"},
+    "dag cut needs :agent": {"cut needs :agent"},
+    "dag cut needs :piece": {"cut needs :piece"},
+    "dag cut needs :child": {"cut needs :child"},
+    "dag choose needs :agent": {"choose needs :agent"},
+    "dag choose needs children": {"choose needs at least one child"},
+}
 
 _TOKEN = re.compile(r"[()]|[^\s();]+")
 _CHARS = "()-:>; \n0123456789acegkloprx"
@@ -112,6 +124,14 @@ def result(text: str) -> list:
              for d in diagnostics]]
 
 
+def same(got, want) -> bool:
+    """``got`` matches the recorded ``want``, up to ``RESPELLED`` messages."""
+    if isinstance(got, str) or isinstance(want, str) or len(got) != len(want):
+        return got == want
+    return all(g[:4] == w[:4] and (g[4] == w[4] or g[4] in RESPELLED.get(w[4], ()))
+               for g, w in zip(got, want))
+
+
 def record():
     rows = [json.dumps(result(text)) for text in corpus()]
     FIXTURE.parent.mkdir(exist_ok=True)
@@ -126,7 +146,7 @@ def test_corpus_results_are_pinned():
     for text, (digest, want) in zip(inputs, expected):
         assert _sha(text)[:12] == digest, "the corpus inputs changed"
         got = result(text)[1]
-        assert got == want, text
+        assert same(got, want), (text, got, want)
         accepted += isinstance(want, str)
     assert accepted >= 100
 

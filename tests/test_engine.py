@@ -73,6 +73,15 @@ class TestRun:
                 rf"cut piece {piece} out of range 1\.\.1 \(node 0, agent 1\)")):
             run(p, [const_cut(F(1, 2))] * 2, [uniform(), uniform()])
 
+    @pytest.mark.parametrize("agent", [0, -1, 3])
+    def test_leaf_agent_outside_the_range_rejected(self, agent):
+        # Agent 0 must not get the last agent's share, nor 3 an IndexError.
+        for p in (BcTree(2, BcLeaf(0, (agent,))),
+                  ExtBcTree(2, ExtLeaf(0, (ExtSegment(ORIGIN, END, agent),)))):
+            with pytest.raises(ExecutionError, match=(
+                    rf"leaf gives a piece to agent {agent}, outside 1\.\.2 \(node 0\)")):
+                run(p, [const_cut(F(1, 2))] * 2, [uniform(), uniform()])
+
     def test_bad_branch_index_rejected(self):
         p = BcTree(1, BcChoose(0, 1, (BcLeaf(1, (1,)),)))
         with pytest.raises(ExecutionError):

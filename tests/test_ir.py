@@ -1,3 +1,4 @@
+import gc
 import random
 from dataclasses import fields, is_dataclass
 from fractions import Fraction as F
@@ -13,7 +14,7 @@ from cakewalk.ir import (
     DagCut, DagLeaf, ELSE, END, ExtBcTree, ExtChoose, ExtCut, ExtLeaf,
     ExtSegment, GccChoose, GccCut, GccIfElse, GccLeaf, GccMode, GccTree,
     CutRef, IdGen, Less, Not, ORIGIN, Order, at, renumber, static_cut_order,
-    stats, structurally_equal, validate_bc, validate_dag, validate_ext,
+    stats, structurally_equal, validate, validate_bc, validate_dag, validate_ext,
     validate_gcc,
 )
 from cakewalk.jsonio import protocol_to_json
@@ -31,6 +32,14 @@ from helpers import (
 
 def bc_leaf_only():
     return BcTree(1, BcLeaf(0, (1,)))
+
+
+def choose_chain(depth: int) -> BcTree:
+    """``depth`` single-child chooses above one leaf, ids in preorder."""
+    node = BcLeaf(depth, (1,))
+    for nid in reversed(range(depth)):
+        node = BcChoose(nid, 1, (node,))
+    return BcTree(1, node)
 
 
 class TestValidateBc:
@@ -399,6 +408,20 @@ class TestConditionReaders:
         assert compared > 500 and decided > 200
 
 
+class TestValidate:
+    def test_one_entry_point_for_every_form(self):
+        bc, gcc, _ = gen_cut_and_choose()
+        ext = gen_even_paz(2, "extbc")[0]
+        dag = next(reconverging_dags())[1]
+        assert str(validate(bc)) == str(validate_bc(bc))
+        assert str(validate(ext)) == str(validate_ext(ext))
+        assert str(validate(dag)) == str(validate_dag(dag))
+        for mode in GccMode:
+            assert str(validate(gcc, mode)) == str(validate_gcc(gcc, mode))
+        bad = BcDag(1, 0, {0: DagLeaf(0, (2,))})
+        assert str(validate(bad)) == str(validate_dag(bad)) != "valid"
+
+
 class TestStats:
     def test_single_leaf(self):
         s = stats(bc_leaf_only())
@@ -411,6 +434,37 @@ class TestStats:
     def test_dag_stats(self):
         s = stats(diamond_dag(1, 1))
         assert s.nodes == 4 and s.cuts == 2 and s.max_branching == 2
+
+    def test_renumber_numbers_a_shared_subtree_per_occurrence(self):
+        shared = BcCut(7, 1, 1, BcLeaf(7, (1, 1)))
+        tree = BcTree(1, BcChoose(3, 1, (shared, shared)))
+        relabeled, _ = renumber(tree)
+        assert [n.nid for n in ir.iter_nodes(relabeled)] == [0, 1, 2, 3, 4]
+        assert validate_bc(relabeled).ok
+
+    def test_renumber_and_equality_take_deep_chains(self):
+        relabeled, mapping = renumber(choose_chain(400))
+        assert [n.nid for n in ir.iter_nodes(relabeled)] == list(range(401))
+        assert mapping == {nid: nid for nid in range(401)}
+        assert structurally_equal(choose_chain(400), choose_chain(400))
+        assert not structurally_equal(choose_chain(400), choose_chain(401))
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_selfridge_conway_bc()[0], lambda: gen_selfridge_conway_gcc()[0],
+        lambda: gen_even_paz(2, "extbc")[0], lambda: next(reconverging_dags())[1],
+    ], ids=["sc-bc", "sc-gcc", "ep-extbc", "dag"])
+    def test_renumber_and_equality_leave_no_garbage(self, make):
+        # With the collector off, a reference cycle would keep the walks'
+        # tables alive until the next collection.
+        p = make()
+        gc.collect()
+        gc.disable()
+        try:
+            assert structurally_equal(p, p)
+            renumber(p)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_renumber_preserves_structure_and_stats(self):
         tree, _ = gen_selfridge_conway_bc()

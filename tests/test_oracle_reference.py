@@ -372,6 +372,15 @@ RUN_TIME_ERRORS = {
         2, BcChoose(0, 2, (BcLeaf(1, (1,)), BcCut(2, 1, 1, BcLeaf(3, (1,)))))),
     "dag-cut-piece-minus-1": BcDag(2, 0, {0: DagCut(0, 1, -1, 1),
                                           1: DagLeaf(1, (1, 2))}),
+    # leaves that give a piece to an agent outside 1..n
+    "bc-leaf-agent-0": BcTree(2, BcLeaf(0, (0,))),
+    "bc-leaf-agent-minus-1": BcTree(2, BcLeaf(0, (-1,))),
+    "bc-leaf-agent-3": BcTree(2, BcLeaf(0, (3,))),
+    "dag-leaf-agent-3": BcDag(2, 0, {0: DagCut(0, 1, 1, 1), 1: DagLeaf(1, (1, 3))}),
+    "ext-segment-agent-0": _ext_cut_then(ExtLeaf(
+        1, (ExtSegment(ORIGIN, at(0), 1), ExtSegment(at(0), END, 0)))),
+    "gcc-choose-agent-3": GccTree(
+        2, GccChoose(0, 3, ((ORIGIN, END),), GccLeaf(1))),
 }
 
 
@@ -385,6 +394,8 @@ class TestRunTimeErrors:
                 cls(p, profile(2), THIRDS).guarantee_value(1)
             errors.append((type(caught.value), str(caught.value)))
         assert errors[0] == errors[1]
+        if "-agent-" in name:
+            assert "outside 1..2" in errors[0][1]
 
 
 class TestEquivReport:
