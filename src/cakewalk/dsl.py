@@ -367,7 +367,7 @@ class _Lowering:
         """The node of ``form``, with id ``nid`` or the next preorder id.
 
         Children are lowered here, not through a table, so that a tree
-        level costs one Python frame (two for a choose).
+        level costs one Python frame.
         """
         lst = _expect_list(form, self.noun)
         head = _head(lst, "node")

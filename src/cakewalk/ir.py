@@ -590,12 +590,11 @@ class PartialOrder:
 
 
 class _OrderBuilder:
-    """Incrementally closed <= relation over cut refs; a new builder starts
-    from a copy of ``refs`` and ``le``."""
+    """Incrementally closed <= relation over cut refs."""
 
-    def __init__(self, refs=(ORIGIN, END), le=((ORIGIN, END),)):
-        self.refs: list[CutRef] = list(refs)
-        self.le: set[tuple[CutRef, CutRef]] = set(le)
+    def __init__(self):
+        self.refs: list[CutRef] = [ORIGIN, END]
+        self.le: set[tuple[CutRef, CutRef]] = {(ORIGIN, END)}
 
     def snapshot(self) -> PartialOrder:
         return PartialOrder(tuple(self.refs), set(self.le))
@@ -684,7 +683,9 @@ def validate_ext(t: ExtBcTree) -> ValidationReport:
                         path, node.nid,
                         f"order of {node.left} and {node.right} is not derivable",
                     )
-            sub = _OrderBuilder(builder.refs, builder.le)
+            sub = _OrderBuilder()
+            sub.refs = list(builder.refs)
+            sub.le = set(builder.le)
             sub.bounded_cut(at(node.nid), [node.left, ORIGIN], [node.right, END])
             walk(node.child, path + "/0", cuts_above | {node.nid}, sub)
         elif isinstance(node, ExtChoose):
@@ -840,7 +841,9 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
             _check_agent(report, path, node.nid, node.agent, t.agents)
             check_pieces(path, node, cuts_above, order)
             check_unallocated(path, node, states, order, "cut offered")
-            sub = _OrderBuilder(builder.refs, builder.le)
+            sub = _OrderBuilder()
+            sub.refs = list(builder.refs)
+            sub.le = set(builder.le)
             z = at(node.nid)
             sub.add_le(ORIGIN, z)
             sub.add_le(z, END)
@@ -924,7 +927,9 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
                     # Dead branch for every symbolic state: still check its
                     # structure, with a pristine state.
                     branch_states = [({}, ())]
-                refined = _OrderBuilder(builder.refs, builder.le)
+                refined = _OrderBuilder()
+                refined.refs = list(builder.refs)
+                refined.le = set(builder.le)
                 _refine_with_condition(refined, cond, ancestors)
                 if complete and branch_states is not states:
                     # Every surviving state may agree on where an ancestor
@@ -1049,15 +1054,16 @@ def renumber(p: Protocol) -> tuple[Protocol, dict[int, int]]:
         # which have theirs.
         count = 0
         root = object.__new__(type(p.root))
-        stack = [(p.root, root)]
-        while stack:
-            node, new = stack.pop()
+        todo, made = [p.root], [root]  # nodes to visit, and the nodes they become
+        while todo:
+            node, new = todo.pop(), made.pop()
             mapping[node.nid] = count
             count += 1
             kids = shells = _children(node)
             if kids:
                 shells = tuple(map(object.__new__, map(type, kids)))
-                stack.extend(zip(kids[::-1], shells[::-1]))
+                todo += kids[::-1]
+                made += shells[::-1]
             object.__setattr__(new, "__dict__", _map_fields(node, ids, shells))
         return type(p)(p.agents, root), mapping
     except KeyError as exc:

@@ -24,12 +24,13 @@ The game follows the interpreter's rules (``engine``) move for move and
 raises the same ``ExecutionError`` where a protocol goes wrong at run time:
 a BC cut in a piece that does not exist, an inverted cut interval or piece,
 a ref to a cut never made, a condition on an undecided pick, an if-else with
-no matching branch, and a leaf whose piece count or allocation is invalid.
+no matching branch, and a leaf whose piece count or allocation is invalid or
+that gives a piece to an agent outside 1..n.
 It skips the checks that cannot fail here.  The interpreter checks each move
 a strategy returns (a cut inside its interval, a branch or piece index in
 range); the oracle only generates legal moves.  A BC or DAG leaf's pieces
 come from the sorted cuts, so they always partition the cake and only their
-count is checked.  Extended and GCC leaves are still checked to partition
+count and agents are checked.  Extended and GCC leaves are still checked to partition
 the cake (``valuation.check_allocation`` on indices), with positions printed
 in the error.
 """

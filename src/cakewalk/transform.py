@@ -111,7 +111,7 @@ def dag_to_tree(
         new = gen()
         fwd[nid].add(new)
         back[new] = nid
-        return _map_node(node, lambda _: new, [expand(kid) for kid in _children(node)])
+        return _map_node(node, lambda _: new, list(map(expand, _children(node))))
 
     tree = BcTree(d.agents, expand(d.root))
 
