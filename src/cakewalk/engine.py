@@ -263,20 +263,17 @@ def step_ifelse(p: Protocol, state: ExecState) -> ExecState:
     raise ExecutionError("no if-else branch matched", node=node.nid)
 
 
-def _share_out(given, agents: int, leaf: int) -> list[list]:
-    """Each agent's pieces from ``(agent, piece)`` pairs, in order; an agent
-    outside 1..agents (which only unvalidated protocols hold) raises."""
-    rows: list[list] = [[] for _ in range(agents)]
-    for agent, piece in given:
-        if not 0 < agent <= agents:
-            raise ExecutionError(f"leaf gives a piece to agent {agent},"
-                                 f" outside 1..{agents}", node=leaf)
-        rows[agent - 1].append(piece)
-    return rows
+def _leaf_agent_error(agent: int, agents: int, leaf: int) -> ExecutionError:
+    """The error for a leaf that gives a piece to an agent outside 1..agents
+    (validation rejects such leaves; protocols built in code may hold them)."""
+    return ExecutionError(f"leaf gives a piece to agent {agent}, outside 1..{agents}",
+                          node=leaf)
 
 
 def leaf_allocation(p: Protocol, state: ExecState) -> Allocation:
     node = _node_of(p, state)
+    n = p.agents
+    pieces: list[list[Interval]] = [[] for _ in range(n)]
     if isinstance(node, BcLeaf):
         parts = partition_of(state.cuts)
         if len(parts) != len(node.assign):
@@ -284,21 +281,29 @@ def leaf_allocation(p: Protocol, state: ExecState) -> Allocation:
                 f"leaf expects {len(node.assign)} pieces, partition has {len(parts)}",
                 node=node.nid,
             )
-        given = zip(node.assign, parts)
+        for part, agent in zip(parts, node.assign):
+            if not 0 < agent <= n:
+                raise _leaf_agent_error(agent, n, node.nid)
+            pieces[agent - 1].append(part)
     elif isinstance(node, ExtLeaf):
         positions = cut_positions_of(state)
-        given = []
         for seg in node.segments:
             lo = resolve_ref(seg.left, positions)
             hi = resolve_ref(seg.right, positions)
             if lo > hi:
                 raise ExecutionError("segment inverted at run time", node=node.nid)
-            given.append((seg.agent, (lo, hi)))
+            if not 0 < seg.agent <= n:
+                raise _leaf_agent_error(seg.agent, n, node.nid)
+            pieces[seg.agent - 1].append((lo, hi))
     elif isinstance(node, GccLeaf):
-        given = sorted(state.allocated)  # each agent's pieces left to right
+        for agent, interval in state.allocated:
+            if not 0 < agent <= n:
+                raise _leaf_agent_error(agent, n, node.nid)
+            pieces[agent - 1].append(interval)
+        for row in pieces:
+            row.sort()
     else:
         raise DomainError("current node is not a leaf")
-    pieces = _share_out(given, p.agents, node.nid)
     try:
         return Allocation(tuple(tuple(row) for row in pieces))
     except DomainError as exc:

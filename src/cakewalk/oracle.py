@@ -30,9 +30,9 @@ It skips the checks that cannot fail here.  The interpreter checks each move
 a strategy returns (a cut inside its interval, a branch or piece index in
 range); the oracle only generates legal moves.  A BC or DAG leaf's pieces
 come from the sorted cuts, so they always partition the cake and only their
-count and agents are checked.  Extended and GCC leaves are still checked to partition
-the cake (``valuation.check_allocation`` on indices), with positions printed
-in the error.
+count and agents are checked.  Extended and GCC leaves are still checked to
+partition the cake (``valuation.check_allocation`` on indices), with
+positions printed in the error.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from math import lcm
 from time import perf_counter
 from typing import Sequence
 
-from .engine import _share_out
+from .engine import _leaf_agent_error
 # step_cut is not called here; perfbench/test_perfbench.py
 # (test_install_and_uninstall_restore_the_program) reads it through this
 # module to check that the tracer patches and restores aliases.
@@ -273,7 +273,8 @@ class GuaranteeOracle:
 
     def _leaf_pieces(self, node, cuts, allocated) -> list[list[tuple[int, int]]]:
         """Each agent's intervals at a leaf, as (lo, hi) index pairs."""
-        agents = self.protocol.agents
+        n = self.protocol.agents
+        pieces: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         if isinstance(node, BcLeaf):
             bounds = self._bounds(cuts)
             if len(bounds) - 1 != len(node.assign):
@@ -282,19 +283,27 @@ class GuaranteeOracle:
                     f" partition has {len(bounds) - 1}",
                     node=node.nid,
                 )
-            # consecutive pieces of sorted cuts: a partition
-            return _share_out(zip(node.assign, zip(bounds, bounds[1:])), agents, node.nid)
+            for k, agent in enumerate(node.assign):
+                if not 0 < agent <= n:
+                    raise _leaf_agent_error(agent, n, node.nid)
+                pieces[agent - 1].append((bounds[k], bounds[k + 1]))
+            return pieces  # consecutive pieces of sorted cuts: a partition
         if isinstance(node, ExtLeaf):
             positions = dict(cuts)
-            given = []
             for seg in node.segments:
                 lo, hi = self._at(seg.left, positions), self._at(seg.right, positions)
                 if lo > hi:
                     raise ExecutionError("segment inverted at run time", node=node.nid)
-                given.append((seg.agent, (lo, hi)))
+                if not 0 < seg.agent <= n:
+                    raise _leaf_agent_error(seg.agent, n, node.nid)
+                pieces[seg.agent - 1].append((lo, hi))
         else:
-            given = sorted((agent, (lo, hi)) for agent, lo, hi in allocated)
-        pieces = _share_out(given, agents, node.nid)
+            for agent, lo, hi in allocated:
+                if not 0 < agent <= n:
+                    raise _leaf_agent_error(agent, n, node.nid)
+                pieces[agent - 1].append((lo, hi))
+            for row in pieces:
+                row.sort()
         try:
             check_allocation(pieces, self._last, self.grid.points.__getitem__)
         except DomainError as exc:

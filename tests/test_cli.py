@@ -298,12 +298,13 @@ class TestErrors:
         deep.write_text(text)
         return str(deep)
 
-    @pytest.mark.parametrize("command", ["stats", "fmt"])
     @pytest.mark.parametrize("suffix", [".cake", ".json"])
-    def test_deep_input_is_one_error_line(self, capsys, tmp_path, suffix, command):
-        code, _, err = run_cli(capsys, command, self.chain(tmp_path, 1500, suffix))
-        assert code == 1
-        assert err.startswith("error: ") and err.count("\n") == 1
+    def test_deep_input_is_one_error_line(self, capsys, tmp_path, suffix):
+        deep = self.chain(tmp_path, 1500, suffix)
+        for command in ("stats", "fmt"):
+            code, _, err = run_cli(capsys, command, deep)
+            assert code == 1
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["stats", "fmt"])
     def test_400_deep_chain_is_processed(self, capsys, tmp_path, command):
