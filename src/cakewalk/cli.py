@@ -495,7 +495,14 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Standard output was closed early (``| head``).  Point it at devnull
+        # so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_FAIL
@@ -503,7 +510,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except RecursionError:
-        # The readers, validators and printers recurse once per tree level.
+        # The .cake reader keeps a stack, but the .cake lowerer, the JSON
+        # reader, the validators, stats and the printer recurse per level.
         print("error: input nests too deeply to process"
               f" (Python recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return EXIT_FAIL

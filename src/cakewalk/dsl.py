@@ -14,7 +14,9 @@ Extended trees name their cuts (``:label x``) and refer to them in later
 nodes explicitly.  ``parse`` never raises on malformed input: it returns
 ``(protocol_or_None, diagnostics)`` where every diagnostic carries a source
 span.  ``print_protocol`` emits the canonical form, and parsing it back
-yields a structurally identical protocol.
+yields a structurally identical protocol.  The reader is one ``re.finditer``
+pass that nests lists on a stack, not in Python frames; its forms carry
+``(start, end)`` offsets, and only a diagnostic gets a line and column.
 
 Every model lowers through one node lowerer, ``_Lowering.node``: a node's
 head word is looked up in the printer's ``_NODE_WORDS`` read backwards, and
@@ -25,6 +27,7 @@ values, where a tree's hold nested node forms.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cache
 from typing import Optional
@@ -62,100 +65,63 @@ class Diagnostic:
 
 
 class _ParseFailure(Exception):
-    def __init__(self, span: SourceSpan, message: str):
-        self.diagnostic = Diagnostic(span, message)
+    """A failure at ``span``, a ``(start, end)`` pair of offsets."""
+
+    def __init__(self, span: tuple[int, int], message: str):
+        self.span = span
+        self.message = message
         super().__init__(message)
 
 
 # ---------------------------------------------------------------------------
-# Reader: text -> atoms and lists, all carrying spans
+# Reader: text -> atoms and lists, each with its (start, end) offsets
 
 
-@dataclass
+@dataclass(slots=True)
 class Atom:
     text: str
-    span: SourceSpan
+    span: tuple[int, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class SList:
     items: list
-    span: SourceSpan
+    span: tuple[int, int]
 
 
-_DELIMS = set("() \t\r\n;")
+# One match per token: ``(``, ``)``, an atom, or a run of blanks and
+# ``;`` comments.  An atom ends only at ``() \t\r\n;``, so other blanks
+# (``\x0c``, say) are skipped before an atom but belong to it after its start.
+_TOKEN = re.compile(r"(\()|(\))|([^()\s;][^() \t\r\n;]*)|(?:\s+|;[^\n]*)+")
 
 
 def _read(text: str):
-    pos, line, col = 0, 1, 1
-    n = len(text)
-
-    def span(start, start_line, start_col, end=None):
-        return SourceSpan(start, end if end is not None else pos, start_line, start_col)
-
-    def error(msg, start=None, start_line=None, start_col=None):
-        raise _ParseFailure(
-            span(start if start is not None else pos,
-                 start_line if start_line is not None else line,
-                 start_col if start_col is not None else col),
-            msg,
-        )
-
-    def advance(k=1):
-        nonlocal pos, line, col
-        for _ in range(k):
-            if pos < n and text[pos] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            pos += 1
-
-    def skip_blank():
-        while pos < n:
-            c = text[pos]
-            if c == ";":
-                while pos < n and text[pos] != "\n":
-                    advance()
-            elif c.isspace():
-                advance()
-            else:
-                return
-
-    def read_form():
-        skip_blank()
-        if pos >= n:
-            error("unexpected end of input")
-        c = text[pos]
-        start, start_line, start_col = pos, line, col
-        if c == ")":
-            error("unmatched closing parenthesis")
-        if c == "(":
-            advance()
+    """The one form of ``text``; lists nest on a stack, not in Python frames."""
+    stack = []  # (start offset, enclosing items) of each open list
+    items = top = []  # the forms of the innermost open list; of the text
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        if kind is None:
+            continue
+        start, end = m.span()
+        if top and not stack:
+            raise _ParseFailure((start, start), "trailing input after the protocol form")
+        if kind == 1:
+            stack.append((start, items))
             items = []
-            while True:
-                skip_blank()
-                if pos >= n:
-                    raise _ParseFailure(
-                        span(start, start_line, start_col),
-                        "unclosed parenthesis",
-                    )
-                if text[pos] == ")":
-                    advance()
-                    return SList(items, span(start, start_line, start_col))
-                items.append(read_form())
-        begin = pos
-        while pos < n and text[pos] not in _DELIMS:
-            advance()
-        if begin == pos:
-            error(f"unexpected character {text[pos]!r}")
-        return Atom(text[begin:pos], span(begin, start_line, start_col))
-
-    form = read_form()
-    skip_blank()
-    if pos < n:
-        error("trailing input after the protocol form")
-    return form
+        elif kind == 2:
+            if not stack:
+                raise _ParseFailure((start, start), "unmatched closing parenthesis")
+            open_start, enclosing = stack.pop()
+            enclosing.append(SList(items, (open_start, end)))
+            items = enclosing
+        else:
+            items.append(Atom(m.group(), (start, end)))
+    if stack:
+        raise _ParseFailure((stack[-1][0], len(text)), "unclosed parenthesis")
+    if not top:
+        raise _ParseFailure((len(text), len(text)), "unexpected end of input")
+    return top[0]
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +451,9 @@ def parse(text: str) -> tuple[Optional[Protocol], list[Diagnostic]]:
                 mode = GccMode.RESTRICTED
             protocol = cls(agents, cx.node(rest[0]))
     except _ParseFailure as failure:
-        return None, [failure.diagnostic]
+        start, end = failure.span  # only "\n" ends a line
+        line, column = text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+        return None, [Diagnostic(SourceSpan(start, end, line, column), failure.message)]
     diagnostics = [
         Diagnostic(SourceSpan(0, len(text), 1, 1), f"validation: {v}")
         for v in validate(protocol, mode).errors

@@ -77,19 +77,30 @@ class Trace:
 
     @staticmethod
     def from_json(obj: dict) -> "Trace":
+        if not isinstance(obj, dict):
+            raise DomainError(f"a trace must be a JSON object, not {type(obj).__name__}")
+        items, cuts = obj.get("events", []), obj.get("cuts", [])
+        for name, value in (("events", items), ("cuts", cuts)):
+            if not isinstance(value, list):
+                raise DomainError(f"trace {name!r} must be a list, not {type(value).__name__}")
         events: list[Event] = []
-        for item in obj.get("events", []):
+        for i, item in enumerate(items):
+            if not isinstance(item, dict):
+                raise DomainError(f"trace event {i} must be a JSON object")
             kind = item.get("type")
-            if kind == "cut":
-                events.append(CutMade(item["node"], item["agent"],
-                                      frac(item["position"]), item.get("piece")))
-            elif kind == "branch":
-                events.append(BranchChosen(item["node"], item["agent"], item["index"]))
-            elif kind == "piece":
-                events.append(PieceChosen(item["node"], item["agent"], item["index"]))
-            else:
-                raise DomainError(f"unknown trace event type {kind!r}")
-        return Trace(tuple(events), tuple(frac(x) for x in obj.get("cuts", [])))
+            try:
+                if kind == "cut":
+                    events.append(CutMade(item["node"], item["agent"],
+                                          frac(item["position"]), item.get("piece")))
+                elif kind == "branch":
+                    events.append(BranchChosen(item["node"], item["agent"], item["index"]))
+                elif kind == "piece":
+                    events.append(PieceChosen(item["node"], item["agent"], item["index"]))
+                else:
+                    raise DomainError(f"unknown trace event type {kind!r}")
+            except KeyError as exc:
+                raise DomainError(f"trace event {i} ({kind}) has no {exc.args[0]!r}") from None
+        return Trace(tuple(events), tuple(frac(x) for x in cuts))
 
 
 # ---------------------------------------------------------------------------

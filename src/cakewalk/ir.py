@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from functools import cache
 from enum import Enum
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import DomainError
 
@@ -567,55 +567,70 @@ class Order(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass
-class PartialOrder:
-    """Sound, conservative order over the cut refs visible at one node."""
+# (i <= j, j <= i) -> how refs i and j compare.
+_ORDERS = {(1, 1): Order.EQ, (1, 0): Order.LE, (0, 1): Order.GE, (0, 0): Order.UNKNOWN}
 
-    refs: tuple[CutRef, ...]
-    le: set[tuple[CutRef, CutRef]]
+
+class PartialOrder:
+    """Sound, conservative order over the cut refs visible at one node.
+
+    ``index`` numbers the refs in the order they were first named, and bit j
+    of ``up[i]`` says that ref i <= ref j.
+    """
+
+    __slots__ = ("index", "up")
+
+    def __init__(self, index: dict[CutRef, int], up: list[int]):
+        self.index = index
+        self.up = up
+
+    @property
+    def refs(self) -> tuple[CutRef, ...]:
+        return tuple(self.index)
 
     def compare(self, a: CutRef, b: CutRef) -> Order:
-        fwd = a == b or (a, b) in self.le
-        bwd = a == b or (b, a) in self.le
-        if fwd and bwd:
+        if a == b:
             return Order.EQ
-        if fwd:
-            return Order.LE
-        if bwd:
-            return Order.GE
-        return Order.UNKNOWN
+        i, j = self.index.get(a), self.index.get(b)
+        if i is None or j is None:
+            return Order.UNKNOWN
+        return _ORDERS[self.up[i] >> j & 1, self.up[j] >> i & 1]
 
     def le_or_eq(self, a: CutRef, b: CutRef) -> bool:
         return self.compare(a, b) in (Order.LE, Order.EQ)
 
 
-class _OrderBuilder:
-    """Incrementally closed <= relation over cut refs."""
+class _OrderBuilder(PartialOrder):
+    """Incrementally closed <= relation over cut refs; a copy of ``parent``."""
 
-    def __init__(self):
-        self.refs: list[CutRef] = [ORIGIN, END]
-        self.le: set[tuple[CutRef, CutRef]] = {(ORIGIN, END)}
+    __slots__ = ()
+
+    def __init__(self, parent: Optional[PartialOrder] = None):
+        if parent is None:
+            super().__init__({ORIGIN: 0, END: 1}, [0b10, 0])
+        else:
+            super().__init__(dict(parent.index), list(parent.up))
 
     def snapshot(self) -> PartialOrder:
-        return PartialOrder(tuple(self.refs), set(self.le))
+        """The order so far, sharing this builder's rows: change it no more."""
+        return PartialOrder(self.index, self.up)
 
-    def add_ref(self, ref: CutRef):
-        if ref not in self.refs:
-            self.refs.append(ref)
+    def add_ref(self, ref: CutRef) -> int:
+        i = self.index.get(ref)
+        if i is None:
+            i = self.index[ref] = len(self.up)
+            self.up.append(0)
+        return i
 
     def add_le(self, a: CutRef, b: CutRef):
-        self.add_ref(a)
-        self.add_ref(b)
-        if (a, b) in self.le:
+        i, j = self.add_ref(a), self.add_ref(b)
+        if self.up[i] >> j & 1:
             return
-        self.le.add((a, b))
         # Transitive closure, incremental: x <= a <= b <= y.
-        before = [x for x in self.refs if x == a or (x, a) in self.le]
-        after = [y for y in self.refs if y == b or (b, y) in self.le]
-        for x in before:
-            for y in after:
-                if x != y:
-                    self.le.add((x, y))
+        after, bit = self.up[j] | 1 << j, 1 << i
+        for k, row in enumerate(self.up):
+            if k == i or row & bit:
+                self.up[k] = row | after
 
     def bounded_cut(self, ref: CutRef, lows: Iterable[CutRef], highs: Iterable[CutRef]):
         """New cut known to satisfy low <= ref <= high for each bound."""
@@ -683,9 +698,7 @@ def validate_ext(t: ExtBcTree) -> ValidationReport:
                         path, node.nid,
                         f"order of {node.left} and {node.right} is not derivable",
                     )
-            sub = _OrderBuilder()
-            sub.refs = list(builder.refs)
-            sub.le = set(builder.le)
+            sub = _OrderBuilder(builder)
             sub.bounded_cut(at(node.nid), [node.left, ORIGIN], [node.right, END])
             walk(node.child, path + "/0", cuts_above | {node.nid}, sub)
         elif isinstance(node, ExtChoose):
@@ -841,9 +854,7 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
             _check_agent(report, path, node.nid, node.agent, t.agents)
             check_pieces(path, node, cuts_above, order)
             check_unallocated(path, node, states, order, "cut offered")
-            sub = _OrderBuilder()
-            sub.refs = list(builder.refs)
-            sub.le = set(builder.le)
+            sub = _OrderBuilder(builder)
             z = at(node.nid)
             sub.add_le(ORIGIN, z)
             sub.add_le(z, END)
@@ -852,7 +863,7 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
                 sub.add_le(z, node.pieces[0][1])
             else:
                 # Sound common bounds across all offered pieces.
-                for ref in list(sub.refs):
+                for ref in list(sub.index):
                     if all(order.le_or_eq(ref, p[0]) for p in node.pieces):
                         sub.add_le(ref, z)
                     if all(order.le_or_eq(p[1], ref) for p in node.pieces):
@@ -927,9 +938,7 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
                     # Dead branch for every symbolic state: still check its
                     # structure, with a pristine state.
                     branch_states = [({}, ())]
-                refined = _OrderBuilder()
-                refined.refs = list(builder.refs)
-                refined.le = set(builder.le)
+                refined = _OrderBuilder(builder)
                 _refine_with_condition(refined, cond, ancestors)
                 if complete and branch_states is not states:
                     # Every surviving state may agree on where an ancestor

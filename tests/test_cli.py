@@ -51,6 +51,23 @@ class TestGenAndStats:
         )
         assert json.loads(stats.stdout)["nodes"] == 150
 
+    def test_closed_pipe_is_no_traceback(self, capsys, tmp_path):
+        # As ``cakewalk convert --to bc EP4.cake | head -1``: the output
+        # (about 2.8 MB) outgrows the pipe, so writing fails once it closes.
+        ep4 = tmp_path / "ep4.cake"
+        assert main(["gen", "even-paz", "--model", "extbc", "--n", "4",
+                     "--format", "cake", "--out", str(ep4)]) == 0
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cakewalk", "convert", "--to", "bc", str(ep4)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in err and err == ""
+
     def test_gen_cake_format(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "cut-and-choose", "--format", "cake")
         assert code == 0

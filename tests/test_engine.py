@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -188,3 +189,16 @@ class TestReplay:
         trace, _ = run(bc, bundle.strategies_for(bc), [uniform(), uniform()])
         again = Trace.from_json(trace.to_json())
         assert again == trace
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"events": [{"type": "cut", "agent": 1, "position": "1/2"}]},
+         "trace event 0 (cut) has no 'node'"),
+        ({"events": [{"type": "branch", "node": 0, "agent": 1, "index": 0},
+                     {"type": "cut", "node": 1, "agent": 1}]},
+         "trace event 1 (cut) has no 'position'"),
+        ({"events": 5}, "trace 'events' must be a list, not int"),
+        ([{"type": "cut"}], "a trace must be a JSON object, not list"),
+    ], ids=["no-node", "no-position", "events-int", "list"])
+    def test_malformed_trace_json_is_a_domain_error(self, obj, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            Trace.from_json(obj)
