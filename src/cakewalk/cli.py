@@ -30,7 +30,8 @@ EXIT_USAGE = 2
 MODEL_NAMES = {BcTree: "bc", ExtBcTree: "extbc", GccTree: "gcc", BcDag: "dag"}
 
 
-def _budget(args) -> int:
+def _budget(args, default: int) -> int:
+    """``--budget``, else ``CAKE_BUDGET``, else ``default``."""
     if getattr(args, "budget", None):
         return args.budget
     env = os.environ.get("CAKE_BUDGET")
@@ -39,7 +40,7 @@ def _budget(args) -> int:
             return int(env)
         except ValueError:
             raise DomainError(f"CAKE_BUDGET must be an integer, got {env!r}")
-    return oracle.DEFAULT_BUDGET
+    return default
 
 
 def _read_text(path: str) -> str:
@@ -294,12 +295,12 @@ def _cmd_convert(args) -> int:
     if args.source and args.source != actual:
         print(f"input is a {actual} protocol, not {args.source}", file=sys.stderr)
         return EXIT_USAGE
-    budget = _budget(args)
+    budget = _budget(args, transform.DEFAULT_SIZE_BUDGET)
     pair = (actual, args.target)
     if pair == ("dag", "bc"):
-        out, _, _ = transform.dag_to_tree(p)
+        out, _, _ = transform.dag_to_tree(p, size_budget=budget)
     elif pair == ("extbc", "bc"):
-        out, _, _ = transform.extended_to_bc(p)
+        out, _, _ = transform.extended_to_bc(p, size_budget=budget)
     elif pair == ("gcc", "bc"):
         out, _ = transform.gcc_to_bc(p, mode, size_budget=budget)
     elif pair == ("bc", "gcc"):
@@ -315,7 +316,7 @@ def _cmd_convert(args) -> int:
 
 def _cmd_normalize(args) -> int:
     p = load_protocol(args.input)
-    budget = _budget(args)
+    budget = _budget(args, transform.DEFAULT_SIZE_BUDGET)
     if args.pass_name == "cbc-ext":
         if not isinstance(p, ExtBcTree):
             if isinstance(p, BcTree):
@@ -333,7 +334,7 @@ def _cmd_normalize(args) -> int:
         if not isinstance(p, BcTree):
             print("intermediate form applies to bc protocols", file=sys.stderr)
             return EXIT_USAGE
-        out, _ = transform.bc_intermediate_form(p)
+        out, _ = transform.bc_intermediate_form(p, size_budget=budget)
     else:  # pragma: no cover - argparse restricts choices
         return EXIT_USAGE
     _dump_protocol(out, args.format, args.out)
@@ -397,7 +398,8 @@ def _cmd_verify(args) -> int:
     grid = oracle.build_grid(vals, args.grid_q)
     report = oracle.check_equiv(
         p1, p2, args.notion, grid, vals,
-        bound_samples=args.bound_samples, budget=_budget(args), seed=args.seed,
+        bound_samples=args.bound_samples,
+        budget=_budget(args, oracle.DEFAULT_BUDGET), seed=args.seed,
     )
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
@@ -510,8 +512,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except RecursionError:
-        # The .cake reader keeps a stack, but the .cake lowerer, the JSON
-        # reader, the validators, stats and the printer recurse per level.
+        # The .cake reader and printer keep a stack, but the .cake lowerer,
+        # the JSON reader and writer, the validators and stats recurse per level.
         print("error: input nests too deeply to process"
               f" (Python recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return EXIT_FAIL

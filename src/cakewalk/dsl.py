@@ -534,22 +534,27 @@ def print_protocol(p: Protocol) -> str:
     p, _ = renumber(p)
     out = [f"({_MODEL_WORDS[type(p)]} :agents {p.agents}"]
 
-    def emit(node, depth: int):
-        out.append("  " * depth + _opening(node, _FIELD_TEXT))
-        if isinstance(node, GccIfElse):
-            for cond, child in node.branches:
-                out.append("  " * (depth + 1) + f"({_cond_text(cond)}")
-                emit(child, depth + 2)
-                out[-1] += ")"
-        else:
-            for child in _children(node):
-                emit(child, depth + 1)
-        out[-1] += ")"
-
     if isinstance(p, BcDag):
         for nid in sorted(p.nodes):  # the root is 0 after renumbering
             out.append(f"  (node {_label(nid)} {_opening(p.nodes[nid], _DAG_TEXT)}))")
     else:
-        emit(p.root, 1)
+        # An explicit stack of (node or opening text, depth); None closes
+        # the last line.  Nesting then costs no Python frames.
+        stack: list = [(p.root, 1)]
+        while stack:
+            item, depth = stack.pop()
+            if item is None:
+                out[-1] += ")"
+            elif isinstance(item, str):
+                out.append("  " * depth + item)
+            else:
+                out.append("  " * depth + _opening(item, _FIELD_TEXT))
+                stack.append((None, 0))
+                if isinstance(item, GccIfElse):
+                    for cond, child in reversed(item.branches):
+                        stack += [(None, 0), (child, depth + 2),
+                                  (f"({_cond_text(cond)}", depth + 1)]
+                else:
+                    stack += [(child, depth + 1) for child in reversed(_children(item))]
     out[-1] += ")"
     return "\n".join(out) + "\n"

@@ -100,7 +100,16 @@ class Trace:
                     raise DomainError(f"unknown trace event type {kind!r}")
             except KeyError as exc:
                 raise DomainError(f"trace event {i} ({kind}) has no {exc.args[0]!r}") from None
-        return Trace(tuple(events), tuple(frac(x) for x in cuts))
+            except (ValueError, ZeroDivisionError):
+                raise DomainError(f"trace event {i} ({kind}) has position"
+                                  f" {item['position']!r}, not a rational") from None
+        positions = []
+        for j, x in enumerate(cuts):
+            try:
+                positions.append(frac(x))
+            except (ValueError, ZeroDivisionError):
+                raise DomainError(f"trace cuts entry {j} is {x!r}, not a rational") from None
+        return Trace(tuple(events), tuple(positions))
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ def _transporter(description: str,
     return StrategyTransporter(description, wrap)
 
 
-def _require_valid(report, what: str):
+def _require_valid(report):
     if not report.ok:
         raise InvalidProtocolError(report)
 
@@ -101,7 +101,7 @@ def dag_to_tree(
     d: BcDag, size_budget: int = DEFAULT_SIZE_BUDGET
 ) -> tuple[BcTree, NodeMap, StrategyTransporter]:
     """Expand shared subtrees into one copy per parent."""
-    _require_valid(validate_dag(d), "dag")
+    _require_valid(validate_dag(d))
     gen = _budgeted_ids(size_budget, "expansion")
     fwd: dict[int, set[int]] = defaultdict(set)
     back: dict[int, int] = {}
@@ -145,6 +145,37 @@ def retarget_trace(p_target, trace, target_to_source: dict[int, int]):
 # Extended BC -> BC
 
 
+def _split_cut(fresh, src: int, agent: int, candidates, bounds: tuple[CutRef, ...],
+               child: Callable[[int, tuple[CutRef, ...]], BcNode]) -> BcNode:
+    """A cut ``src`` landing in a definite gap of the forced cut order.
+
+    One ``BcCut`` per (piece, gap) candidate, under a ``BcChoose`` of
+    ``agent`` when there are several; ``child(piece, bounds)`` converts
+    what follows each.  Ids come from ``fresh(src)``: the choose's first.
+    """
+    cnid = fresh(src) if len(candidates) > 1 else None
+    kids = []
+    for j, k in candidates:
+        nid = fresh(src)
+        kids.append(BcCut(nid, agent, k + 1,
+                          child(j, bounds[: k + 1] + (at(src),) + bounds[k + 1 :])))
+    return kids[0] if cnid is None else BcChoose(cnid, agent, tuple(kids))
+
+
+def _forced_leaf(nid: int, src: int, spans, bounds: tuple[CutRef, ...]) -> BcLeaf:
+    """Leaf ``nid`` whose ``assign`` gives each (left, right, agent) span's
+    pieces of the forced cut order ``bounds`` to its agent."""
+    assign: list[Optional[int]] = [None] * (len(bounds) - 1)
+    for left, right, agent in spans:
+        for k in range(bounds.index(left), bounds.index(right)):
+            if assign[k] is not None:
+                raise DomainError(f"leaf {src} allocates piece {k + 1} twice")
+            assign[k] = agent
+    if None in assign:
+        raise DomainError(f"leaf {src} leaves pieces unallocated")
+    return BcLeaf(nid, tuple(assign))  # type: ignore[arg-type]
+
+
 def extended_to_bc(
     t: ExtBcTree, size_budget: int = DEFAULT_SIZE_BUDGET
 ) -> tuple[BcTree, NodeMap, StrategyTransporter]:
@@ -156,7 +187,7 @@ def extended_to_bc(
     blowup is factorial in the worst case, so the size budget aborts cleanly
     instead of filling memory.
     """
-    _require_valid(validate_ext(t), "extended tree")
+    _require_valid(validate_ext(t))
     gen = _budgeted_ids(size_budget)
     fwd: dict[int, set[int]] = defaultdict(set)
     back: dict[int, int] = {}
@@ -178,34 +209,19 @@ def extended_to_bc(
             lo = bounds.index(node.left)
             hi = bounds.index(node.right)
             assert lo < hi, "validated order must agree with the forced order"
-
-            def cut_branch(k: int) -> BcCut:
-                nid = copy_of(node.nid)
-                new_bounds = bounds[: k + 1] + (at(node.nid),) + bounds[k + 1 :]
-                return BcCut(nid, node.agent, k + 1, convert(node.child, new_bounds))
-
-            if hi - lo == 1:
-                return cut_branch(lo)
-            cnid = copy_of(node.nid)
-            introduced.add(cnid)
-            kids = tuple(cut_branch(k) for k in range(lo, hi))
-            return BcChoose(cnid, node.agent, kids)
+            out = _split_cut(copy_of, node.nid, node.agent,
+                             [(0, k) for k in range(lo, hi)], bounds,
+                             lambda _, inner: convert(node.child, inner))
+            if isinstance(out, BcChoose):
+                introduced.add(out.nid)
+            return out
         if isinstance(node, ExtChoose):
             return BcChoose(copy_of(node.nid), node.agent,
                             tuple(convert(c, bounds) for c in node.children))
         assert isinstance(node, ExtLeaf)
-        nid = copy_of(node.nid)
-        assign: list[Optional[int]] = [None] * (len(bounds) - 1)
-        for seg in node.segments:
-            lo = bounds.index(seg.left)
-            hi = bounds.index(seg.right)
-            for k in range(lo, hi):
-                if assign[k] is not None:
-                    raise DomainError(f"leaf {node.nid} allocates piece {k + 1} twice")
-                assign[k] = seg.agent
-        if any(a is None for a in assign):
-            raise DomainError(f"leaf {node.nid} leaves pieces unallocated")
-        return BcLeaf(nid, tuple(assign))  # type: ignore[arg-type]
+        return _forced_leaf(copy_of(node.nid), node.nid,
+                            ((seg.left, seg.right, seg.agent) for seg in node.segments),
+                            bounds)
 
     tree = BcTree(t.agents, convert(t.root, (ORIGIN, END)))
 
@@ -266,23 +282,54 @@ def extended_to_bc(
 # Cuts-before-choices (extended form)
 
 
-def _hoist_first(node, lower):
-    """Hoist the first cut child of a choose, in preorder; returns (tree, moved).
+def _cuts_first(root, insert):
+    """``root`` rebuilt with every cut on one chain above all chooses.
 
-    ``lower(choose, i)`` builds the subtree that replaces ``choose`` once its
-    cut child ``i`` moves above it.
+    The root's leading cuts open the chain.  Each choose, in preorder, lifts
+    its cut children onto the chain in child order (a lifted cut's child
+    takes its place, so that place is looked at again), then normalizes its
+    branches in order.  Each lift calls ``insert(branch, cut)`` on every
+    other branch of that choose and of every choose above it, innermost
+    first: the branches the cut now runs before.  This is the order in which
+    hoisting the first cut child of the first choose in preorder, again and
+    again from the root, would move the cuts.
     """
-    if isinstance(node, (BcChoose, ExtChoose)):
-        for i, child in enumerate(node.children):
-            if isinstance(child, (BcCut, ExtCut)):
-                return lower(node, i), True
-    for i, child in enumerate(_children(node)):
-        new_child, moved = _hoist_first(child, lower)
-        if moved:
-            kids = list(_children(node))
-            kids[i] = new_child
-            return _map_node(node, kids=kids), True
-    return node, False
+    chain = []
+    while isinstance(root, (BcCut, ExtCut)):
+        chain.append(root)
+        root = root.child
+    frames: list[list] = []  # per open choose: [branches, branch being worked on]
+
+    def lift(cut) -> None:
+        chain.append(cut)
+        for frame in reversed(frames):
+            kids, here = frame
+            for j in range(len(kids)):
+                if j != here:
+                    kids[j] = insert(kids[j], cut)
+
+    def normalize(node):
+        if not isinstance(node, (BcChoose, ExtChoose)):
+            return node
+        kids = list(node.children)
+        frame = [kids, 0]
+        frames.append(frame)
+        for i in range(len(kids)):
+            frame[1] = i
+            while isinstance(kids[i], (BcCut, ExtCut)):
+                cut = kids[i]
+                kids[i] = cut.child
+                lift(cut)
+        for i in range(len(kids)):
+            frame[1] = i
+            kids[i] = normalize(kids[i])
+        frames.pop()
+        return _map_node(node, kids=kids)
+
+    root = normalize(root)
+    for cut in reversed(chain):
+        root = _map_node(cut, kids=[root])
+    return root
 
 
 def cuts_before_choices_ext(
@@ -290,25 +337,12 @@ def cuts_before_choices_ext(
 ) -> tuple[ExtBcTree, NodeMap, StrategyTransporter]:
     """Hoist cuts above chooses until no choose has a cut descendant.
 
-    Each hoist moves one cut child above its choose parent; the other
-    branches simply ignore the extra cut, which the extended form allows.
-    Node count and node ids are preserved.
+    Each hoist moves one cut above the chooses over it; the other branches
+    simply ignore the extra cut, which the extended form allows.  Node count
+    and node ids are preserved.
     """
-    _require_valid(validate_ext(t), "extended tree")
-
-    def lower(choose: ExtChoose, i: int) -> ExtCut:
-        cut = choose.children[i]
-        kids = choose.children[:i] + (cut.child,) + choose.children[i + 1:]
-        return _map_node(cut, kids=[_map_node(choose, kids=kids)])
-
-    root = t.root
-    guard = stats(t).nodes ** 2 + 1
-    for _ in range(guard):
-        root, moved = _hoist_first(root, lower)
-        if not moved:
-            break
-    else:  # pragma: no cover
-        raise BudgetExceededError("hoisting did not settle within the step budget")
+    _require_valid(validate_ext(t))
+    root = _cuts_first(t.root, lambda node, cut: node)
     out = ExtBcTree(t.agents, root)
 
     # Static ancestor chains in the source: (node, branch index toward target).
@@ -358,7 +392,7 @@ def cuts_before_choices_ext(
 
 def embed_bc_as_ext(t: BcTree) -> ExtBcTree:
     """View a plain BC tree as an extended one (cuts between adjacent refs)."""
-    _require_valid(validate_bc(t), "bc tree")
+    _require_valid(validate_bc(t))
 
     def conv(node: BcNode, bounds: tuple[CutRef, ...]) -> ExtNode:
         if isinstance(node, BcCut):
@@ -443,7 +477,7 @@ def cuts_before_choices_bc(
     cut into the split piece becomes a two-way choice between its halves;
     leaves re-expand the split piece.  Output ids are preorder-renumbered.
     """
-    _require_valid(validate_bc(t), "bc tree")
+    _require_valid(validate_bc(t))
     gen = IdGen(max((n.nid for n in iter_nodes(t)), default=0) + 1)
     origin: dict[int, int] = {n.nid: n.nid for n in iter_nodes(t)}
     count = stats(t).nodes
@@ -479,15 +513,7 @@ def cuts_before_choices_bc(
         right = BcCut(right_id, node.agent, s + 1, insert_cut(node.child, s))
         return BcChoose(choose_id, node.agent, (left, right))
 
-    def lower(choose: BcChoose, i: int) -> BcCut:
-        cut = choose.children[i]
-        kids = tuple(cut.child if j == i else insert_cut(other, cut.piece)
-                     for j, other in enumerate(choose.children))
-        return _map_node(cut, kids=[_map_node(choose, kids=kids)])
-
-    root, moved = t.root, True
-    while moved:
-        root, moved = _hoist_first(root, lower)
+    root = _cuts_first(t.root, lambda node, cut: insert_cut(node, cut.piece))
     out, renum = renumber(BcTree(t.agents, root))
     fwd: dict[int, set[int]] = defaultdict(set)
     for old, new in renum.items():
@@ -496,16 +522,18 @@ def cuts_before_choices_bc(
 
 
 def cuts_first(t) -> bool:
-    """True when no choose node has a cut descendant."""
-
-    def walk(node) -> bool:
-        if isinstance(node, (BcChoose, ExtChoose)) and any(
-            _has_cut(c) for c in node.children
-        ):
+    """True when no choose node has a cut descendant: every cut then lies on
+    the root's leading chain of cuts."""
+    node = t.root
+    while isinstance(node, (BcCut, ExtCut)):
+        node = node.child
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (BcCut, ExtCut)):
             return False
-        return all(walk(c) for c in children_of(node))
-
-    return walk(t.root)
+        stack.extend(_children(node))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +552,7 @@ def gcc_to_bc(
     if-else nodes are resolved against the branch's forced history and
     deleted.
     """
-    _require_valid(validate_gcc(g, mode), "gcc tree")
+    _require_valid(validate_gcc(g, mode))
     gen = _budgeted_ids(size_budget)
     fwd: dict[int, set[int]] = defaultdict(set)
 
@@ -555,18 +583,9 @@ def gcc_to_bc(
                 raise DomainError(
                     f"cut node {node.nid} offers only degenerate pieces"
                 )
-
-            def cut_branch(j: int, k: int) -> BcCut:
-                nid = fresh(node.nid)
-                new_bounds = bounds[: k + 1] + (at(node.nid),) + bounds[k + 1 :]
-                child = convert(node.child, new_bounds, {**picks, node.nid: j}, spans)
-                return BcCut(nid, node.agent, k + 1, child)
-
-            if len(candidates) == 1:
-                return cut_branch(*candidates[0])
-            cnid = fresh(node.nid)
-            kids = tuple(cut_branch(j, k) for j, k in candidates)
-            return BcChoose(cnid, node.agent, kids)
+            return _split_cut(fresh, node.nid, node.agent, candidates, bounds,
+                              lambda j, inner: convert(node.child, inner,
+                                                       {**picks, node.nid: j}, spans))
         if isinstance(node, GccChoose):
             if len(node.pieces) == 1:
                 piece = node.pieces[0]
@@ -586,22 +605,7 @@ def gcc_to_bc(
                     return convert(child, bounds, picks, spans)
             raise DomainError(f"no if-else branch held at node {node.nid}")
         assert isinstance(node, GccLeaf)
-        nid = fresh(node.nid)
-        assign: list[Optional[int]] = [None] * (len(bounds) - 1)
-        for lo_ref, hi_ref, agent in spans:
-            lo, hi = bounds.index(lo_ref), bounds.index(hi_ref)
-            for k in range(lo, hi):
-                if assign[k] is not None:
-                    raise DomainError(
-                        f"piece {k + 1} allocated twice on the path to leaf {node.nid}"
-                    )
-                assign[k] = agent
-        if any(a is None for a in assign):
-            raise DomainError(
-                f"leaf {node.nid} reached with unallocated pieces; the protocol"
-                " must allocate the whole cake"
-            )
-        return BcLeaf(nid, tuple(assign))  # type: ignore[arg-type]
+        return _forced_leaf(fresh(node.nid), node.nid, spans, bounds)
 
     tree = BcTree(g.agents, convert(g.root, (ORIGIN, END), {}, ()))
     return tree, _freeze(fwd)
@@ -635,44 +639,31 @@ def bc_to_gcc(t: BcTree, size_budget: int = DEFAULT_SIZE_BUDGET) -> GccTree:
             slot_of[node.nid] = (node.agent, len(chooses_of[node.agent]))
             chooses_of[node.agent].append(node)
 
-    ext_to_gcc: dict[int, int] = {}
-
-    def remap(ref: CutRef, zero_edge: CutRef) -> CutRef:
-        if ref.kind == "origin":
-            return zero_edge
-        if ref.kind == "cut":
-            return at(ext_to_gcc[ref.cut])
-        return ref
-
-    # Preamble plan, assembled symbolically (negative placeholder ids) and
-    # materialized front-to-back once the whole plan is known:
+    # Preamble plan, in the order its cuts run and take their ids:
     #   a_1..a_n   -- nested cuts shaving off a piece everyone can value at 0
     #   b_1..b_n-1 -- splitting [0, a_n] into one reserved slice per agent
     #   c_{i,*}    -- splitting agent i's slice into one sub-piece per choose
-    sym_gen = iter(range(-1, -(10 ** 9), -1))
-    plan: list[tuple[int, int, tuple[CutRef, CutRef]]] = []  # (sym, agent, piece)
+    plan: list[tuple[int, int, tuple[CutRef, CutRef]]] = []  # (id, agent, piece)
 
-    a_syms: list[int] = []
-    prev_ref: CutRef = END
+    def plan_cut(agent: int, piece: tuple[CutRef, CutRef]) -> CutRef:
+        nid = fresh()
+        plan.append((nid, agent, piece))
+        return at(nid)
+
+    zero_edge: CutRef = END
     for i in range(1, n + 1):
-        sym = next(sym_gen)
-        plan.append((sym, i, (ORIGIN, prev_ref)))
-        a_syms.append(sym)
-        prev_ref = at(sym)
-    zero_sym = a_syms[-1]
+        zero_edge = plan_cut(i, (ORIGIN, zero_edge))
 
-    b_syms: list[int] = []
-    prev_ref = at(zero_sym)
+    b_refs: list[CutRef] = []
+    prev_ref = zero_edge
     for i in range(1, n):
-        sym = next(sym_gen)
-        plan.append((sym, i, (ORIGIN, prev_ref)))
-        b_syms.append(sym)
-        prev_ref = at(sym)
+        prev_ref = plan_cut(i, (ORIGIN, prev_ref))
+        b_refs.append(prev_ref)
 
     # Reserved slice per agent: [b_i, b_{i-1}] with b_0 = a_n and b_n = origin.
     def reserved(i: int) -> tuple[CutRef, CutRef]:
-        left = ORIGIN if i == n else at(b_syms[i - 1])
-        right = at(zero_sym) if i == 1 else at(b_syms[i - 2])
+        left = ORIGIN if i == n else b_refs[i - 1]
+        right = zero_edge if i == 1 else b_refs[i - 2]
         return left, right
 
     sub_piece: dict[tuple[int, int], tuple[CutRef, CutRef]] = {}
@@ -683,51 +674,44 @@ def bc_to_gcc(t: BcTree, size_budget: int = DEFAULT_SIZE_BUDGET) -> GccTree:
             sub_piece[(i, -1)] = (left, right)  # mop-up only
             continue
         chain = [right]
-        prev_right = right
         for _ in range(m - 1):
-            sym = next(sym_gen)
-            plan.append((sym, i, (left, prev_right)))
-            prev_right = at(sym)
-            chain.append(prev_right)
+            chain.append(plan_cut(i, (left, chain[-1])))
         chain.append(left)
         for j in range(m):
             sub_piece[(i, j)] = (chain[j + 1], chain[j])
 
-    sym_to_gcc: dict[int, int] = {}
+    ext_to_gcc: dict[int, int] = {}
 
-    def real(ref: CutRef) -> CutRef:
-        if ref.kind == "cut" and ref.cut in sym_to_gcc:
-            return at(sym_to_gcc[ref.cut])
+    def remap(ref: CutRef) -> CutRef:
+        if ref.kind == "origin":
+            return zero_edge
+        if ref.kind == "cut":
+            return at(ext_to_gcc[ref.cut])
         return ref
-
-    def zero_edge_ref() -> CutRef:
-        return at(sym_to_gcc[zero_sym])
 
     # --- main conversion ----------------------------------------------------
     def conv_main(node: ExtNode, consumed: frozenset[tuple[int, int]]) -> GccNode:
         if isinstance(node, ExtCut):
             nid = fresh()
             ext_to_gcc[node.nid] = nid
-            piece = (remap(node.left, zero_edge_ref()), remap(node.right, zero_edge_ref()))
+            piece = (remap(node.left), remap(node.right))
             return GccCut(nid, node.agent, (piece,), conv_main(node.child, consumed))
         if isinstance(node, ExtChoose):
             agent, j = slot_of[node.nid]
             k = len(node.children)
-            left, right = (real(r) for r in sub_piece[(agent, j)])
+            left, right = sub_piece[(agent, j)]
             consumed = consumed | {(agent, j)}
             if k == 1:
                 # Single branch: nothing to decide; the sub-piece is mopped up.
                 inner = conv_main(node.children[0], consumed)
                 return GccChoose(fresh(), agent, ((left, right),), inner)
-            division: list[CutRef] = []
+            chain = [right]
             cut_nodes: list[tuple[int, tuple[CutRef, CutRef]]] = []
-            prev_right = right
             for _ in range(k - 1):
                 nid = fresh()
-                cut_nodes.append((nid, (left, prev_right)))
-                division.append(at(nid))
-                prev_right = at(nid)
-            chain = [right] + division + [left]
+                cut_nodes.append((nid, (left, chain[-1])))
+                chain.append(at(nid))
+            chain.append(left)
             pieces = tuple((chain[c + 1], chain[c]) for c in range(k))
             choose_id = fresh()
             branches = []
@@ -747,34 +731,18 @@ def bc_to_gcc(t: BcTree, size_budget: int = DEFAULT_SIZE_BUDGET) -> GccTree:
         assert isinstance(node, ExtLeaf)
         tail = GccLeaf(fresh())
         # Mop up unconsumed reserved sub-pieces, highest agent first.
-        pending = []
-        for i in range(1, n + 1):
-            m = len(chooses_of[i])
-            if m == 0:
-                pending.append((i, sub_piece[(i, -1)]))
-            else:
-                for j in range(m):
-                    if (i, j) not in consumed:
-                        pending.append((i, sub_piece[(i, j)]))
-        for i, (lo, hi) in reversed(pending):
-            tail = GccChoose(fresh(), i, ((real(lo), real(hi)),), tail)
+        for (i, j), piece in reversed(sub_piece.items()):
+            if (i, j) not in consumed:
+                tail = GccChoose(fresh(), i, (piece,), tail)
         for seg in reversed(node.segments):
-            piece = (remap(seg.left, zero_edge_ref()), remap(seg.right, zero_edge_ref()))
+            piece = (remap(seg.left), remap(seg.right))
             tail = GccChoose(fresh(), seg.agent, (piece,), tail)
         return tail
 
-    # Assemble: preamble cuts (assign real ids in plan order), then the body.
-    def build_plan(idx: int) -> GccNode:
-        if idx == len(plan):
-            return conv_main(normal.root, frozenset())
-        sym, agent, (lo, hi) = plan[idx]
-        nid = fresh()
-        sym_to_gcc[sym] = nid
-        piece = (real(lo), real(hi))
-        return GccCut(nid, agent, (piece,), build_plan(idx + 1))
-
-    tree = GccTree(n, build_plan(0))
-    tree, _ = renumber(tree)
+    body = conv_main(normal.root, frozenset())
+    for nid, agent, piece in reversed(plan):
+        body = GccCut(nid, agent, (piece,), body)
+    tree, _ = renumber(GccTree(n, body))
     return tree
 
 
@@ -811,34 +779,23 @@ def conversion_cost(op: str, p) -> int:
                 if indeg[kid] == 0:
                     queue.append(kid)
         return sum(paths.values())
-    if op == "extended_to_bc":
+    if op in ("extended_to_bc", "gcc_to_bc"):
 
         def bound(node, cuts: int) -> int:
-            if isinstance(node, ExtCut):
-                k = cuts + 1
+            if isinstance(node, (ExtCut, GccCut)):
                 inner = 1 + bound(node.child, cuts + 1)
-                return inner if k == 1 else 1 + k * inner
+                return inner if cuts == 0 else 1 + (cuts + 1) * inner
             if isinstance(node, ExtChoose):
                 return 1 + sum(bound(c, cuts) for c in node.children)
+            if isinstance(node, GccChoose):
+                k = len(node.pieces)
+                inner = bound(node.child, cuts)
+                return inner if k == 1 else 1 + k * inner
+            if isinstance(node, GccIfElse):
+                return max(bound(c, cuts) for _, c in node.branches)
             return 1
 
         return bound(p.root, 0)
-    if op == "gcc_to_bc":
-
-        def gbound(node, cuts: int) -> int:
-            if isinstance(node, GccCut):
-                k = cuts + 1
-                inner = 1 + gbound(node.child, cuts + 1)
-                return inner if k == 1 else 1 + k * inner
-            if isinstance(node, GccChoose):
-                k = len(node.pieces)
-                inner = gbound(node.child, cuts)
-                return inner if k == 1 else 1 + k * inner
-            if isinstance(node, GccIfElse):
-                return max(gbound(c, cuts) for _, c in node.branches)
-            return 1
-
-        return gbound(p.root, 0)
     if op == "bc_to_gcc":
         if not isinstance(p, BcTree):
             raise DomainError("bc_to_gcc costs apply to BC trees")

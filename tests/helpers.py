@@ -77,6 +77,25 @@ def random_bc_tree(rng: random.Random, agents: int = 2, max_nodes: int = 20) -> 
     return BcTree(agents, build(0, 0))
 
 
+def many_chooses_tree(branches: int = 20, chain: int = 60) -> BcTree:
+    """A root choose of agent 1 over ``branches`` chains of ``chain``
+    single-branch chooses, agents alternating, each chain ending in a leaf.
+
+    It holds 1 + branches * chain chooses but only ``chain + 2`` levels, and
+    ``bc_to_gcc`` gives it one preamble cut per choose.
+    """
+    gen = IdGen()
+
+    def chain_of(length: int, agent: int):
+        nid = gen()
+        child = BcLeaf(gen(), (agent,)) if length == 1 else chain_of(length - 1, 3 - agent)
+        return BcChoose(nid, agent, (child,))
+
+    root = gen()
+    return BcTree(2, BcChoose(root, 1, tuple(chain_of(chain, 1 + b % 2)
+                                            for b in range(branches))))
+
+
 def random_ext_tree(rng: random.Random, agents: int = 3, max_nodes: int = 40) -> ExtBcTree:
     """Random valid extended tree, grown with a fact graph of known orders."""
     gen = IdGen()

@@ -2,15 +2,21 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cakewalk.cli import main
-from cakewalk.dsl import parse
+from cakewalk.dsl import parse, print_protocol
 from cakewalk.ir import structurally_equal
 from cakewalk.jsonio import protocol_from_json, valuations_to_json
 from cakewalk.library import gen_cut_and_choose
+from cakewalk.transform import bc_to_gcc
 from cakewalk.valuation import random_valuation
+
+from helpers import many_chooses_tree
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -147,13 +153,39 @@ class TestConvert:
         assert json.loads(before)["nodes"] == json.loads(after)["nodes"]
 
     def test_cake_budget_env(self, capsys, cc_json, monkeypatch):
+        # Splitting cut-and-choose's cut back into BC nodes takes ids past 2.
         monkeypatch.setenv("CAKE_BUDGET", "2")
-        code, _, err = run_cli(capsys, "normalize", cc_json, "--pass", "cbc-bc")
-        assert code in (0, 1)  # tiny protocol may fit; env must parse
+        code, _, err = run_cli(capsys, "normalize", cc_json, "--pass", "intermediate")
+        assert code == 1
+        assert "size budget of 2 nodes" in err
         monkeypatch.setenv("CAKE_BUDGET", "not-a-number")
         code, _, err = run_cli(capsys, "normalize", cc_json, "--pass", "cbc-bc")
         assert code == 1
         assert "CAKE_BUDGET" in err
+
+    def test_convert_to_gcc_of_1201_chooses(self, capsys, tmp_path):
+        # Its GCC image opens with 1,221 nested cuts; printed as .cake.
+        tree = many_chooses_tree()
+        path = tmp_path / "many.cake"
+        path.write_text(print_protocol(tree))
+        code, out, err = run_cli(capsys, "convert", str(path), "--to", "gcc",
+                                 "--format", "cake")
+        assert code == 0, err
+        assert out == print_protocol(bc_to_gcc(tree))
+
+    @pytest.mark.parametrize("argv", [
+        ("convert", "--to", "bc", "reconverging_bcdag.cake"),
+        ("convert", "--to", "bc", "even_paz_extbc_2.cake"),
+        ("convert", "--to", "bc", "dubins_spanier_gcc_3.cake"),
+        ("convert", "--to", "gcc", "cut_and_choose_bc.cake"),
+        ("normalize", "--pass", "cbc-bc", "selfridge_conway_bc.cake"),
+        ("normalize", "--pass", "intermediate", "cut_and_choose_bc.cake"),
+    ], ids=lambda argv: f"{argv[0]}-{argv[-1].removesuffix('.cake')}")
+    def test_budget_reaches_every_budgeted_conversion(self, capsys, argv):
+        *args, name = argv
+        code, _, err = run_cli(capsys, *args, str(GOLDEN / name), "--budget", "2")
+        assert code == 1
+        assert "size budget of 2 nodes" in err
 
 
 class TestRun:

@@ -198,7 +198,17 @@ class TestReplay:
          "trace event 1 (cut) has no 'position'"),
         ({"events": 5}, "trace 'events' must be a list, not int"),
         ([{"type": "cut"}], "a trace must be a JSON object, not list"),
-    ], ids=["no-node", "no-position", "events-int", "list"])
+        ({"events": [{"type": "cut", "node": 0, "agent": 1, "position": "x"}]},
+         "trace event 0 (cut) has position 'x', not a rational"),
+        ({"events": [{"type": "branch", "node": 0, "agent": 1, "index": 0},
+                     {"type": "cut", "node": 1, "agent": 1, "position": "1/0"}]},
+         "trace event 1 (cut) has position '1/0', not a rational"),
+        ({"events": [], "cuts": ["1/2", "x"]},
+         "trace cuts entry 1 is 'x', not a rational"),
+        ({"events": [], "cuts": ["1/0"]},
+         "trace cuts entry 0 is '1/0', not a rational"),
+    ], ids=["no-node", "no-position", "events-int", "list", "letter-position",
+            "zero-denominator-position", "letter-cut", "zero-denominator-cut"])
     def test_malformed_trace_json_is_a_domain_error(self, obj, message):
         with pytest.raises(DomainError, match=re.escape(message)):
             Trace.from_json(obj)

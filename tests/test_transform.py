@@ -22,7 +22,9 @@ from cakewalk.transform import (
 )
 from cakewalk.valuation import random_valuation, uniform
 
-from helpers import rand_profile, random_bc_tree, random_dag, random_ext_tree
+from helpers import (
+    many_chooses_tree, rand_profile, random_bc_tree, random_dag, random_ext_tree,
+)
 
 
 def chain_ext(n):
@@ -379,6 +381,18 @@ class TestBcToGcc:
             gcc = bc_to_gcc(tree)
             report = validate_gcc(gcc, GccMode.EXTENSIVE)
             assert report.ok, str(report)
+
+    def test_preamble_longer_than_the_recursion_limit(self):
+        tree = many_chooses_tree()  # 1,201 chooses, 62 levels
+        gcc = bc_to_gcc(tree)
+        cursor, cuts = gcc.root, 0
+        while isinstance(cursor, GccCut):
+            cuts += 1
+            cursor = cursor.child
+        # a1 a2 b1, one cut per choose but each agent's first, then the
+        # root choose's 19 branch-division cuts.
+        assert cuts == 3 + (1201 - 2) + 19
+        assert sum(1 for _ in iter_nodes(gcc)) <= conversion_cost("bc_to_gcc", tree)
 
 
 class TestOracleAgreementOnTinyInstances:
