@@ -31,16 +31,20 @@ MODEL_NAMES = {BcTree: "bc", ExtBcTree: "extbc", GccTree: "gcc", BcDag: "dag"}
 
 
 def _budget(args, default: int) -> int:
-    """``--budget``, else ``CAKE_BUDGET``, else ``default``."""
-    if getattr(args, "budget", None):
-        return args.budget
-    env = os.environ.get("CAKE_BUDGET")
-    if env:
+    """``--budget``, else ``CAKE_BUDGET``, else ``default``; 0 is a budget."""
+    budget, source = getattr(args, "budget", None), "--budget"
+    if budget is None:
+        env = os.environ.get("CAKE_BUDGET")
+        if not env:
+            return default
+        source = "CAKE_BUDGET"
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise DomainError(f"CAKE_BUDGET must be an integer, got {env!r}")
-    return default
+    if budget < 0:
+        raise DomainError(f"{source} must not be negative, got {budget}")
+    return budget
 
 
 def _read_text(path: str) -> str:
@@ -512,8 +516,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except RecursionError:
-        # The .cake reader and printer keep a stack, but the .cake lowerer,
-        # the JSON reader and writer, the validators and stats recurse per level.
+        # The .cake reader, printer and stats keep a stack, but the .cake
+        # lowerer, the JSON reader and writer and the validators recurse per level.
         print("error: input nests too deeply to process"
               f" (Python recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return EXIT_FAIL

@@ -9,10 +9,16 @@ following a recorded trace (``follow``).  Conditions are read through
 ``ir.fold_condition``.  The guarantee oracle plays the same rules on grid
 indices instead of stepping ``ExecState``s; the small-step helpers here
 (``step_*``, ``ExecState``) are the reference its tests compare it with.
+
+The cut positions in left-to-right order live on ``ExecState.order``:
+``step_cut`` inserts each new position by bisection, so the partition a
+decision or a BC leaf reads is one pass over that tuple, never a sort of
+every cut made so far.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -132,7 +138,7 @@ class DecisionContext:
     events: tuple[Event, ...]
     pieces: tuple[Interval, ...] = ()
     branches: int = 0
-    partition: tuple[Interval, ...] = ()
+    partition: tuple[Interval, ...] = ()  # read off ``ExecState.order`` in ``run``
     cut_positions: dict[int, Fraction] = field(default_factory=dict)
 
 
@@ -148,17 +154,24 @@ class ExecState:
     cuts: tuple[tuple[int, Fraction], ...] = ()  # (cut node id, position), creation order
     picks: tuple[tuple[int, int], ...] = ()      # (node id, piece index), GCC only
     allocated: tuple[tuple[int, Interval], ...] = ()  # (agent, interval), GCC only
+    # The positions of ``cuts``, sorted: always tuple(sorted(pos for _, pos in cuts)).
+    order: tuple[Fraction, ...] = ()
 
 
 def _node_of(p: Protocol, state: ExecState):
     return p.nodes[state.node] if isinstance(p, BcDag) else state.node
 
 
+def _pieces(order: Sequence[Fraction]) -> tuple[Interval, ...]:
+    """Left-to-right pieces between sorted cut positions."""
+    bounds = (ZERO, *order, ONE)
+    return tuple(zip(bounds, bounds[1:]))
+
+
 def partition_of(cuts: Sequence[tuple[int, Fraction]]) -> tuple[Interval, ...]:
-    """Left-to-right pieces; coincident cuts keep creation order (earlier left)."""
-    ordered = sorted(range(len(cuts)), key=lambda i: (cuts[i][1], i))
-    bounds = [ZERO] + [cuts[i][1] for i in ordered] + [ONE]
-    return tuple((bounds[k], bounds[k + 1]) for k in range(len(bounds) - 1))
+    """Left-to-right pieces of (cut node id, position) pairs.  Coincident cuts
+    bound an empty piece whichever comes first, so only positions are sorted."""
+    return _pieces(sorted(pos for _, pos in cuts))
 
 
 def resolve_ref(ref: CutRef, positions: dict[int, Fraction]) -> Fraction:
@@ -173,7 +186,7 @@ def resolve_ref(ref: CutRef, positions: dict[int, Fraction]) -> Fraction:
 
 
 def cut_positions_of(state: ExecState) -> dict[int, Fraction]:
-    return {nid: pos for nid, pos in state.cuts}
+    return dict(state.cuts)
 
 
 _KINDS = {BcCut: "cut", ExtCut: "cut", GccCut: "cut", BcChoose: "choose",
@@ -188,7 +201,7 @@ def cut_intervals(p: Protocol, state: ExecState) -> tuple[Interval, ...]:
     """Candidate intervals for the cut at the current node."""
     node = _node_of(p, state)
     if isinstance(node, BcCut):
-        parts = partition_of(state.cuts)
+        parts = _pieces(state.order)
         if not 0 < node.piece <= len(parts):
             raise ExecutionError(f"cut piece {node.piece} out of range 1..{len(parts)}",
                                  node=node.nid, agent=node.agent)
@@ -234,11 +247,12 @@ def step_cut(p: Protocol, state: ExecState, piece_index: int, z: Fraction) -> Ex
             node=node.nid, agent=node.agent,
         )
     cuts = state.cuts + ((node.nid, z),)
+    k = bisect_right(state.order, z)
+    order = state.order[:k] + (z,) + state.order[k:]
     picks = state.picks
     if isinstance(node, GccCut):
         picks = picks + ((node.nid, piece_index),)
-    child = node.child
-    return ExecState(child, cuts, picks, state.allocated)
+    return ExecState(node.child, cuts, picks, state.allocated, order)
 
 
 def step_choose(p: Protocol, state: ExecState, index: int) -> ExecState:
@@ -247,7 +261,8 @@ def step_choose(p: Protocol, state: ExecState, index: int) -> ExecState:
         if not 0 <= index < len(node.children):
             raise ExecutionError(f"branch index {index} out of range",
                                  node=node.nid, agent=node.agent)
-        return ExecState(node.children[index], state.cuts, state.picks, state.allocated)
+        return ExecState(node.children[index], state.cuts, state.picks, state.allocated,
+                         state.order)
     if isinstance(node, GccChoose):
         pieces = choose_pieces(p, state)
         if not 0 <= index < len(pieces):
@@ -255,7 +270,7 @@ def step_choose(p: Protocol, state: ExecState, index: int) -> ExecState:
                                  node=node.nid, agent=node.agent)
         allocated = state.allocated + ((node.agent, pieces[index]),)
         picks = state.picks + ((node.nid, index),)
-        return ExecState(node.child, state.cuts, picks, allocated)
+        return ExecState(node.child, state.cuts, picks, allocated, state.order)
     raise DomainError("current node is not a choose")
 
 
@@ -279,7 +294,7 @@ def step_ifelse(p: Protocol, state: ExecState) -> ExecState:
     assert isinstance(node, GccIfElse)
     for cond, child in node.branches:
         if eval_condition(cond, state):
-            return ExecState(child, state.cuts, state.picks, state.allocated)
+            return ExecState(child, state.cuts, state.picks, state.allocated, state.order)
     raise ExecutionError("no if-else branch matched", node=node.nid)
 
 
@@ -295,7 +310,7 @@ def leaf_allocation(p: Protocol, state: ExecState) -> Allocation:
     n = p.agents
     pieces: list[list[Interval]] = [[] for _ in range(n)]
     if isinstance(node, BcLeaf):
-        parts = partition_of(state.cuts)
+        parts = _pieces(state.order)
         if len(parts) != len(node.assign):
             raise ExecutionError(
                 f"leaf expects {len(node.assign)} pieces, partition has {len(parts)}",
@@ -383,7 +398,7 @@ def run(p: Protocol, strategies: Sequence[Strategy],
             kind=kind,
             valuation=vals[node.agent - 1],
             events=tuple(events),
-            partition=partition_of(state.cuts),
+            partition=_pieces(state.order),
             cut_positions=cut_positions_of(state),
             **extra,
         ))

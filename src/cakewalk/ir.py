@@ -1018,15 +1018,36 @@ def stats(p: Protocol) -> ProtocolStats:
             leaves += 1
         branching = max(branching, len(children_of(node)))
 
-    dag = isinstance(p, BcDag)
+    return ProtocolStats(nodes, cuts, chooses, leaves, _height(p), branching)
 
-    def height(key) -> int:
-        """Nodes on the longest path down from a node (in a DAG, a node id)."""
-        return 1 + max(map(height, children_of(p.nodes[key] if dag else key)), default=0)
 
-    if dag:
-        height = cache(height)  # each shared child is measured once
-    return ProtocolStats(nodes, cuts, chooses, leaves, height(p.root), branching)
+def _height(p: Protocol) -> int:
+    """Nodes on the longest path down from the root, walked with a stack."""
+    if not isinstance(p, BcDag):
+        height, stack = 0, [(p.root, 1)]
+        while stack:
+            node, depth = stack.pop()
+            height = max(height, depth)
+            stack.extend((child, depth + 1) for child in _children(node))
+        return height
+    # A DAG node id is measured once, after its children, so a shared child
+    # costs one measure.  An id met again while open lies on a cycle.
+    measured: dict[int, int] = {}
+    open_ids: set[int] = set()
+    stack = [(p.root, False)]
+    while stack:
+        nid, closing = stack.pop()
+        kids = _children(p.nodes[nid])
+        if closing:
+            open_ids.discard(nid)
+            measured[nid] = 1 + max((measured[k] for k in kids), default=0)
+        elif nid not in measured:
+            if nid in open_ids:
+                raise DomainError(f"DAG node {nid} lies on a cycle")
+            open_ids.add(nid)
+            stack.append((nid, True))
+            stack.extend((k, False) for k in kids)
+    return measured[p.root]
 
 
 # ---------------------------------------------------------------------------

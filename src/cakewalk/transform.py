@@ -231,11 +231,9 @@ def extended_to_bc(
             if ev.node in introduced:
                 continue
             events.append(replace(ev, node=back[ev.node]))
-        events = tuple(events)
         positions = {back[n]: pos for n, pos in ctx.cut_positions.items()}
-        cut_order = [(ev.node, ev.position) for ev in events
-                     if isinstance(ev, CutMade)]
-        return events, positions, tuple(partition_of(cut_order))
+        # Every target cut copies a source cut, so both cut the cake alike.
+        return tuple(events), positions, ctx.partition
 
     def source_cut_position(src, ctx, ext_cut: ExtCut):
         events, positions, partition = translate(ctx)
@@ -345,37 +343,36 @@ def cuts_before_choices_ext(
     root = _cuts_first(t.root, lambda node, cut: node)
     out = ExtBcTree(t.agents, root)
 
-    # Static ancestor chains in the source: (node, branch index toward target).
+    # Static ancestor chains in the source: (node, agent, branch index toward
+    # target, or None at a cut).
     source_nodes = {node.nid: node for node in iter_nodes(t)}
-    chains: dict[int, tuple[tuple[int, int], ...]] = {}
+    chains: dict[int, tuple[tuple[int, int, Optional[int]], ...]] = {}
 
-    def record(node: ExtNode, chain: tuple[tuple[int, int], ...]):
+    def record(node: ExtNode, chain: tuple[tuple[int, int, Optional[int]], ...]):
         chains[node.nid] = chain
+        cut = isinstance(node, ExtCut)
         for i, child in enumerate(children_of(node)):
-            record(child, chain + ((node.nid, i),))
+            record(child, chain + ((node.nid, node.agent, None if cut else i),))
 
     record(t.root, ())
 
     def answer(src: Strategy, ctx: DecisionContext):
         nid = ctx.node.nid
         source = source_nodes[nid]
-        made = {ev.node: ev for ev in ctx.events if isinstance(ev, CutMade)}
+        made = ctx.cut_positions  # same node ids as the source
         events = []
-        cut_order = []
-        for anc_nid, branch in chains[nid]:
-            anc = source_nodes[anc_nid]
-            if isinstance(anc, ExtCut):
-                ev = made[anc_nid]  # cuts only ever move up, so it ran
-                events.append(ev)
-                cut_order.append((anc_nid, ev.position))
+        positions = {}
+        for anc_nid, agent, branch in chains[nid]:
+            if branch is None:
+                pos = positions[anc_nid] = made[anc_nid]  # cuts only move up, so it ran
+                events.append(CutMade(anc_nid, agent, pos))
             else:
-                events.append(BranchChosen(anc_nid, anc.agent, branch))
-        positions = {n: pos for n, pos in cut_order}
+                events.append(BranchChosen(anc_nid, agent, branch))
         src_ctx = DecisionContext(
             node=source, agent=source.agent, kind=ctx.kind,
             valuation=ctx.valuation, events=tuple(events),
             pieces=ctx.pieces, branches=ctx.branches,
-            partition=partition_of(cut_order), cut_positions=positions,
+            partition=partition_of(positions.items()), cut_positions=positions,
         )
         return src(src_ctx)
 

@@ -8,7 +8,7 @@ import pytest
 
 from cakewalk.cli import main
 from cakewalk.dsl import parse, print_protocol
-from cakewalk.ir import structurally_equal
+from cakewalk.ir import stats, structurally_equal
 from cakewalk.jsonio import protocol_from_json, valuations_to_json
 from cakewalk.library import gen_cut_and_choose
 from cakewalk.transform import bc_to_gcc
@@ -172,6 +172,25 @@ class TestConvert:
                                  "--format", "cake")
         assert code == 0, err
         assert out == print_protocol(bc_to_gcc(tree))
+
+    def test_budget_zero_is_a_budget(self, capsys):
+        code, _, err = run_cli(capsys, "convert", "--to", "bc", "--budget", "0",
+                               str(GOLDEN / "even_paz_extbc_2.cake"))
+        assert code == 1
+        assert "size budget of 0 nodes" in err
+
+    @pytest.mark.parametrize("flag, env, name", [
+        (("--budget", "-3"), None, "--budget"),
+        ((), "-3", "CAKE_BUDGET"),
+    ], ids=["flag", "env"])
+    def test_negative_budget_is_one_error_line(self, capsys, monkeypatch, flag, env,
+                                               name):
+        if env is not None:
+            monkeypatch.setenv("CAKE_BUDGET", env)
+        code, _, err = run_cli(capsys, "convert", "--to", "bc",
+                               str(GOLDEN / "even_paz_extbc_2.cake"), *flag)
+        assert code == 1
+        assert err == f"error: {name} must not be negative, got -3\n"
 
     @pytest.mark.parametrize("argv", [
         ("convert", "--to", "bc", "reconverging_bcdag.cake"),
@@ -362,6 +381,18 @@ class TestErrors:
         code, out, _ = run_cli(capsys, command, self.chain(tmp_path, 400, ".cake"))
         assert code == 0
         assert "depth: 401" in out if command == "stats" else out.count("\n") == 402
+
+    def test_900_deep_chain_through_stats(self, capsys, tmp_path):
+        # stats walks with a stack, so the .cake lowerer, one frame per
+        # level, sets how deep a chain may go (987 levels, as for fmt).
+        path = self.chain(tmp_path, 900, ".cake")
+        code, out, _ = run_cli(capsys, "stats", path, "--json")
+        assert code == 0
+        tree, diagnostics = parse(Path(path).read_text())
+        assert not diagnostics
+        counts = stats(tree).to_json()
+        assert json.loads(out) == {**counts, "model": "bc", "agents": 1}
+        assert counts["depth"] == 901 and counts["chooses"] == 900
 
     @pytest.mark.parametrize("text", [
         '{"model":"bc","agents":1,"root":{"id":0,"kind":"cut","piece":1}}',

@@ -2,6 +2,7 @@ import gc
 import random
 from dataclasses import fields, is_dataclass
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 
@@ -434,6 +435,41 @@ class TestStats:
     def test_dag_stats(self):
         s = stats(diamond_dag(1, 1))
         assert s.nodes == 4 and s.cuts == 2 and s.max_branching == 2
+
+    def test_depth_matches_recursive_height(self):
+        """The walked height against the recursion it replaced, which measured
+        each shared child of a DAG once."""
+
+        def reference(p):
+            dag = isinstance(p, BcDag)
+
+            @cache
+            def height(key):
+                node = p.nodes[key] if dag else key
+                return 1 + max(map(height, ir.children_of(node)), default=0)
+
+            return height(p.root)
+
+        protocols = [diamond_dag(1, 1), diamond_dag(2, 3)]
+        protocols += [dag for _, dag in reconverging_dags(120)]
+        for seed in range(40):
+            rng = random.Random(seed)
+            protocols += [random_bc_tree(rng), random_ext_tree(rng), random_gcc(rng),
+                          random_dag(rng)]
+        for p in protocols:
+            assert stats(p).depth == reference(p)
+
+    def test_depth_of_deep_chains(self):
+        assert stats(choose_chain(5000)).depth == 5001
+        nodes = {0: DagLeaf(0, (1,))}
+        for nid in range(1, 5000):
+            nodes[nid] = DagChoose(nid, 1, (nid - 1,))
+        assert stats(BcDag(1, 4999, nodes)).depth == 5000
+
+    def test_dag_cycle_is_refused(self):
+        nodes = {0: DagCut(0, 1, 1, 1), 1: DagCut(1, 1, 1, 0)}
+        with pytest.raises(DomainError, match="cycle"):
+            stats(BcDag(1, 0, nodes))
 
     def test_renumber_numbers_a_shared_subtree_per_occurrence(self):
         shared = BcCut(7, 1, 1, BcLeaf(7, (1, 1)))

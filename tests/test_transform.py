@@ -13,14 +13,16 @@ from cakewalk.ir import (
     at, iter_nodes, stats, structurally_equal, validate_bc, validate_ext,
     validate_gcc,
 )
-from cakewalk.library import gen_cut_and_choose, gen_selfridge_conway_bc
+from cakewalk.library import (
+    gen_cut_and_choose, gen_dubins_spanier, gen_selfridge_conway_bc,
+)
 from cakewalk.oracle import Grid, GuaranteeOracle
 from cakewalk.transform import (
     bc_intermediate_form, bc_to_gcc, conversion_cost, cuts_before_choices_bc,
     cuts_before_choices_ext, cuts_first, dag_to_tree, embed_bc_as_ext,
     extended_to_bc, gcc_to_bc, intermediate_form_ok,
 )
-from cakewalk.valuation import random_valuation, uniform
+from cakewalk.valuation import Valuation, random_valuation, uniform
 
 from helpers import (
     many_chooses_tree, rand_profile, random_bc_tree, random_dag, random_ext_tree,
@@ -169,6 +171,26 @@ class TestCutsBeforeChoicesExt:
             _, a1 = run(tree, src, vals)
             _, a2 = run(out, transport(src), vals)
             assert allocation_values(a1, vals) == allocation_values(a2, vals)
+
+    def test_dubins_spanier_4_transported(self, monkeypatch):
+        # The cuts-first form asks all 167 cuts of every branch where the
+        # source run makes 15 decisions.  Each of its 173 decisions is one
+        # query to a source strategy and one Valuation.mark call: the
+        # transporter skips no query.
+        p, bundle = gen_dubins_spanier(4, "extbc")
+        out, _, transport = cuts_before_choices_ext(p)
+        marks = []
+        mark = Valuation.mark
+        monkeypatch.setattr(Valuation, "mark",
+                            lambda v, *args: marks.append(1) or mark(v, *args))
+        for seed in range(3):
+            vals = [random_valuation(seed * 10 + i, 4) for i in range(4)]
+            source = bundle.strategies_for(p)
+            _, a1 = run(p, source, vals)
+            del marks[:]
+            trace, a2 = run(out, transport(source), vals)
+            assert allocation_values(a1, vals) == allocation_values(a2, vals)
+            assert len(marks) == len(trace.events) == 173
 
     def test_idempotent(self):
         for seed in range(10):
