@@ -25,9 +25,9 @@ from cakewalk.engine import (
 )
 from cakewalk.errors import ExecutionError
 from cakewalk.ir import (
-    BcChoose, BcCut, BcDag, BcLeaf, BcTree, ChoseAt, DagCut, DagLeaf, END,
-    ExtBcTree, ExtCut, ExtLeaf, ExtSegment, GccChoose, GccCut, GccIfElse, GccLeaf,
-    GccTree, Less, ORIGIN, at, stats,
+    And, BcChoose, BcCut, BcDag, BcLeaf, BcTree, ChoseAt, CutInAt, DagCut, DagLeaf,
+    ELSE, END, ExtBcTree, ExtCut, ExtLeaf, ExtSegment, GccChoose, GccCut, GccIfElse,
+    GccLeaf, GccTree, Less, Not, ORIGIN, Or, at, stats,
 )
 from cakewalk.library import (
     gen_cut_and_choose, gen_dubins_spanier, gen_even_paz,
@@ -358,6 +358,9 @@ RUN_TIME_ERRORS = {
     "less-on-a-cut-never-made": GccTree(
         2, GccIfElse(0, ((Less(at(3), END), GccLeaf(1)),))),
     "undecided-pick": GccTree(2, GccIfElse(0, ((ChoseAt(5, 0), GccLeaf(1)),))),
+    "undecided-cut-piece": GccTree(2, GccIfElse(0, ((CutInAt(5, 0), GccLeaf(1)),))),
+    "less-on-a-cut-never-made-under-not-or": GccTree(2, GccIfElse(0, (
+        (Not(Or((Less(END, ORIGIN), Less(at(3), END)))), GccLeaf(1)),))),
     "ext-cut-inverted": _ext_cut_then(
         ExtCut(1, 2, END, at(0), ExtLeaf(2, (ExtSegment(ORIGIN, END, 1),)))),
     "ext-segment-inverted": _ext_cut_then(ExtLeaf(
@@ -382,6 +385,48 @@ RUN_TIME_ERRORS = {
     "gcc-choose-agent-3": GccTree(
         2, GccChoose(0, 3, ((ORIGIN, END),), GccLeaf(1))),
 }
+
+
+def _end_condition_tree(cond):
+    """Agent 1 cuts (node 0); while ``cond`` holds agent 1 takes [0, cut] and
+    agent 2 the rest, else agent 2 takes both pieces."""
+    return _gcc_cut_then(GccIfElse(1, (
+        (cond, GccChoose(2, 1, ((ORIGIN, at(0)),),
+                         GccChoose(3, 2, ((at(0), END),), GccLeaf(4)))),
+        (ELSE, GccChoose(5, 2, ((ORIGIN, at(0)),),
+                         GccChoose(6, 2, ((at(0), END),), GccLeaf(7)))),
+    )))
+
+
+_BEFORE_END, _AFTER_ORIGIN = Less(at(0), END), Less(ORIGIN, at(0))
+END_CONDITIONS = {
+    "cut-before-end": _BEFORE_END,
+    "end-before-cut": Less(END, at(0)),
+    "cut-before-origin": Less(at(0), ORIGIN),
+    "origin-before-cut": _AFTER_ORIGIN,
+    "not-cut-before-end": Not(_BEFORE_END),
+    "strictly-inside": And((_AFTER_ORIGIN, _BEFORE_END)),
+    "at-an-end": Or((Not(_AFTER_ORIGIN), Not(_BEFORE_END))),
+    "not-at-an-end": Not(Or((Less(END, at(0)), Not(_BEFORE_END),
+                             Less(at(0), ORIGIN), Not(_AFTER_ORIGIN)))),
+}
+
+
+class TestConditionsOnCakeEnds:
+    """If-else branches decided by comparing a cut with 0 or 1: the oracle
+    reads the cake's ends as grid indices 0 and the last one."""
+
+    @pytest.mark.parametrize("name", END_CONDITIONS)
+    def test_matches_reference(self, name):
+        p = _end_condition_tree(END_CONDITIONS[name])
+        for vals in ([uniform(), uniform()], two_profile(3)):
+            assert_matches_reference(p, vals, THIRDS)
+            assert_matches_reference(p, vals, build_grid(vals, 3))
+
+    def test_cut_before_end_guarantees_two_thirds(self):
+        p = _end_condition_tree(END_CONDITIONS["cut-before-end"])
+        assert GuaranteeOracle(p, [uniform(), uniform()], THIRDS).guarantee_value(1) \
+            == F(2, 3)
 
 
 class TestRunTimeErrors:
