@@ -48,10 +48,13 @@ def _budget(args, default: int) -> int:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise DomainError(f"{path} is not UTF-8 text") from None
 
 
 def _parse_json(text: str, path: str):
@@ -99,9 +102,8 @@ def _dump_protocol(p: Protocol, fmt: str, out):
 def _load_vals(args, agents: int):
     if args.vals:
         vals = jsonio.valuations_from_json(_parse_json(_read_text(args.vals), args.vals))
-    elif args.random_vals:
-        segments = int(args.random_vals)
-        vals = [random_valuation(args.seed + i, segments) for i in range(agents)]
+    elif args.random_vals is not None:
+        vals = [random_valuation(args.seed + i, args.random_vals) for i in range(agents)]
     else:
         raise DomainError("provide --vals FILE or --random-vals SEGMENTS")
     if len(vals) != agents:
@@ -226,7 +228,12 @@ def _build_strategies(args, protocol, gen_info):
 
     # `human:i` as the sole entry: that agent is interactive, rest use the bundle.
     if len(entries) == 1 and entries[0].startswith("human:"):
-        idx = int(entries[0].split(":", 1)[1])
+        try:
+            idx = int(entries[0].split(":", 1)[1])
+        except ValueError:
+            idx = 0
+        if not 1 <= idx <= n:
+            raise DomainError(f"{entries[0]!r} does not name an agent in 1..{n}")
         entries = ["human" if i == idx else "bundle" for i in range(1, n + 1)]
     elif len(entries) == 1:
         entries = entries * n
@@ -476,7 +483,7 @@ def main(argv=None) -> int:
     s.add_argument("--model", choices=("bc", "gcc", "extbc"), default="bc")
     s.add_argument("--n", type=int, default=None)
     s.add_argument("--vals", default=None, help="valuations JSON file")
-    s.add_argument("--random-vals", default=None, metavar="SEGMENTS",
+    s.add_argument("--random-vals", type=int, default=None, metavar="SEGMENTS",
                    help="random valuations with this many segments")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--strategies", default="bundle",
@@ -493,7 +500,7 @@ def main(argv=None) -> int:
     s.add_argument("--grid-q", type=int, default=4)
     s.add_argument("--bound-samples", type=int, default=32)
     s.add_argument("--vals", default=None)
-    s.add_argument("--random-vals", default=None, metavar="SEGMENTS")
+    s.add_argument("--random-vals", type=int, default=None, metavar="SEGMENTS")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--budget", type=int, default=None)
     s.add_argument("--json", action="store_true")
@@ -521,7 +528,7 @@ def main(argv=None) -> int:
         print("error: input nests too deeply to process"
               f" (Python recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return EXIT_FAIL
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -5,10 +5,18 @@ itself, stops at the leaf and asks a ``decide`` callback for the event at
 each other node.  ``run`` decides by querying one strategy per agent for cut
 positions and branch/piece choices, and returns a ``Trace`` plus the final
 exact ``Allocation``; ``replay`` and ``transform.retarget_trace`` decide by
-following a recorded trace (``follow``).  Conditions are read through
-``ir.fold_condition``.  The guarantee oracle plays the same rules on grid
-indices instead of stepping ``ExecState``s; the small-step helpers here
-(``step_*``, ``ExecState``) are the reference its tests compare it with.
+following a recorded trace (``follow``).
+
+The rules of the game are written once, as private functions over any
+ordered positions from an ``origin`` to an ``end``: ref resolution, the
+BC/extended cut interval, the pieces a GCC cut or choose offers, the pieces
+between sorted cuts, the if-else branch through one condition evaluator
+(``_holds``, folded by ``ir.fold_condition``), and each agent's pieces at a
+leaf, each with the ``ExecutionError`` it raises.  The interpreter plays
+them on ``Fraction``s from 0 to 1 through the public small steps
+(``step_*``, ``ExecState``); the guarantee oracle plays them on grid
+indices, and ``transform.gcc_to_bc`` reads conditions on the places of a
+forced cut order.
 
 The cut positions in left-to-right order live on ``ExecState.order``:
 ``step_cut`` inserts each new position by bisection, so the partition a
@@ -145,7 +153,139 @@ class DecisionContext:
 Strategy = Callable[[DecisionContext], object]
 
 # ---------------------------------------------------------------------------
-# Execution state and small steps (shared with the oracle)
+# The rules of the game, over any ordered positions
+#
+# Positions come from an ordered domain running from ``origin`` to ``end``:
+# ``Fraction``s from 0 to 1 here, grid indices from 0 to the last in the
+# guarantee oracle (the grid is strictly increasing, so indices order as the
+# positions do).  ``cuts`` are (cut node id, position) pairs in creation
+# order, ``order`` their positions sorted, ``picks`` (node id, piece index)
+# pairs and ``allocated`` (agent, (lo, hi)) pairs.  These functions stay
+# private so that the oracle's calls to them are not traced as engine calls.
+
+
+def _insert(order: tuple, z) -> tuple:
+    """``order`` with ``z`` inserted in sorted place."""
+    k = bisect_right(order, z)
+    return order[:k] + (z,) + order[k:]
+
+
+def _pieces(order: Sequence, origin, end) -> tuple:
+    """Left-to-right pieces between sorted cut positions."""
+    bounds = (origin, *order, end)
+    return tuple(zip(bounds, bounds[1:]))
+
+
+def _at(ref: CutRef, positions: dict, origin, end):
+    kind = ref.kind
+    if kind == "origin":
+        return origin
+    if kind == "end":
+        return end
+    try:
+        return positions[ref.cut]
+    except KeyError:
+        raise ExecutionError(f"ref to cut {ref.cut} that was never made")
+
+
+def _span(left: CutRef, right: CutRef, positions: dict, origin, end,
+          what: str, nid: int) -> tuple:
+    """The positions of two refs; if the left one lies right of the right
+    one, ``what`` (a cut interval or a segment) is inverted at node ``nid``."""
+    lo, hi = _at(left, positions, origin, end), _at(right, positions, origin, end)
+    if lo > hi:
+        raise ExecutionError(f"{what} inverted at run time", node=nid)
+    return lo, hi
+
+
+def _cut_interval(node, cuts, order, origin, end) -> tuple:
+    """The interval a BC, DAG or extended cut must fall in."""
+    if isinstance(node, BcCut):
+        parts = _pieces(order, origin, end)
+        if not 0 < node.piece <= len(parts):
+            raise ExecutionError(f"cut piece {node.piece} out of range 1..{len(parts)}",
+                                 node=node.nid, agent=node.agent)
+        return parts[node.piece - 1]
+    if isinstance(node, ExtCut):
+        return _span(node.left, node.right, dict(cuts), origin, end,
+                     "cut interval", node.nid)
+    raise DomainError("current node is not a cut")
+
+
+def _spans(node, cuts, origin, end) -> list:
+    """The pieces a GCC cut or choose offers; an inverted one raises at a cut
+    (at a choose, the leaf's partition check catches it)."""
+    positions = dict(cuts)
+    at_cut = isinstance(node, GccCut)
+    spans = []
+    for left, right in node.pieces:
+        lo, hi = _at(left, positions, origin, end), _at(right, positions, origin, end)
+        if at_cut and lo > hi:
+            raise ExecutionError("piece inverted at run time", node=node.nid)
+        spans.append((lo, hi))
+    return spans
+
+
+def _holds(cond: Condition, positions: dict, picks: dict, origin, end) -> bool:
+    """Run-time condition semantics: ``Less`` compares positions strictly;
+    ``ChoseAt`` and ``CutInAt`` read the piece index picked at their node."""
+
+    def atom(a) -> bool:
+        if isinstance(a, Less):
+            return (_at(a.left, positions, origin, end)
+                    < _at(a.right, positions, origin, end))
+        if a.node not in picks:
+            raise ExecutionError(f"condition references undecided node {a.node}")
+        return picks[a.node] == a.index
+
+    return fold_condition(cond, atom)
+
+
+def _branch(node: GccIfElse, cuts, picks, origin, end):
+    """The child of the first if-else branch whose condition holds."""
+    positions, chosen = dict(cuts), dict(picks)
+    for cond, child in node.branches:
+        if _holds(cond, positions, chosen, origin, end):
+            return child
+    raise ExecutionError("no if-else branch matched", node=node.nid)
+
+
+def _leaf_pieces(node, agents: int, cuts, order, allocated, origin, end) -> list[list]:
+    """Each agent's pieces at a leaf, a GCC leaf's sorted.  A BC leaf's come
+    from the sorted cuts, so they always partition the cake; the caller
+    checks that an extended or GCC leaf's do."""
+    if isinstance(node, BcLeaf):
+        parts = _pieces(order, origin, end)
+        if len(parts) != len(node.assign):
+            raise ExecutionError(
+                f"leaf expects {len(node.assign)} pieces, partition has {len(parts)}",
+                node=node.nid,
+            )
+        held = zip(node.assign, parts)
+    elif isinstance(node, ExtLeaf):
+        positions = dict(cuts)
+        # lazy, so that each segment is checked whole before the next
+        held = ((seg.agent, _span(seg.left, seg.right, positions, origin, end,
+                                  "segment", node.nid))
+                for seg in node.segments)
+    elif isinstance(node, GccLeaf):
+        held = allocated
+    else:
+        raise DomainError("current node is not a leaf")
+    pieces: list[list] = [[] for _ in range(agents)]
+    for agent, piece in held:
+        if not 0 < agent <= agents:  # validation rejects this; code-built trees may not
+            raise ExecutionError(f"leaf gives a piece to agent {agent},"
+                                 f" outside 1..{agents}", node=node.nid)
+        pieces[agent - 1].append(piece)
+    if isinstance(node, GccLeaf):
+        for row in pieces:
+            row.sort()
+    return pieces
+
+
+# ---------------------------------------------------------------------------
+# Execution state and small steps
 
 
 @dataclass(frozen=True)
@@ -162,27 +302,14 @@ def _node_of(p: Protocol, state: ExecState):
     return p.nodes[state.node] if isinstance(p, BcDag) else state.node
 
 
-def _pieces(order: Sequence[Fraction]) -> tuple[Interval, ...]:
-    """Left-to-right pieces between sorted cut positions."""
-    bounds = (ZERO, *order, ONE)
-    return tuple(zip(bounds, bounds[1:]))
-
-
 def partition_of(cuts: Sequence[tuple[int, Fraction]]) -> tuple[Interval, ...]:
     """Left-to-right pieces of (cut node id, position) pairs.  Coincident cuts
     bound an empty piece whichever comes first, so only positions are sorted."""
-    return _pieces(sorted(pos for _, pos in cuts))
+    return _pieces(sorted(pos for _, pos in cuts), ZERO, ONE)
 
 
 def resolve_ref(ref: CutRef, positions: dict[int, Fraction]) -> Fraction:
-    if ref.kind == "origin":
-        return ZERO
-    if ref.kind == "end":
-        return ONE
-    try:
-        return positions[ref.cut]
-    except KeyError:
-        raise ExecutionError(f"ref to cut {ref.cut} that was never made")
+    return _at(ref, positions, ZERO, ONE)
 
 
 def cut_positions_of(state: ExecState) -> dict[int, Fraction]:
@@ -200,38 +327,15 @@ def current_kind(p: Protocol, state: ExecState) -> str:
 def cut_intervals(p: Protocol, state: ExecState) -> tuple[Interval, ...]:
     """Candidate intervals for the cut at the current node."""
     node = _node_of(p, state)
-    if isinstance(node, BcCut):
-        parts = _pieces(state.order)
-        if not 0 < node.piece <= len(parts):
-            raise ExecutionError(f"cut piece {node.piece} out of range 1..{len(parts)}",
-                                 node=node.nid, agent=node.agent)
-        return (parts[node.piece - 1],)
-    positions = cut_positions_of(state)
-    if isinstance(node, ExtCut):
-        lo = resolve_ref(node.left, positions)
-        hi = resolve_ref(node.right, positions)
-        if lo > hi:
-            raise ExecutionError("cut interval inverted at run time", node=node.nid)
-        return ((lo, hi),)
     if isinstance(node, GccCut):
-        out = []
-        for ref_lo, ref_hi in node.pieces:
-            lo, hi = resolve_ref(ref_lo, positions), resolve_ref(ref_hi, positions)
-            if lo > hi:
-                raise ExecutionError("piece inverted at run time", node=node.nid)
-            out.append((lo, hi))
-        return tuple(out)
-    raise DomainError("current node is not a cut")
+        return tuple(_spans(node, state.cuts, ZERO, ONE))
+    return (_cut_interval(node, state.cuts, state.order, ZERO, ONE),)
 
 
 def choose_pieces(p: Protocol, state: ExecState) -> tuple[Interval, ...]:
     node = _node_of(p, state)
     assert isinstance(node, GccChoose)
-    positions = cut_positions_of(state)
-    return tuple(
-        (resolve_ref(lo, positions), resolve_ref(hi, positions))
-        for lo, hi in node.pieces
-    )
+    return tuple(_spans(node, state.cuts, ZERO, ONE))
 
 
 def step_cut(p: Protocol, state: ExecState, piece_index: int, z: Fraction) -> ExecState:
@@ -247,12 +351,10 @@ def step_cut(p: Protocol, state: ExecState, piece_index: int, z: Fraction) -> Ex
             node=node.nid, agent=node.agent,
         )
     cuts = state.cuts + ((node.nid, z),)
-    k = bisect_right(state.order, z)
-    order = state.order[:k] + (z,) + state.order[k:]
     picks = state.picks
     if isinstance(node, GccCut):
         picks = picks + ((node.nid, piece_index),)
-    return ExecState(node.child, cuts, picks, state.allocated, order)
+    return ExecState(node.child, cuts, picks, state.allocated, _insert(state.order, z))
 
 
 def step_choose(p: Protocol, state: ExecState, index: int) -> ExecState:
@@ -276,69 +378,20 @@ def step_choose(p: Protocol, state: ExecState, index: int) -> ExecState:
 
 def eval_condition(cond: Condition, state: ExecState) -> bool:
     """Run-time condition semantics; Less is strict position comparison."""
-
-    def atom(a) -> bool:
-        if isinstance(a, Less):
-            positions = cut_positions_of(state)
-            return resolve_ref(a.left, positions) < resolve_ref(a.right, positions)
-        picks = dict(state.picks)
-        if a.node not in picks:
-            raise ExecutionError(f"condition references undecided node {a.node}")
-        return picks[a.node] == a.index
-
-    return fold_condition(cond, atom)
+    return _holds(cond, dict(state.cuts), dict(state.picks), ZERO, ONE)
 
 
 def step_ifelse(p: Protocol, state: ExecState) -> ExecState:
     node = _node_of(p, state)
     assert isinstance(node, GccIfElse)
-    for cond, child in node.branches:
-        if eval_condition(cond, state):
-            return ExecState(child, state.cuts, state.picks, state.allocated, state.order)
-    raise ExecutionError("no if-else branch matched", node=node.nid)
-
-
-def _leaf_agent_error(agent: int, agents: int, leaf: int) -> ExecutionError:
-    """The error for a leaf that gives a piece to an agent outside 1..agents
-    (validation rejects such leaves; protocols built in code may hold them)."""
-    return ExecutionError(f"leaf gives a piece to agent {agent}, outside 1..{agents}",
-                          node=leaf)
+    return ExecState(_branch(node, state.cuts, state.picks, ZERO, ONE),
+                     state.cuts, state.picks, state.allocated, state.order)
 
 
 def leaf_allocation(p: Protocol, state: ExecState) -> Allocation:
     node = _node_of(p, state)
-    n = p.agents
-    pieces: list[list[Interval]] = [[] for _ in range(n)]
-    if isinstance(node, BcLeaf):
-        parts = _pieces(state.order)
-        if len(parts) != len(node.assign):
-            raise ExecutionError(
-                f"leaf expects {len(node.assign)} pieces, partition has {len(parts)}",
-                node=node.nid,
-            )
-        for part, agent in zip(parts, node.assign):
-            if not 0 < agent <= n:
-                raise _leaf_agent_error(agent, n, node.nid)
-            pieces[agent - 1].append(part)
-    elif isinstance(node, ExtLeaf):
-        positions = cut_positions_of(state)
-        for seg in node.segments:
-            lo = resolve_ref(seg.left, positions)
-            hi = resolve_ref(seg.right, positions)
-            if lo > hi:
-                raise ExecutionError("segment inverted at run time", node=node.nid)
-            if not 0 < seg.agent <= n:
-                raise _leaf_agent_error(seg.agent, n, node.nid)
-            pieces[seg.agent - 1].append((lo, hi))
-    elif isinstance(node, GccLeaf):
-        for agent, interval in state.allocated:
-            if not 0 < agent <= n:
-                raise _leaf_agent_error(agent, n, node.nid)
-            pieces[agent - 1].append(interval)
-        for row in pieces:
-            row.sort()
-    else:
-        raise DomainError("current node is not a leaf")
+    pieces = _leaf_pieces(node, p.agents, state.cuts, state.order, state.allocated,
+                          ZERO, ONE)
     try:
         return Allocation(tuple(tuple(row) for row in pieces))
     except DomainError as exc:
@@ -398,7 +451,7 @@ def run(p: Protocol, strategies: Sequence[Strategy],
             kind=kind,
             valuation=vals[node.agent - 1],
             events=tuple(events),
-            partition=_pieces(state.order),
+            partition=_pieces(state.order, ZERO, ONE),
             cut_positions=cut_positions_of(state),
             **extra,
         ))

@@ -20,19 +20,14 @@ a piece's value is a difference of two table entries.  Queries return
 ``Fraction`` results built from these integers; they equal the values exact
 rational arithmetic would give.
 
-The game follows the interpreter's rules (``engine``) move for move and
-raises the same ``ExecutionError`` where a protocol goes wrong at run time:
-a BC cut in a piece that does not exist, an inverted cut interval or piece,
-a ref to a cut never made, a condition on an undecided pick, an if-else with
-no matching branch, and a leaf whose piece count or allocation is invalid or
-that gives a piece to an agent outside 1..n.
-It skips the checks that cannot fail here.  The interpreter checks each move
-a strategy returns (a cut inside its interval, a branch or piece index in
-range); the oracle only generates legal moves.  A BC or DAG leaf's pieces
-come from the sorted cuts, so they always partition the cake and only their
-count and agents are checked.  Extended and GCC leaves are still checked to
-partition the cake (``valuation.check_allocation`` on indices), with
-positions printed in the error.
+The game is the interpreter's: each move and leaf goes through the rules
+``engine`` writes once for any ordered positions, here with origin 0 and
+end the last grid index, so the oracle raises the interpreter's
+``ExecutionError`` wherever a protocol goes wrong at run time.  It skips
+only the checks that cannot fail here: it generates legal moves alone, and
+a BC or DAG leaf's pieces come from the sorted cuts, so only extended and
+GCC leaves are checked to partition the cake (``valuation.check_allocation``
+on indices, with positions printed in the error).
 """
 
 from __future__ import annotations
@@ -45,15 +40,15 @@ from math import lcm
 from time import perf_counter
 from typing import Sequence
 
-from .engine import _leaf_agent_error
+from .engine import _branch, _cut_interval, _insert, _leaf_pieces, _spans
 # step_cut is not called here; perfbench/test_perfbench.py
 # (test_install_and_uninstall_restore_the_program) reads it through this
 # module to check that the tracer patches and restores aliases.
 from .engine import step_cut  # noqa: F401
 from .errors import BudgetExceededError, DomainError, ExecutionError
 from .ir import (
-    BcChoose, BcCut, BcDag, BcLeaf, ExtChoose, ExtCut, ExtLeaf, GccChoose,
-    GccCut, GccIfElse, GccLeaf, Less, Protocol, fold_condition,
+    BcChoose, BcCut, BcDag, BcLeaf, ExtChoose, ExtLeaf, GccChoose, GccCut, GccIfElse,
+    GccLeaf, Protocol,
 )
 from .valuation import ONE, Valuation, ZERO, check_allocation, format_frac
 
@@ -131,12 +126,14 @@ class GuaranteeOracle:
 
     A game state is the current node, the cuts made so far as (cut node id,
     grid index) pairs in creation order, the GCC picks as (node id, piece
-    index) pairs, and the GCC allocations so far as (agent, lo, hi) triples
-    of an agent and two grid indices.  Each agent's value of [0, x] at every
-    grid point x is held as an integer numerator over ``denominator``, the
-    least common denominator of all those values; leaf cross-values, envies
-    and the scores the search compares are integers over it.  Only the
-    results the queries return are ``Fraction``s.
+    index) pairs, the GCC allocations so far as (agent, (lo, hi)) pairs of
+    an agent and two grid indices, and, in a BC or DAG game, the cuts' grid
+    indices sorted, each cut inserted as ``engine.step_cut`` inserts it.
+    Each agent's value of [0, x] at every grid point x is held as an integer
+    numerator over ``denominator``, the least common denominator of all
+    those values; leaf cross-values, envies and the scores the search
+    compares are integers over it.  Only the results the queries return are
+    ``Fraction``s.
 
     Leaf cross-value matrices are cached across queries, keyed on (node id,
     cuts, picks).  On a DAG, subgame results are memoized on the same key,
@@ -189,133 +186,44 @@ class GuaranteeOracle:
 
     # -- the game on grid indices ---------------------------------------------
 
-    def _at(self, ref, positions: dict[int, int]) -> int:
-        """The grid index of a cut ref; ``positions`` maps cut ids to indices."""
-        if ref.kind == "origin":
-            return 0
-        if ref.kind == "end":
-            return self._last
-        try:
-            return positions[ref.cut]
-        except KeyError:
-            raise ExecutionError(f"ref to cut {ref.cut} that was never made")
-
-    def _spans(self, pieces, cuts, inverted_at=None) -> list[tuple[int, int]]:
-        """GCC pieces as (lo, hi) index pairs.  With ``inverted_at``, the id
-        of a cut node, an inverted piece raises as it does at that cut."""
-        positions = dict(cuts)
-        spans = []
-        for left, right in pieces:
-            lo, hi = self._at(left, positions), self._at(right, positions)
-            if inverted_at is not None and lo > hi:
-                raise ExecutionError("piece inverted at run time", node=inverted_at)
-            spans.append((lo, hi))
-        return spans
-
-    def _bounds(self, cuts) -> list[int]:
-        """Piece ends of the BC partition: 0, the sorted cuts, the last index."""
-        return [0, *sorted(z for _, z in cuts), self._last]
-
-    def _cut_interval(self, node, cuts) -> tuple[int, int]:
-        """The interval a BC, DAG or extended cut must fall in."""
-        if isinstance(node, BcCut):
-            bounds = self._bounds(cuts)
-            if not 0 < node.piece < len(bounds):
-                raise ExecutionError(
-                    f"cut piece {node.piece} out of range 1..{len(bounds) - 1}",
-                    node=node.nid, agent=node.agent,
-                )
-            return bounds[node.piece - 1], bounds[node.piece]
-        if isinstance(node, ExtCut):
-            positions = dict(cuts)
-            lo, hi = self._at(node.left, positions), self._at(node.right, positions)
-            if lo > hi:
-                raise ExecutionError("cut interval inverted at run time", node=node.nid)
-            return lo, hi
-        raise DomainError("current node is not a cut or a choose")
-
-    def _moves(self, node, cuts, picks, allocated) -> list[tuple]:
+    def _moves(self, node, cuts, picks, allocated, order) -> list[tuple]:
         """Successor states of a cut or choose node, in the interpreter's
         order: a cut tries each of its pieces, and in each every grid index
         from the piece's left end to its right end."""
         if isinstance(node, _BRANCHES):
             node_of = self._node_of
-            return [(node_of(kid), cuts, picks, allocated) for kid in node.children]
-        nid = node.nid
+            return [(node_of(kid), cuts, picks, allocated, order) for kid in node.children]
+        nid, last = node.nid, self._last
         if isinstance(node, GccChoose):
             return [(node.child, cuts, picks + ((nid, k),),
-                     allocated + ((node.agent, lo, hi),))
-                    for k, (lo, hi) in enumerate(self._spans(node.pieces, cuts))]
+                     allocated + ((node.agent, span),), order)
+                    for k, span in enumerate(_spans(node, cuts, 0, last))]
+        # Only the BC and DAG rules read the sorted order, so only their cuts
+        # are inserted into it.
         if isinstance(node, GccCut):
-            return [(node.child, cuts + ((nid, z),), picks + ((nid, k),), allocated)
-                    for k, (lo, hi) in enumerate(self._spans(node.pieces, cuts, nid))
+            return [(node.child, cuts + ((nid, z),), picks + ((nid, k),), allocated,
+                     order)
+                    for k, (lo, hi) in enumerate(_spans(node, cuts, 0, last))
                     for z in range(lo, hi + 1)]
-        lo, hi = self._cut_interval(node, cuts)
-        child = self._node_of(node.child)
-        return [(child, cuts + ((nid, z),), picks, allocated)
+        lo, hi = _cut_interval(node, cuts, order, 0, last)
+        child, sorts = self._node_of(node.child), isinstance(node, BcCut)
+        return [(child, cuts + ((nid, z),), picks, allocated,
+                 _insert(order, z) if sorts else order)
                 for z in range(lo, hi + 1)]
 
-    def _branch(self, node: GccIfElse, cuts, picks):
-        """The child of the first if-else branch whose condition holds."""
-        positions, chosen = dict(cuts), dict(picks)
-
-        def atom(a) -> bool:
-            if isinstance(a, Less):  # indices order as the positions do
-                return self._at(a.left, positions) < self._at(a.right, positions)
-            if a.node not in chosen:
-                raise ExecutionError(f"condition references undecided node {a.node}")
-            return chosen[a.node] == a.index
-
-        for cond, child in node.branches:
-            if fold_condition(cond, atom):
-                return child
-        raise ExecutionError("no if-else branch matched", node=node.nid)
-
-    def _leaf_pieces(self, node, cuts, allocated) -> list[list[tuple[int, int]]]:
-        """Each agent's intervals at a leaf, as (lo, hi) index pairs."""
-        n = self.protocol.agents
-        pieces: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        if isinstance(node, BcLeaf):
-            bounds = self._bounds(cuts)
-            if len(bounds) - 1 != len(node.assign):
-                raise ExecutionError(
-                    f"leaf expects {len(node.assign)} pieces,"
-                    f" partition has {len(bounds) - 1}",
-                    node=node.nid,
-                )
-            for k, agent in enumerate(node.assign):
-                if not 0 < agent <= n:
-                    raise _leaf_agent_error(agent, n, node.nid)
-                pieces[agent - 1].append((bounds[k], bounds[k + 1]))
-            return pieces  # consecutive pieces of sorted cuts: a partition
-        if isinstance(node, ExtLeaf):
-            positions = dict(cuts)
-            for seg in node.segments:
-                lo, hi = self._at(seg.left, positions), self._at(seg.right, positions)
-                if lo > hi:
-                    raise ExecutionError("segment inverted at run time", node=node.nid)
-                if not 0 < seg.agent <= n:
-                    raise _leaf_agent_error(seg.agent, n, node.nid)
-                pieces[seg.agent - 1].append((lo, hi))
-        else:
-            for agent, lo, hi in allocated:
-                if not 0 < agent <= n:
-                    raise _leaf_agent_error(agent, n, node.nid)
-                pieces[agent - 1].append((lo, hi))
-            for row in pieces:
-                row.sort()
-        try:
-            check_allocation(pieces, self._last, self.grid.points.__getitem__)
-        except DomainError as exc:
-            raise ExecutionError(f"allocation invalid at leaf: {exc}", node=node.nid)
-        return pieces
-
-    def _leaf_cross(self, node, cuts, picks, allocated):
+    def _leaf_cross(self, node, cuts, picks, allocated, order):
         """Matrix (i, j) = V_i(X_j) * denominator, from the prefix table."""
         key = (node.nid, cuts, picks)
         hit = self._leaf_cache.get(key)
         if hit is None:
-            pieces = self._leaf_pieces(node, cuts, allocated)
+            pieces = _leaf_pieces(node, self.protocol.agents, cuts, order, allocated,
+                                  0, self._last)
+            if not isinstance(node, BcLeaf):
+                try:
+                    check_allocation(pieces, self._last, self.grid.points.__getitem__)
+                except DomainError as exc:
+                    raise ExecutionError(f"allocation invalid at leaf: {exc}",
+                                         node=node.nid)
             hit = tuple(
                 tuple([sum([row[b] - row[a] for a, b in piece]) for piece in pieces])
                 for row in self._prefix
@@ -339,20 +247,21 @@ class GuaranteeOracle:
         memo = self._memo if isinstance(self.protocol, BcDag) else None
         self._query, self._started = query, perf_counter()
 
-        def rec(node, cuts, picks, allocated):
+        def rec(node, cuts, picks, allocated, order):
             self.evals += 1
             if self.evals > self.budget:
                 self._over_budget()
             if isinstance(node, _LEAVES):
-                return score(self._leaf_cross(node, cuts, picks, allocated))
+                return score(self._leaf_cross(node, cuts, picks, allocated, order))
             if isinstance(node, GccIfElse):
-                return rec(self._branch(node, cuts, picks), cuts, picks, allocated)
+                return rec(_branch(node, cuts, picks, 0, self._last),
+                           cuts, picks, allocated, order)
             if memo is not None:
                 key = (query, (node.nid, cuts, picks))
                 hit = memo.get(key)
                 if hit is not None:
                     return hit
-            nexts = self._moves(node, cuts, picks, allocated)
+            nexts = self._moves(node, cuts, picks, allocated, order)
             if (node.agent == agent) == agent_maximizes:
                 better, result, stop = max, lowest, highest
             else:
@@ -366,7 +275,7 @@ class GuaranteeOracle:
                 memo[key] = result
             return result
 
-        return rec(self._node_of(self.protocol.root), (), (), ())
+        return rec(self._node_of(self.protocol.root), (), (), (), ())
 
     # -- the four guarantee queries ------------------------------------------
 

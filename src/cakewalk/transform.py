@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .engine import (
-    BranchChosen, CutMade, DecisionContext, Strategy, follow, partition_of,
+    BranchChosen, CutMade, DecisionContext, Strategy, _holds, follow, partition_of,
     resolve_ref,
 )
 from .errors import (
@@ -25,7 +25,7 @@ from .ir import (
     BcChoose, BcCut, BcDag, BcLeaf, BcNode, BcTree, ChoseAt, Condition,
     CutRef, ELSE, END, ExtBcTree, ExtChoose, ExtCut,
     ExtLeaf, ExtNode, ExtSegment, GccChoose, GccCut, GccIfElse, GccLeaf,
-    GccMode, GccTree, IdGen, Less, ORIGIN, at, children_of, fold_condition,
+    GccMode, GccTree, IdGen, ORIGIN, at, children_of,
     iter_nodes, renumber, stats, validate_bc, validate_dag, validate_ext,
     validate_gcc, _children, _map_node,
 )
@@ -558,16 +558,6 @@ def gcc_to_bc(
         fwd[src].add(nid)
         return nid
 
-    def eval_static(cond: Condition, bounds, picks) -> bool:
-        """Conditions on a branch whose cut order and picks are all forced."""
-
-        def atom(a) -> bool:
-            if isinstance(a, Less):
-                return bounds.index(a.left) < bounds.index(a.right)
-            return picks[a.node] == a.index
-
-        return fold_condition(cond, atom)
-
     def convert(node, bounds: tuple[CutRef, ...], picks: dict[int, int],
                 spans: tuple[tuple[CutRef, CutRef, int], ...]) -> BcNode:
         if isinstance(node, GccCut):
@@ -597,8 +587,11 @@ def gcc_to_bc(
                 )
             return BcChoose(cnid, node.agent, tuple(kids))
         if isinstance(node, GccIfElse):
+            # The branch's cut order and picks are all forced: a cut's
+            # position is its place in that order.
+            places = {ref.cut: k for k, ref in enumerate(bounds) if ref.kind == "cut"}
             for cond, child in node.branches:
-                if eval_static(cond, bounds, picks):
+                if _holds(cond, places, picks, 0, len(bounds) - 1):
                     return convert(child, bounds, picks, spans)
             raise DomainError(f"no if-else branch held at node {node.nid}")
         assert isinstance(node, GccLeaf)

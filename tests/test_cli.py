@@ -445,6 +445,38 @@ class TestErrors:
         code, _, err = run_cli(capsys, "stats", "/nonexistent.cake")
         assert code == 2
 
+    def test_directory_as_input_exits_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "stats", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_utf8_file_is_one_error_line(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.cake"
+        bad.write_bytes("(bc :agents 1 (leaf (1 -> 1))) ; caf\xe9".encode("latin-1"))
+        code, _, err = run_cli(capsys, "stats", str(bad))
+        assert code == 1
+        assert err == f"error: {bad} is not UTF-8 text\n"
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_random_vals_must_be_an_integer(self, capsys, cc_json, command):
+        inputs = [cc_json] if command == "run" else [cc_json, cc_json]
+        with pytest.raises(SystemExit) as caught:
+            main([command, *inputs, "--random-vals", "x"])
+        assert caught.value.code == 2
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+
+    def test_random_vals_0_reaches_the_segment_check(self, capsys, cc_json):
+        code, _, err = run_cli(capsys, "run", cc_json, "--random-vals", "0")
+        assert code == 1
+        assert err == "error: segments must be >= 1\n"
+
+    @pytest.mark.parametrize("agent", ["x", "3"])
+    def test_human_agent_must_be_an_agent(self, capsys, agent):
+        code, _, err = run_cli(capsys, "run", "--gen", "cut-and-choose",
+                               "--random-vals", "1", "--strategies", f"human:{agent}")
+        assert code == 1
+        assert err == f"error: 'human:{agent}' does not name an agent in 1..2\n"
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

@@ -375,7 +375,7 @@ class TestConditionReaders:
 
     def test_static_verdicts_agree_with_runs(self, monkeypatch):
         static = ir._eval_condition_static
-        runtime = engine.eval_condition
+        runtime = engine._holds  # the one run-time reading, as step_ifelse calls it
         orders: dict = {}  # id(condition) -> order the validator read it under
         reached: list = []
 
@@ -384,13 +384,13 @@ class TestConditionReaders:
                 assert orders.setdefault(id(cond), order) is order
             return static(cond, picks, order)
 
-        def record_run(cond, state):
-            verdict = runtime(cond, state)
-            reached.append((cond, state, verdict))
+        def record_run(cond, positions, picks, origin, end):
+            verdict = runtime(cond, positions, picks, origin, end)
+            reached.append((cond, picks, verdict))
             return verdict
 
         monkeypatch.setattr(ir, "_eval_condition_static", record_static)
-        monkeypatch.setattr(engine, "eval_condition", record_run)
+        monkeypatch.setattr(engine, "_holds", record_run)
         compared = decided = 0
         for k, p in enumerate(self.protocols()):
             orders.clear()
@@ -399,11 +399,11 @@ class TestConditionReaders:
                 del reached[:]
                 vals = [random_valuation(100 * k + seed + i, 3) for i in range(p.agents)]
                 run(p, rand_profile(seed, p.agents), vals)
-                for cond, state, verdict in reached:
+                for cond, picks, verdict in reached:
                     if isinstance(cond, ir.Else):
                         continue
-                    seen = static(cond, dict(state.picks), orders[id(cond)])
-                    assert seen is None or seen == verdict, (k, cond, state)
+                    seen = static(cond, picks, orders[id(cond)])
+                    assert seen is None or seen == verdict, (k, cond, picks)
                     compared += 1
                     decided += seen is not None
         assert compared > 500 and decided > 200

@@ -299,7 +299,7 @@ class TestGridsWithoutBreakpoints:
 
 class TestExtendedAndGccProtocols:
     """The forms whose refs, conditions and leaf checks the oracle reads on
-    its own: extended trees and GCC protocols, on the thirds grid."""
+    grid indices: extended trees and GCC protocols, on the thirds grid."""
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("model", ["extbc", "gcc"])
