@@ -10,6 +10,7 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -66,12 +67,30 @@ def _parse_json(text: str, path: str):
 
 def _write_text(path, text: str):
     if path in (None, "-"):
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        _write_stdout(text if text.endswith("\n") else text + "\n")
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _write_stdout(text: str):
+    """Write a result to standard output in one write.
+
+    A reader that closes the pipe after the first line (``| head -1``) then
+    meets no second write of the closing newline.  Unbuffered (``python -u``,
+    ``PYTHONUNBUFFERED``), the text layer drops whatever a closing pipe did
+    not take, so the bytes go to the raw layer, and the rest is written
+    again until it is all out or the pipe's end raises ``BrokenPipeError``.
+    """
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        out.write(text)
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[raw.write(data):]
 
 
 def load_protocol(path: str, mode: GccMode = GccMode.EXTENSIVE) -> Protocol:
@@ -523,8 +542,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except RecursionError:
-        # The .cake reader, printer and stats keep a stack, but the .cake
-        # lowerer, the JSON reader and writer and the validators recurse per level.
+        # The .cake reader, printer, stats and validators keep a stack, but
+        # the .cake lowerer and the JSON reader and writer recurse per level.
         print("error: input nests too deeply to process"
               f" (Python recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return EXIT_FAIL

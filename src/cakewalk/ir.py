@@ -20,7 +20,7 @@ with the node's path; an empty report means the protocol is valid.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import cache
+from functools import cache, partial
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Union
 
@@ -284,14 +284,20 @@ def children_of(node) -> tuple:
     return _children(node)
 
 
+_ONE_CHILD = frozenset({BcCut, ExtCut, GccCut, GccChoose})
+_CHILD_TUPLE = frozenset({BcChoose, ExtChoose})
+
+
 # Per-node walks call ``_children`` directly: tools that wrap the public
 # functions, such as the benchmark's span tracer, then see a walk as one call.
+# It looks the node's class up rather than ask ``isinstance`` of each class.
 def _children(node) -> tuple:
-    if isinstance(node, (BcCut, ExtCut, GccCut, GccChoose)):
+    cls = type(node)
+    if cls in _ONE_CHILD:
         return (node.child,)
-    if isinstance(node, (BcChoose, ExtChoose)):
+    if cls in _CHILD_TUPLE:
         return node.children
-    if isinstance(node, GccIfElse):
+    if cls is GccIfElse:
         return tuple(child for _, child in node.branches)
     return ()
 
@@ -437,53 +443,91 @@ def _check_agent(report, path, nid, agent, n):
         report.error(path, nid, f"agent {agent} out of range 1..{n}")
 
 
+def _check_span(report, path, nid, lo: CutRef, hi: CutRef, cuts: set[int],
+                order: PartialOrder, prefix: str = "") -> bool:
+    """Whether lo..hi is a span at a node below ``cuts``: each ref names an
+    ancestor cut or an end of the cake, and lo <= hi is derivable.  Reports
+    each way it is not."""
+    ok = True
+    for ref in (lo, hi):
+        if ref.kind == "cut" and ref.cut not in cuts:
+            report.error(path, nid, f"ref {ref} is not an ancestor cut")
+            ok = False
+    if ok and not order.le_or_eq(lo, hi):
+        report.error(path, nid, f"{prefix}order of {lo} and {hi} is not derivable")
+        ok = False
+    return ok
+
+
+def _walk(report: ValidationReport, root, ctx, visit) -> ValidationReport:
+    """Visit a tree's nodes in preorder on an explicit stack; returns ``report``.
+
+    ``visit(node, path, ctx)`` makes one node's checks and returns one
+    context per child (none to stop there).  The walk reports duplicate node
+    ids and names child i of the node at ``path`` ``path/i``.
+    """
+    seen: set[int] = set()
+    stack = [(root, "root", ctx)]
+    pop, push, add = stack.pop, stack.append, seen.add
+    while stack:
+        node, path, ctx = pop()
+        nid = node.nid
+        if nid in seen:
+            report.error(path, nid, "duplicate node id")
+        add(nid)
+        ctxs = visit(node, path, ctx)
+        if ctxs:
+            kids = _children(node)
+            i = len(ctxs)
+            while i:
+                i -= 1
+                push((kids[i], f"{path}/{i}", ctxs[i]))
+    return report
+
+
 # ---------------------------------------------------------------------------
 # BC tree and DAG validation
 
 
-def _check_bc_node(report, path, node, cuts_above: int, n: int):
+def _check_bc_node(report, n: int, node, path, cuts_above: int) -> tuple:
     """The checks of one BC node, in a tree or a DAG, with ``cuts_above``
-    cuts on every path from the root to it."""
+    cuts on every path from the root to it; returns its children's counts.
+
+    Each agent is range-tested here and ``_check_agent`` called only to
+    report, which keeps a large tree's walk to about one call per node.
+    """
     if isinstance(node, BcCut):
-        _check_agent(report, path, node.nid, node.agent, n)
+        if not 1 <= node.agent <= n:
+            _check_agent(report, path, node.nid, node.agent, n)
         if not 1 <= node.piece <= cuts_above + 1:
             report.error(
                 path, node.nid,
                 f"cut into piece {node.piece} but only {cuts_above + 1} pieces exist",
             )
-    elif isinstance(node, BcChoose):
-        _check_agent(report, path, node.nid, node.agent, n)
+        return (cuts_above + 1,)
+    if isinstance(node, BcChoose):
+        if not 1 <= node.agent <= n:
+            _check_agent(report, path, node.nid, node.agent, n)
         if not node.children:
             report.error(path, node.nid, "choose node with no children")
-    elif isinstance(node, BcLeaf):
+        return (cuts_above,) * len(node.children)
+    if isinstance(node, BcLeaf):
         if len(node.assign) != cuts_above + 1:
             report.error(
                 path, node.nid,
                 f"leaf assigns {len(node.assign)} pieces, expected {cuts_above + 1}",
             )
         for a in node.assign:
-            _check_agent(report, path, node.nid, a, n)
+            if not 1 <= a <= n:
+                _check_agent(report, path, node.nid, a, n)
     else:
         report.error(path, node.nid, f"unknown node type {type(node).__name__}")
+    return ()
 
 
 def validate_bc(t: BcTree) -> ValidationReport:
     report = ValidationReport()
-    seen: set[int] = set()
-
-    def walk(node, path, cuts_above):
-        if node.nid in seen:
-            report.error(path, node.nid, "duplicate node id")
-        seen.add(node.nid)
-        _check_bc_node(report, path, node, cuts_above, t.agents)
-        if isinstance(node, BcCut):
-            walk(node.child, path + "/0", cuts_above + 1)
-        elif isinstance(node, BcChoose):
-            for i, child in enumerate(node.children):
-                walk(child, f"{path}/{i}", cuts_above)
-
-    walk(t.root, "root", 0)
-    return report
+    return _walk(report, t.root, 0, partial(_check_bc_node, report, t.agents))
 
 
 def validate_dag(d: BcDag) -> ValidationReport:
@@ -501,7 +545,7 @@ def validate_dag(d: BcDag) -> ValidationReport:
             continue
         reached.add(nid)
         node = d.nodes[nid]
-        for kid in children_of(node):
+        for kid in _children(node):
             if kid not in d.nodes:
                 report.error(f"node {nid}", nid, f"edge to missing node {kid}")
             else:
@@ -512,33 +556,33 @@ def validate_dag(d: BcDag) -> ValidationReport:
     if not report.ok:
         return report
 
-    # Acyclicity via DFS colouring.
+    # Acyclicity via DFS colouring: a frame holds a node and its children
+    # not yet tried.
     WHITE, GREY, BLACK = 0, 1, 2
-    colour = {nid: WHITE for nid in d.nodes}
-
-    def dfs(nid) -> bool:
-        colour[nid] = GREY
-        for kid in children_of(d.nodes[nid]):
+    colour = dict.fromkeys(d.nodes, WHITE)
+    colour[d.root] = GREY
+    stack = [(d.root, iter(_children(d.nodes[d.root])))]
+    while stack:
+        nid, kids = stack[-1]
+        for kid in kids:
             if colour[kid] == GREY:
                 report.error(f"node {nid}", nid, f"cycle through node {kid}")
-                return False
-            if colour[kid] == WHITE and not dfs(kid):
-                return False
-        colour[nid] = BLACK
-        return True
-
-    if not dfs(d.root):
-        return report
+                return report
+            if colour[kid] == WHITE:
+                colour[kid] = GREY
+                stack.append((kid, iter(_children(d.nodes[kid]))))
+                break
+        else:
+            colour[nid] = BLACK
+            stack.pop()
 
     # Every root->node path must make the same number of cuts.
     depth: dict[int, int] = {d.root: 0}
     queue = [d.root]
-    while queue:
-        nid = queue.pop(0)
+    for nid in queue:  # breadth first: the loop reads what it appends
         node = d.nodes[nid]
-        step = 1 if isinstance(node, BcCut) else 0
-        for kid in children_of(node):
-            want = depth[nid] + step
+        want = depth[nid] + isinstance(node, BcCut)
+        for kid in _children(node):
             if kid in depth:
                 if depth[kid] != want:
                     report.error(
@@ -552,7 +596,7 @@ def validate_dag(d: BcDag) -> ValidationReport:
         return report
 
     for nid, node in d.nodes.items():
-        _check_bc_node(report, f"node {nid}", node, depth[nid], d.agents)
+        _check_bc_node(report, d.agents, node, f"node {nid}", depth[nid])
     return report
 
 
@@ -677,68 +721,45 @@ def static_cut_order(t: ExtBcTree, at_nid: int) -> PartialOrder:
 
 def validate_ext(t: ExtBcTree) -> ValidationReport:
     report = ValidationReport()
-    seen: set[int] = set()
 
-    def known(ref: CutRef, cuts_above: set[int]) -> bool:
-        return ref.kind != "cut" or ref.cut in cuts_above
-
-    def walk(node, path, cuts_above: set[int], builder: _OrderBuilder):
-        if node.nid in seen:
-            report.error(path, node.nid, "duplicate node id")
-        seen.add(node.nid)
-        order = builder.snapshot()
+    # A node's context: the ids of the cuts above it and their order.
+    def visit(node, path, ctx):
+        cuts, builder = ctx
+        nid = node.nid
         if isinstance(node, ExtCut):
-            _check_agent(report, path, node.nid, node.agent, t.agents)
-            for ref in (node.left, node.right):
-                if not known(ref, cuts_above):
-                    report.error(path, node.nid, f"ref {ref} is not an ancestor cut")
-            if known(node.left, cuts_above) and known(node.right, cuts_above):
-                if not order.le_or_eq(node.left, node.right):
-                    report.error(
-                        path, node.nid,
-                        f"order of {node.left} and {node.right} is not derivable",
-                    )
+            _check_agent(report, path, nid, node.agent, t.agents)
+            _check_span(report, path, nid, node.left, node.right, cuts, builder.snapshot())
             sub = _OrderBuilder(builder)
-            sub.bounded_cut(at(node.nid), [node.left, ORIGIN], [node.right, END])
-            walk(node.child, path + "/0", cuts_above | {node.nid}, sub)
-        elif isinstance(node, ExtChoose):
-            _check_agent(report, path, node.nid, node.agent, t.agents)
+            sub.bounded_cut(at(nid), [node.left, ORIGIN], [node.right, END])
+            return ((cuts | {nid}, sub),)
+        if isinstance(node, ExtChoose):
+            _check_agent(report, path, nid, node.agent, t.agents)
             if not node.children:
-                report.error(path, node.nid, "choose node with no children")
-            for i, child in enumerate(node.children):
-                walk(child, f"{path}/{i}", cuts_above, builder)
-        elif isinstance(node, ExtLeaf):
+                report.error(path, nid, "choose node with no children")
+            return (ctx,) * len(node.children)
+        if isinstance(node, ExtLeaf):
             segs = node.segments
             if not segs:
-                report.error(path, node.nid, "leaf with no segments")
-                return
+                report.error(path, nid, "leaf with no segments")
+                return ()
             if segs[0].left != ORIGIN:
-                report.error(path, node.nid, "first segment must start at the origin")
+                report.error(path, nid, "first segment must start at the origin")
             if segs[-1].right != END:
-                report.error(path, node.nid, "last segment must end at the cake's end")
+                report.error(path, nid, "last segment must end at the cake's end")
             for k in range(len(segs) - 1):
                 if segs[k].right != segs[k + 1].left:
-                    report.error(
-                        path, node.nid,
-                        f"segments {k} and {k + 1} do not share an endpoint",
-                    )
+                    report.error(path, nid,
+                                 f"segments {k} and {k + 1} do not share an endpoint")
+            order = builder.snapshot()
             for k, seg in enumerate(segs):
-                _check_agent(report, path, node.nid, seg.agent, t.agents)
-                for ref in (seg.left, seg.right):
-                    if not known(ref, cuts_above):
-                        report.error(path, node.nid, f"ref {ref} is not an ancestor cut")
-                if known(seg.left, cuts_above) and known(seg.right, cuts_above):
-                    if not order.le_or_eq(seg.left, seg.right):
-                        report.error(
-                            path, node.nid,
-                            f"segment {k}: order of {seg.left} and {seg.right}"
-                            " is not derivable",
-                        )
+                _check_agent(report, path, nid, seg.agent, t.agents)
+                _check_span(report, path, nid, seg.left, seg.right, cuts, order,
+                            f"segment {k}: ")
         else:
-            report.error(path, node.nid, f"unknown node type {type(node).__name__}")
+            report.error(path, nid, f"unknown node type {type(node).__name__}")
+        return ()
 
-    walk(t.root, "root", set(), _OrderBuilder())
-    return report
+    return _walk(report, t.root, (set(), _OrderBuilder()), visit)
 
 
 # ---------------------------------------------------------------------------
@@ -784,52 +805,30 @@ _SYMBOLIC_STATE_CAP = 4096
 
 def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationReport:
     report = ValidationReport()
-    seen: set[int] = set()
-
-    def piece_ok(path, nid, piece: Piece, cuts_above, order) -> bool:
-        ok = True
-        for ref in piece:
-            if ref.kind == "cut" and ref.cut not in cuts_above:
-                report.error(path, nid, f"ref {ref} is not an ancestor cut")
-                ok = False
-        if ok and not order.le_or_eq(piece[0], piece[1]):
-            report.error(
-                path, nid, f"order of {piece[0]} and {piece[1]} is not derivable"
-            )
-            ok = False
-        return ok
 
     def provably_disjoint(a: Piece, b: Piece, order) -> bool:
         return order.le_or_eq(a[1], b[0]) or order.le_or_eq(b[1], a[0])
 
-    def check_pieces(path, node, cuts_above, order):
+    def check_pieces(path, node, cuts, order):
         pieces = node.pieces
         if not pieces:
             report.error(path, node.nid, "empty piece set")
             return
-        usable = [p for p in pieces if piece_ok(path, node.nid, p, cuts_above, order)]
+        usable = [p for p in pieces
+                  if _check_span(report, path, node.nid, p[0], p[1], cuts, order)]
         for i in range(len(usable)):
             for j in range(i + 1, len(usable)):
                 if not provably_disjoint(usable[i], usable[j], order):
-                    report.error(
-                        path, node.nid,
-                        f"pieces {usable[i]} and {usable[j]} may overlap",
-                    )
+                    report.error(path, node.nid, f"pieces {usable[i]} and {usable[j]} may overlap")
         if mode is GccMode.RESTRICTED:
             for piece in usable:
-                for cut_nid in cuts_above:
+                for cut_nid in cuts:
                     z = at(cut_nid)
                     if z == piece[0] or z == piece[1]:
                         continue
-                    inside_impossible = order.le_or_eq(z, piece[0]) or order.le_or_eq(
-                        piece[1], z
-                    )
-                    if not inside_impossible:
-                        report.error(
-                            path, node.nid,
-                            f"piece {piece} may contain earlier cut {z}"
-                            " (restricted mode)",
-                        )
+                    if not (order.le_or_eq(z, piece[0]) or order.le_or_eq(piece[1], z)):
+                        report.error(path, node.nid, f"piece {piece} may contain earlier"
+                                     f" cut {z} (restricted mode)")
 
     def check_unallocated(path, node, states, order, offered: str):
         """Report the first offered piece that may overlap an earlier allocation."""
@@ -840,22 +839,20 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
                                  f"{offered} piece {piece} that may already be allocated")
                     return
 
-    # Symbolic states: (picks, allocated piece list).  Chooses fork states;
-    # ``complete`` records whether the fork set was ever truncated, since
-    # refining from a truncated set would be unsound.
-    def walk(node, path, cuts_above: set[int], ancestors: dict[int, tuple],
-             builder: _OrderBuilder, states: list[tuple[dict, tuple]],
-             complete: bool = True):
-        if node.nid in seen:
-            report.error(path, node.nid, "duplicate node id")
-        seen.add(node.nid)
+    # A node's context: the ids of the cuts above it, its ancestors by id,
+    # the order of its cuts, and its symbolic states (picks, allocated piece
+    # list).  Chooses fork states; ``complete`` records whether the fork set
+    # was ever truncated, since refining from a truncated set would be unsound.
+    def visit(node, path, ctx):
+        cuts, ancestors, builder, states, complete = ctx
+        nid = node.nid
         order = builder.snapshot()
         if isinstance(node, GccCut):
-            _check_agent(report, path, node.nid, node.agent, t.agents)
-            check_pieces(path, node, cuts_above, order)
+            _check_agent(report, path, nid, node.agent, t.agents)
+            check_pieces(path, node, cuts, order)
             check_unallocated(path, node, states, order, "cut offered")
             sub = _OrderBuilder(builder)
-            z = at(node.nid)
+            z = at(nid)
             sub.add_le(ORIGIN, z)
             sub.add_le(z, END)
             if len(node.pieces) == 1:
@@ -871,42 +868,40 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
             new_states = states
             if len(node.pieces) > 1 and len(states) * len(node.pieces) <= _SYMBOLIC_STATE_CAP:
                 new_states = [
-                    ({**picks, node.nid: j}, allocated)
+                    ({**picks, nid: j}, allocated)
                     for picks, allocated in states
                     for j in range(len(node.pieces))
                 ]
-            walk(node.child, path + "/0", cuts_above | {node.nid},
-                 {**ancestors, node.nid: ("cut", node)}, sub, new_states,
-                 complete)
-        elif isinstance(node, GccChoose):
-            _check_agent(report, path, node.nid, node.agent, t.agents)
-            check_pieces(path, node, cuts_above, order)
+            return ((cuts | {nid}, {**ancestors, nid: ("cut", node)}, sub, new_states,
+                     complete),)
+        if isinstance(node, GccChoose):
+            _check_agent(report, path, nid, node.agent, t.agents)
+            check_pieces(path, node, cuts, order)
             check_unallocated(path, node, states, order, "choose offers")
             new_states = []
             truncated = False
             for picks, allocated in states:
                 for j, piece in enumerate(node.pieces):
-                    new_states.append(({**picks, node.nid: j}, allocated + (piece,)))
+                    new_states.append(({**picks, nid: j}, allocated + (piece,)))
                     if len(new_states) > _SYMBOLIC_STATE_CAP:
                         break
                 if len(new_states) > _SYMBOLIC_STATE_CAP:
-                    report.warn(path, node.nid, "symbolic state cap hit; later"
+                    report.warn(path, nid, "symbolic state cap hit; later"
                                 " re-allocation checks are partial")
                     new_states = new_states[:_SYMBOLIC_STATE_CAP]
                     truncated = True
                     break
-            walk(node.child, path + "/0", cuts_above,
-                 {**ancestors, node.nid: ("choose", node)}, builder,
-                 new_states, complete and not truncated)
-        elif isinstance(node, GccIfElse):
+            return ((cuts, {**ancestors, nid: ("choose", node)}, builder, new_states,
+                     complete and not truncated),)
+        if isinstance(node, GccIfElse):
             if not node.branches:
-                report.error(path, node.nid, "if-else with no branches")
-                return
+                report.error(path, nid, "if-else with no branches")
+                return ()
             if not isinstance(node.branches[-1][0], Else):
-                report.error(path, node.nid, "last branch must be a catch-all else")
+                report.error(path, nid, "last branch must be a catch-all else")
             for k, (cond, _) in enumerate(node.branches[:-1]):
                 if isinstance(cond, Else):
-                    report.warn(path, node.nid, f"else in branch {k} shadows later branches")
+                    report.warn(path, nid, f"else in branch {k} shadows later branches")
             for cond, _ in node.branches:
                 atoms = list(condition_atoms(cond))
                 for a in atoms:
@@ -914,17 +909,16 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
                         kind = "choose" if isinstance(a, ChoseAt) else "cut"
                         info = ancestors.get(a.node)
                         if info is None or info[0] != kind:
-                            report.error(
-                                path, node.nid,
-                                f"condition references non-ancestor {kind} node {a.node}",
-                            )
+                            report.error(path, nid, "condition references non-ancestor"
+                                         f" {kind} node {a.node}")
                 for a in atoms:
                     if isinstance(a, Less):
                         for ref in (a.left, a.right):
-                            if ref.kind == "cut" and ref.cut not in cuts_above:
-                                report.error(path, node.nid,
+                            if ref.kind == "cut" and ref.cut not in cuts:
+                                report.error(path, nid,
                                              f"condition ref {ref} is not an ancestor cut")
-            for k, (cond, child) in enumerate(node.branches):
+            kids = []
+            for k, (cond, _) in enumerate(node.branches):
                 branch_states = []
                 for picks, allocated in states:
                     verdict = _eval_condition_static(cond, picks, order)
@@ -954,21 +948,18 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
                                 lo, hi = info[1].pieces[j]
                                 refined.add_le(lo, at(anc_nid))
                                 refined.add_le(at(anc_nid), hi)
-                walk(child, f"{path}/{k}", cuts_above, ancestors, refined,
-                     branch_states, complete)
-        elif isinstance(node, GccLeaf):
+                kids.append((cuts, ancestors, refined, branch_states, complete))
+            return kids
+        if isinstance(node, GccLeaf):
             for picks, allocated in states:
                 if not _covers_whole_cake(allocated, order):
-                    report.warn(
-                        path, node.nid,
-                        "leaf may be reached with unallocated cake remaining",
-                    )
+                    report.warn(path, nid, "leaf may be reached with unallocated cake remaining")
                     break
         else:
-            report.error(path, node.nid, f"unknown node type {type(node).__name__}")
+            report.error(path, nid, f"unknown node type {type(node).__name__}")
+        return ()
 
-    walk(t.root, "root", set(), {}, _OrderBuilder(), [({}, ())])
-    return report
+    return _walk(report, t.root, (set(), {}, _OrderBuilder(), [({}, ())], True), visit)
 
 
 def _covers_whole_cake(allocated: tuple[Piece, ...], order: PartialOrder) -> bool:

@@ -659,29 +659,33 @@ def gen_even_paz(n: int, model: str) -> tuple:
 # ---------------------------------------------------------------------------
 # Name-based access (CLI and file-loaded protocols)
 
-GENERATOR_NAMES = ("cut-and-choose", "selfridge-conway", "dubins-spanier", "even-paz")
+# The forms each generator builds, and the agent count of those that build
+# one size only.
+_FORMS = {"cut-and-choose": ("bc", "gcc"), "selfridge-conway": ("bc", "gcc"),
+          "dubins-spanier": ("gcc", "extbc"), "even-paz": ("gcc", "extbc")}
+_FIXED_AGENTS = {"cut-and-choose": 2, "selfridge-conway": 3}
+GENERATOR_NAMES = tuple(_FORMS)
 
 
 def generate(name: str, model: str = "bc", n: int = 0):
-    """Build a named protocol; returns (protocol, bundle)."""
+    """Build a named protocol; returns (protocol, bundle).  ``n`` 0 asks
+    for the generator's default agent count."""
+    forms = _FORMS.get(name)
+    if forms is None:
+        raise DomainError(f"unknown generator {name!r}")
+    if model not in forms:
+        raise DomainError(f"{name} exists in {' and '.join(forms)} forms")
+    fixed = _FIXED_AGENTS.get(name)
+    if n and fixed and n != fixed:
+        raise DomainError(f"{name} is a {fixed}-agent protocol, not {n} agents")
     if name == "cut-and-choose":
         bc, gcc, bundle = gen_cut_and_choose()
-        if model == "bc":
-            return bc, bundle
-        if model == "gcc":
-            return gcc, bundle
-        raise DomainError("cut-and-choose exists in bc and gcc forms")
+        return (bc if model == "bc" else gcc), bundle
     if name == "selfridge-conway":
-        if model == "bc":
-            return gen_selfridge_conway_bc()
-        if model == "gcc":
-            return gen_selfridge_conway_gcc()
-        raise DomainError("selfridge-conway exists in bc and gcc forms")
+        return gen_selfridge_conway_bc() if model == "bc" else gen_selfridge_conway_gcc()
     if name == "dubins-spanier":
         return gen_dubins_spanier(n or 3, model)
-    if name == "even-paz":
-        return gen_even_paz(n or 4, model)
-    raise DomainError(f"unknown generator {name!r}")
+    return gen_even_paz(n or 4, model)
 
 
 def named_strategies(name: str, model: str, n: int, protocol) -> list[Strategy]:

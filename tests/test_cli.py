@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -73,6 +74,71 @@ class TestGenAndStats:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 1
         assert "Traceback" not in err and err == ""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_first_line_then_closed_pipe(self, tmp_path, unbuffered):
+        # As ``cakewalk convert --to bc STEM.cake | head -1`` with and without
+        # PYTHONUNBUFFERED: the 1,462 bytes of the reconverging DAG's image
+        # go out in one write, so closing the pipe after their first line
+        # fails nothing; EP4's 2.8 MB outgrow the pipe, and the write fails.
+        ep4 = tmp_path / "ep4.cake"
+        assert main(["gen", "even-paz", "--model", "extbc", "--n", "4",
+                     "--format", "cake", "--out", str(ep4)]) == 0
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+        for path, code in ((GOLDEN / "reconverging_bcdag.cake", 0), (ep4, 1)):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "cakewalk", "convert", "--to", "bc", str(path)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            )
+            assert proc.stdout.readline() == "{\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert (proc.wait(timeout=120), err) == (code, "")
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "cut-and-choose"),
+        ("gen", "cut-and-choose", "--format", "cake"),
+        ("convert", "--to", "bc", str(GOLDEN / "reconverging_bcdag.cake")),
+    ], ids=["json", "cake", "convert"])
+    def test_one_write_per_result(self, monkeypatch, argv):
+        # Unbuffered (PYTHONUNBUFFERED=1), a write for the closing newline
+        # after the text would fail on a pipe that ``head -1`` has closed.
+        class Writes(io.StringIO):
+            calls = 0
+
+            def write(self, text):
+                self.calls += 1
+                return super().write(text)
+
+        out = Writes()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(list(argv)) == 0
+        assert out.calls == 1
+        assert out.getvalue().endswith("}\n" if "cake" not in argv else ")\n")
+
+    @pytest.mark.parametrize("name", ["even-paz", "dubins-spanier"])
+    def test_default_model_names_the_forms(self, capsys, name):
+        code, out, err = run_cli(capsys, "gen", name)
+        assert (code, out) == (1, "")
+        assert err == f"error: {name} exists in gcc and extbc forms\n"
+
+    @pytest.mark.parametrize("argv, err", [
+        (("gen", "cut-and-choose", "--n", "5"), "cut-and-choose is a 2-agent protocol"
+         ", not 5 agents"),
+        (("gen", "selfridge-conway", "--model", "gcc", "--n", "2"),
+         "selfridge-conway is a 3-agent protocol, not 2 agents"),
+        (("run", "--gen", "cut-and-choose", "--n", "5", "--random-vals", "1"),
+         "cut-and-choose is a 2-agent protocol, not 5 agents"),
+        (("run", "--gen", "selfridge-conway", "--n", "4", "--random-vals", "1"),
+         "selfridge-conway is a 3-agent protocol, not 4 agents"),
+    ], ids=["gen-cc", "gen-sc", "run-cc", "run-sc"])
+    def test_fixed_size_generator_refuses_another_n(self, capsys, argv, err):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {err}\n")
+
+    def test_fixed_size_generator_takes_its_own_n(self, capsys):
+        assert run_cli(capsys, "gen", "cut-and-choose", "--n", "2") \
+            == run_cli(capsys, "gen", "cut-and-choose")
 
     def test_gen_cake_format(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "cut-and-choose", "--format", "cake")
@@ -376,8 +442,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["stats", "fmt"])
     def test_400_deep_chain_is_processed(self, capsys, tmp_path, command):
-        # Reading, lowering, validating, renumbering, counting and printing
-        # each cost at most two Python frames per level.
+        # Only lowering costs a Python frame per level: reading, validating,
+        # renumbering, counting and printing keep a stack.
         code, out, _ = run_cli(capsys, command, self.chain(tmp_path, 400, ".cake"))
         assert code == 0
         assert "depth: 401" in out if command == "stats" else out.count("\n") == 402

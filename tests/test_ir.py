@@ -423,6 +423,44 @@ class TestValidate:
         assert str(validate(bad)) == str(validate_dag(bad)) != "valid"
 
 
+class TestDeepChains:
+    """Every validator walks on a stack, so a chain ten times deeper than
+    the recursion limit gets a report."""
+
+    DEPTH = 10_000
+
+    def test_bc_cut_chain(self):
+        node = BcLeaf(self.DEPTH, (1,) * (self.DEPTH + 1))
+        for nid in reversed(range(self.DEPTH)):
+            node = BcCut(nid, 1, 1, node)
+        assert validate_bc(BcTree(1, node)).ok
+        assert not validate_bc(BcTree(2, BcChoose(-1, 3, (node,)))).ok
+
+    def test_dag_chain_and_cycle(self):
+        last = self.DEPTH - 1
+        nodes = {nid: DagChoose(nid, 1, (nid + 1,)) for nid in range(last)}
+        assert validate_dag(BcDag(1, 0, {**nodes, last: DagLeaf(last, (1,))})).ok
+        report = validate_dag(BcDag(1, 0, {**nodes, last: DagChoose(last, 1, (0,))}))
+        assert str(report) == f"error: [node {last} #{last}] cycle through node 0"
+
+    def test_ext_choose_chain_below_a_cut(self):
+        node = ExtLeaf(self.DEPTH + 1, (ExtSegment(ORIGIN, at(0), 1),
+                                        ExtSegment(at(0), END, 2)))
+        for nid in reversed(range(1, self.DEPTH + 1)):
+            node = ExtChoose(nid, 1, (node,))
+        assert validate_ext(ExtBcTree(2, ExtCut(0, 1, ORIGIN, END, node))).ok
+
+    def test_gcc_if_else_chain_below_the_allocations(self):
+        node = GccLeaf(self.DEPTH + 3)
+        for nid in reversed(range(3, self.DEPTH + 3)):
+            node = GccIfElse(nid, ((ELSE, node),))
+        node = GccChoose(2, 2, ((at(0), END),), node)
+        root = GccCut(0, 1, ((ORIGIN, END),), GccChoose(1, 1, ((ORIGIN, at(0)),), node))
+        for mode in GccMode:
+            report = validate_gcc(GccTree(2, root), mode)
+            assert report.ok and not report.warnings
+
+
 class TestStats:
     def test_single_leaf(self):
         s = stats(bc_leaf_only())
