@@ -143,12 +143,6 @@ class _HumanAbort(Exception):
 def human_strategy(agent: int) -> Strategy:
     """Interactive decisions for one agent, with re-prompts on bad input."""
 
-    def describe(ctx: DecisionContext):
-        print(f"\n[agent {agent}] current partition:", file=sys.stderr)
-        for k, (lo, hi) in enumerate(ctx.partition, start=1):
-            print(f"  piece {k}: [{format_frac(lo)}, {format_frac(hi)}]"
-                  f"  (~[{float(lo):.6f}, {float(hi):.6f}])", file=sys.stderr)
-
     def ask(prompt: str) -> str:
         print(prompt, end="", flush=True, file=sys.stderr)
         line = sys.stdin.readline()
@@ -156,58 +150,42 @@ def human_strategy(agent: int) -> Strategy:
             raise EOFError
         return line.strip()
 
+    def index(what: str, count: int) -> int:
+        while True:
+            raw = ask(f"{what} 1..{count}: ")
+            if raw.isdigit() and 1 <= int(raw) <= count:
+                return int(raw) - 1
+            print(f"  not a legal {what}, try again", file=sys.stderr)
+
+    def position(lo: Fraction, hi: Fraction) -> Fraction:
+        while True:
+            raw = ask(f"cut position in [{format_frac(lo)}, {format_frac(hi)}]"
+                      f" (fraction like 1/3): ")
+            try:
+                z = Fraction(raw)
+            except (ValueError, ZeroDivisionError):
+                print("  not a fraction, try again", file=sys.stderr)
+                continue
+            if lo <= z <= hi:
+                return z
+            print("  outside the mandated piece, try again", file=sys.stderr)
+
     def play(ctx: DecisionContext):
-        describe(ctx)
+        print(f"\n[agent {agent}] current partition:", file=sys.stderr)
+        for k, (lo, hi) in enumerate(ctx.partition, start=1):
+            print(f"  piece {k}: [{format_frac(lo)}, {format_frac(hi)}]"
+                  f"  (~[{float(lo):.6f}, {float(hi):.6f}])", file=sys.stderr)
         try:
-            if ctx.kind == "cut":
-                lo, hi = ctx.pieces[0]
-                while True:
-                    raw = ask(f"cut position in [{format_frac(lo)}, {format_frac(hi)}]"
-                              f" (fraction like 1/3): ")
-                    try:
-                        z = Fraction(raw)
-                    except (ValueError, ZeroDivisionError):
-                        print("  not a fraction, try again", file=sys.stderr)
-                        continue
-                    if lo <= z <= hi:
-                        return z
-                    print("  outside the mandated piece, try again", file=sys.stderr)
             if ctx.kind == "branch":
-                while True:
-                    raw = ask(f"branch 1..{ctx.branches}: ")
-                    if raw.isdigit() and 1 <= int(raw) <= ctx.branches:
-                        return int(raw) - 1
-                    print("  not a legal branch, try again", file=sys.stderr)
-            if ctx.kind == "gcc-choose":
-                for j, (lo, hi) in enumerate(ctx.pieces, start=1):
-                    print(f"  option {j}: [{format_frac(lo)}, {format_frac(hi)}]",
-                          file=sys.stderr)
-                while True:
-                    raw = ask(f"piece 1..{len(ctx.pieces)}: ")
-                    if raw.isdigit() and 1 <= int(raw) <= len(ctx.pieces):
-                        return int(raw) - 1
-                    print("  not a legal piece, try again", file=sys.stderr)
-            # gcc-cut: pick a piece, then a position inside it
+                return index("branch", ctx.branches)
+            if ctx.kind == "cut":
+                return position(*ctx.pieces[0])
+            # gcc-choose picks a piece; gcc-cut picks one, then cuts in it
             for j, (lo, hi) in enumerate(ctx.pieces, start=1):
                 print(f"  option {j}: [{format_frac(lo)}, {format_frac(hi)}]",
                       file=sys.stderr)
-            while True:
-                raw = ask(f"piece to cut 1..{len(ctx.pieces)}: ")
-                if raw.isdigit() and 1 <= int(raw) <= len(ctx.pieces):
-                    j = int(raw) - 1
-                    break
-                print("  not a legal piece, try again", file=sys.stderr)
-            lo, hi = ctx.pieces[j]
-            while True:
-                raw = ask(f"cut position in [{format_frac(lo)}, {format_frac(hi)}]: ")
-                try:
-                    z = Fraction(raw)
-                except (ValueError, ZeroDivisionError):
-                    print("  not a fraction, try again", file=sys.stderr)
-                    continue
-                if lo <= z <= hi:
-                    return j, z
-                print("  outside that piece, try again", file=sys.stderr)
+            j = index("piece", len(ctx.pieces))
+            return j if ctx.kind == "gcc-choose" else (j, position(*ctx.pieces[j]))
         except EOFError:
             raise _HumanAbort(ctx.events)
 

@@ -376,11 +376,6 @@ def step_choose(p: Protocol, state: ExecState, index: int) -> ExecState:
     raise DomainError("current node is not a choose")
 
 
-def eval_condition(cond: Condition, state: ExecState) -> bool:
-    """Run-time condition semantics; Less is strict position comparison."""
-    return _holds(cond, dict(state.cuts), dict(state.picks), ZERO, ONE)
-
-
 def step_ifelse(p: Protocol, state: ExecState) -> ExecState:
     node = _node_of(p, state)
     assert isinstance(node, GccIfElse)

@@ -4,6 +4,22 @@ Each generator returns protocol(s) plus a ``StrategyBundle`` encoding the
 honest play from the protocol's original statement (equal-thirds cuts,
 trim-to-second-largest, preferred-piece picks, ...), built from exact mark
 queries so the classical fairness guarantees hold with exact equality.
+
+The play at each decision node is one of five roles, each one act in
+every protocol form (a GCC cut answers ``(piece, position)``):
+
+- ``("pick-max", listed)``: the most valuable of the listed partition
+  pieces (numbered from 1), or of the offered pieces when ``listed`` is
+  ``None``; the first on a tie.
+- ``("mark", t[, left, right])``: value fraction ``t`` of the region
+  between two refs (by default the offered piece), clamped into the
+  offered piece.
+- ``("trim", listed)``: the most valuable listed or offered piece, trimmed
+  to the value of the second (a BC cut is offered the piece it trims).
+- ``("share-side", k, left, leftmost)``: left (0) when the mark of 1/k of
+  ``[left, 1]`` lies strictly left of the leftmost cut, else right (1).
+- ``("gap-for-mark", t, left, right, gaps)``: the first gap holding the
+  mark of ``t`` of ``[left, right]``, else the last.
 """
 
 from __future__ import annotations
@@ -13,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .engine import BranchChosen, DecisionContext, Strategy
+from .engine import DecisionContext, Strategy, resolve_ref
 from .errors import DomainError
 from .ir import (
     And, BcChoose, BcCut, BcLeaf, BcTree, ChoseAt, Condition, CutInAt,
@@ -36,81 +52,55 @@ class StrategyBundle:
     """Named per-agent strategies bound to the protocols a generator built."""
 
     name: str
-    _profiles: dict[int, list[Strategy]] = field(default_factory=dict)
+    # id(protocol) -> (protocol, strategies); the protocol is kept so that
+    # its id cannot be reused by another object while the entry exists
+    _profiles: dict[int, tuple[object, list[Strategy]]] = field(default_factory=dict)
 
     def register(self, protocol, strategies: Sequence[Strategy]):
-        self._profiles[id(protocol)] = list(strategies)
+        self._profiles[id(protocol)] = (protocol, list(strategies))
 
     def strategies_for(self, protocol) -> list[Strategy]:
-        try:
-            return self._profiles[id(protocol)]
-        except KeyError:
+        bound, strategies = self._profiles.get(id(protocol), (None, None))
+        if bound is not protocol:
             raise DomainError("bundle is not bound to this protocol")
+        return strategies
 
 
-def _resolve(ref: CutRef, ctx: DecisionContext) -> Fraction:
-    if ref.kind == "origin":
-        return ZERO
-    if ref.kind == "end":
-        return ONE
-    return ctx.cut_positions[ref.cut]
+def _values(listed, ctx: DecisionContext) -> list[Fraction]:
+    """The values of the listed partition pieces, or of the offered ones."""
+    v = ctx.valuation
+    if listed is None:
+        return [v.value(lo, hi) for lo, hi in ctx.pieces]
+    return [v.value(*ctx.partition[p - 1]) for p in listed]
 
 
-def _argmax(values: Sequence[Fraction]) -> int:
-    best = 0
-    for i, v in enumerate(values):
-        if v > values[best]:
-            best = i
-    return best
+def _renumber_refs(items: tuple, mapping: dict[int, int]) -> tuple:
+    """``items`` with every cut ref inside it, at any depth, renumbered."""
+    out = []
+    for x in items:
+        if isinstance(x, CutRef):
+            x = at(mapping[x.cut]) if x.kind == "cut" else x
+        elif isinstance(x, tuple):
+            x = _renumber_refs(x, mapping)
+        out.append(x)
+    return tuple(out)
 
 
-def _clamp(z: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
-    return min(max(z, lo), hi)
+def _bind(bundle: "StrategyBundle", protocol, roles: dict[int, tuple], agents: int):
+    """Renumber to preorder ids and register one strategy for every agent:
+    it plays the role recorded at each node, whose cut refs are renumbered
+    too."""
+    fixed, mapping = renumber(protocol)
+    roles = {mapping[nid]: _renumber_refs(role, mapping) for nid, role in roles.items()}
 
-
-def _role_strategies(agents: int, roles: dict[int, tuple]) -> list[Strategy]:
-    """One strategy per agent; each dispatches on the node's recorded role."""
-
-    def handle(ctx: DecisionContext):
+    def play(ctx: DecisionContext):
         try:
             role = roles[ctx.node.nid]
         except KeyError:
             raise DomainError(f"no intended play recorded for node {ctx.node.nid}")
         return _play_role(role, ctx)
 
-    return [handle for _ in range(agents)]
-
-
-def _remap_role(role: tuple, mapping: dict[int, int]) -> tuple:
-    def fix(ref: CutRef) -> CutRef:
-        return at(mapping[ref.cut]) if ref.kind == "cut" else ref
-
-    kind = role[0]
-    if kind == "pick-max-remaining":
-        _, trims, watch = role
-        return (kind, trims, mapping[watch])
-    if kind == "share-cut":
-        _, k, left = role
-        return (kind, k, fix(left))
-    if kind == "share-side":
-        _, k, left, cur = role
-        return (kind, k, fix(left), fix(cur))
-    if kind in ("region-mark", "gcc-region-mark"):
-        _, t, lo, hi = role
-        return (kind, t, fix(lo), fix(hi))
-    if kind == "gap-for-mark":
-        _, t, lo, hi, gaps = role
-        return (kind, t, fix(lo), fix(hi),
-                tuple((fix(a), fix(b)) for a, b in gaps))
-    return role
-
-
-def _bind(bundle: "StrategyBundle", protocol, roles: dict[int, tuple], agents: int):
-    """Renumber to preorder ids and register the remapped roles."""
-    fixed, mapping = renumber(protocol)
-    new_roles = {mapping[nid]: _remap_role(role, mapping)
-                 for nid, role in roles.items()}
-    bundle.register(fixed, _role_strategies(agents, new_roles))
+    bundle.register(fixed, [play] * agents)
     return fixed
 
 
@@ -118,86 +108,46 @@ def _play_role(role: tuple, ctx: DecisionContext):
     v = ctx.valuation
     kind = role[0]
 
-    if kind == "mark":  # cut at a value fraction of the mandated interval
-        _, t = role
-        lo, hi = ctx.pieces[0]
-        return v.mark(lo, hi, t)
+    if kind == "pick-max":  # max and index both take the first on a tie
+        values = _values(role[1], ctx)
+        return values.index(max(values))
 
-    if kind == "pick-max-branch":  # branches stand for the listed pieces
-        _, piece_indices = role
-        vals = [v.value(*ctx.partition[p - 1]) for p in piece_indices]
-        return _argmax(vals)
+    if kind == "mark":
+        j, (lo, hi) = 0, ctx.pieces[0]
+        if len(role) == 2:
+            z = v.mark(lo, hi, role[1])
+        else:
+            _, t, left, right = role
+            positions = ctx.cut_positions
+            z = v.mark(resolve_ref(left, positions), resolve_ref(right, positions), t)
+            z = min(max(z, lo), hi)
 
-    if kind == "pick-max-piece":  # gcc choose: offered pieces directly
-        return _argmax([v.value(lo, hi) for lo, hi in ctx.pieces])
-
-    if kind == "trim-cut":  # shave the piece down to the second-largest value
-        _, big_pieces = role
-        lo, hi = ctx.pieces[0]
-        values = sorted(
-            (v.value(*ctx.partition[p - 1]) for p in big_pieces), reverse=True
-        )
-        second, total = values[1], v.value(lo, hi)
-        t = min(second / total, ONE) if total else ZERO
-        return v.mark(lo, hi, t)
-
-    if kind == "gcc-trim":  # pick the largest piece of S and trim it
-        j = _argmax([v.value(lo, hi) for lo, hi in ctx.pieces])
-        values = sorted((v.value(lo, hi) for lo, hi in ctx.pieces), reverse=True)
-        second = values[1]
+    elif kind == "trim":
+        listed = role[1]
+        values = _values(listed, ctx)
+        j = values.index(max(values)) if listed is None else 0
         lo, hi = ctx.pieces[j]
-        total = v.value(lo, hi)
-        t = min(second / total, ONE) if total else ZERO
-        return j, v.mark(lo, hi, t)
+        second, total = sorted(values, reverse=True)[1], v.value(lo, hi)
+        z = v.mark(lo, hi, min(second / total, ONE) if total else ZERO)
 
-    if kind == "gcc-mark":  # cut piece 0 of S at a value fraction
-        _, t = role
-        lo, hi = ctx.pieces[0]
-        return 0, v.mark(lo, hi, t)
-
-    if kind == "pick-max-remaining":  # branches = pieces minus an earlier pick
-        _, trim_pieces, watch_node = role
-        taken = None
-        for ev in ctx.events:
-            if isinstance(ev, BranchChosen) and ev.node == watch_node:
-                taken = ev.index
-        remaining = [p for k, p in enumerate(trim_pieces) if k != taken]
-        vals = [v.value(*ctx.partition[p - 1]) for p in remaining]
-        return _argmax(vals)
-
-    if kind == "share-cut":  # cut 1/k of the value of [left, 1]
-        _, k, left = role
-        lo, hi = ctx.pieces[0]
-        left_pos = _resolve(left, ctx)
-        z = _clamp(v.mark(left_pos, ONE, Fraction(1, k)), lo, hi)
-        return (0, z) if ctx.kind == "gcc-cut" else z
-
-    if kind == "share-side":  # go left of the current leftmost cut, or right
+    elif kind == "share-side":
         _, k, left, leftmost = role
-        target = v.mark(_resolve(left, ctx), ONE, Fraction(1, k))
-        return 0 if target < _resolve(leftmost, ctx) else 1
+        positions = ctx.cut_positions
+        target = v.mark(resolve_ref(left, positions), ONE, Fraction(1, k))
+        return 0 if target < resolve_ref(leftmost, positions) else 1
 
-    if kind == "region-mark":  # cut at a value fraction of [left, right]
-        _, t, left, right = role
-        lo, hi = ctx.pieces[0]
-        target = v.mark(_resolve(left, ctx), _resolve(right, ctx), t)
-        return _clamp(target, lo, hi)
-
-    if kind == "gcc-region-mark":
-        _, t, left, right = role
-        lo, hi = ctx.pieces[0]
-        target = v.mark(_resolve(left, ctx), _resolve(right, ctx), t)
-        return 0, _clamp(target, lo, hi)
-
-    if kind == "gap-for-mark":  # pick the branch whose gap holds the mark
+    elif kind == "gap-for-mark":
         _, t, left, right, gaps = role
-        target = v.mark(_resolve(left, ctx), _resolve(right, ctx), t)
+        positions = ctx.cut_positions
+        target = v.mark(resolve_ref(left, positions), resolve_ref(right, positions), t)
         for g, (glo, ghi) in enumerate(gaps):
-            if _resolve(glo, ctx) <= target <= _resolve(ghi, ctx):
+            if resolve_ref(glo, positions) <= target <= resolve_ref(ghi, positions):
                 return g
         return len(gaps) - 1
 
-    raise DomainError(f"unknown role {kind!r}")
+    else:
+        raise DomainError(f"unknown role {kind!r}")
+    return (j, z) if ctx.kind == "gcc-cut" else z
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +165,7 @@ def gen_cut_and_choose() -> tuple[BcTree, GccTree, StrategyBundle]:
     bc = BcTree(2, BcCut(cut_id, 1, 1,
                          BcChoose(choose_id, 2, (keep_left, keep_right))))
     roles[cut_id] = ("mark", HALF)
-    roles[choose_id] = ("pick-max-branch", (1, 2))
+    roles[choose_id] = ("pick-max", (1, 2))
 
     ggen = IdGen()
     groles: dict[int, tuple] = {}
@@ -229,8 +179,8 @@ def gen_cut_and_choose() -> tuple[BcTree, GccTree, StrategyBundle]:
                                           (ChoseAt(gchoose, 0), left_branch),
                                           (ELSE, right_branch),
                                       )))))
-    groles[gcut] = ("gcc-mark", HALF)
-    groles[gchoose] = ("pick-max-piece",)
+    groles[gcut] = ("mark", HALF)
+    groles[gchoose] = ("pick-max", None)
 
     bundle = StrategyBundle("halve-and-pick")
     bc = _bind(bundle, bc, roles, 2)
@@ -261,12 +211,12 @@ def gen_selfridge_conway_bc() -> tuple[BcTree, StrategyBundle]:
         # pieces t+1, t+2, t+3.
         trims = (t + 1, t + 2, t + 3)
         first_id = gen()
-        roles[first_id] = ("pick-max-branch", trims)
+        roles[first_id] = ("pick-max", trims)
         branches = []
         for g in range(3):
-            rest = [p for k, p in enumerate(trims) if k != g]
+            rest = tuple(p for k, p in enumerate(trims) if k != g)
             second_id = gen()
-            roles[second_id] = ("pick-max-remaining", trims, first_id)
+            roles[second_id] = ("pick-max", rest)
             leaves = []
             for h in range(2):
                 assign = dict(big_assign)
@@ -289,15 +239,15 @@ def gen_selfridge_conway_bc() -> tuple[BcTree, StrategyBundle]:
         # Agent 2 trims piece t; pieces after the trim: trimmed piece A1 = t,
         # trimmings = t+1, remaining big pieces shift past the split.
         trim_id = gen()
-        roles[trim_id] = ("trim-cut", (1, 2, 3))
+        roles[trim_id] = ("trim", (1, 2, 3))
         others4 = [j if j < t else j + 1 for j in (1, 2, 3) if j != t]  # 4-piece frame
         others6 = [j if j < t else j + 3 for j in (1, 2, 3) if j != t]  # 6-piece frame
         pick_id = gen()
-        roles[pick_id] = ("pick-max-branch", (t, others4[0], others4[1]))
+        roles[pick_id] = ("pick-max", (t, others4[0], others4[1]))
 
         # Branch 0: agent 3 takes the trimmed piece; agent 2 divides.
         bc_choice = gen()
-        roles[bc_choice] = ("pick-max-branch", tuple(others6))
+        roles[bc_choice] = ("pick-max", tuple(others6))
         bc_branches = []
         for b in range(2):
             big = {t: 3, others6[b]: 2, others6[1 - b]: 1}
@@ -317,7 +267,7 @@ def gen_selfridge_conway_bc() -> tuple[BcTree, StrategyBundle]:
     first_cut, second_cut, trim_choice = gen(), gen(), gen()
     roles[first_cut] = ("mark", THIRD)
     roles[second_cut] = ("mark", HALF)
-    roles[trim_choice] = ("pick-max-branch", (1, 2, 3))
+    roles[trim_choice] = ("pick-max", (1, 2, 3))
     tree = BcTree(
         3,
         BcCut(first_cut, 1, 1,
@@ -345,24 +295,24 @@ def gen_selfridge_conway_gcc() -> tuple[GccTree, StrategyBundle]:
     roles: dict[int, tuple] = {}
 
     c1, c2, trim = gen(), gen(), gen()
-    roles[c1] = ("gcc-mark", THIRD)
-    roles[c2] = ("gcc-mark", HALF)
-    roles[trim] = ("gcc-trim",)
+    roles[c1] = ("mark", THIRD)
+    roles[c2] = ("mark", HALF)
+    roles[trim] = ("trim", None)
     x0, x1, y = at(c1), at(c2), at(trim)
     bigs = ((ORIGIN, x0), (x0, x1), (x1, END))
 
     def trimming_phase(divider: int, first_picker: int, a2: tuple[CutRef, CutRef]) -> GccNode:
         d1, d2 = gen(), gen()
-        roles[d1] = ("gcc-mark", THIRD)
-        roles[d2] = ("gcc-mark", HALF)
+        roles[d1] = ("mark", THIRD)
+        roles[d2] = ("mark", HALF)
         trims = ((a2[0], at(d1)), (at(d1), at(d2)), (at(d2), a2[1]))
         first_id = gen()
-        roles[first_id] = ("pick-max-piece",)
+        roles[first_id] = ("pick-max", None)
         branches = []
         for g in range(3):
             rest = [trims[k] for k in range(3) if k != g]
             second_id = gen()
-            roles[second_id] = ("pick-max-piece",)
+            roles[second_id] = ("pick-max", None)
             sub = []
             for h in range(2):
                 last = GccChoose(gen(), divider, (rest[1 - h],), GccLeaf(gen()))
@@ -387,12 +337,12 @@ def gen_selfridge_conway_gcc() -> tuple[GccTree, StrategyBundle]:
         a2 = (y, hi)
         others = [bigs[k] for k in range(3) if k != t]
         main_id = gen()
-        roles[main_id] = ("pick-max-piece",)
+        roles[main_id] = ("pick-max", None)
 
         # Agent 3 took the trimmed piece: agent 2 picks a whole piece,
         # agent 1 gets the last, and agent 2 divides the trimmings.
         bc_id = gen()
-        roles[bc_id] = ("pick-max-piece",)
+        roles[bc_id] = ("pick-max", None)
         taken_sub = []
         for b in range(2):
             rest = GccChoose(gen(), 1, (others[1 - b],), trimming_phase(2, 3, a2))
@@ -459,7 +409,7 @@ def gen_dubins_spanier(n: int, model: str) -> tuple:
             k = len(remaining)
             cut_ids = {agent: gen() for agent in remaining}
             for agent in remaining:
-                roles[cut_ids[agent]] = ("share-cut", k, left)
+                roles[cut_ids[agent]] = ("mark", Fraction(1, k), left, END)
             real_branches = []
             for idx, agent in enumerate(remaining):
                 later = remaining[idx + 1 :]
@@ -488,8 +438,9 @@ def gen_dubins_spanier(n: int, model: str) -> tuple:
             return ExtLeaf(gen(), segments + (ExtSegment(left, END, remaining[0]),))
         k = len(remaining)
         first = remaining[0]
+        share = ("mark", Fraction(1, k), left, END)
         first_id = gen()
-        roles[first_id] = ("share-cut", k, left)
+        roles[first_id] = share
 
         def after(idx: int, leftmost: CutRef, owner: int) -> "ExtNode":
             if idx == k:
@@ -499,10 +450,8 @@ def gen_dubins_spanier(n: int, model: str) -> tuple:
             agent = remaining[idx]
             choice_id = gen()
             roles[choice_id] = ("share-side", k, left, leftmost)
-            go_left_id = gen()
-            roles[go_left_id] = ("share-cut", k, left)
-            go_right_id = gen()
-            roles[go_right_id] = ("share-cut", k, left)
+            go_left_id, go_right_id = gen(), gen()
+            roles[go_left_id] = roles[go_right_id] = share
             go_left = ExtCut(go_left_id, agent, left, leftmost,
                              after(idx + 1, at(go_left_id), agent))
             go_right = ExtCut(go_right_id, agent, leftmost, END,
@@ -557,7 +506,7 @@ def gen_even_paz(n: int, model: str) -> tuple:
             m = k // 2
             cuts = {agent: gen() for agent in agents}
             for agent in agents:
-                roles[cuts[agent]] = ("gcc-region-mark", HALF, left, right)
+                roles[cuts[agent]] = ("mark", HALF, left, right)
 
             def halves(i: int, left_set: tuple[int, ...]) -> GccNode:
                 rest = tuple(a for a in agents if a not in left_set)
@@ -621,7 +570,7 @@ def gen_even_paz(n: int, model: str) -> tuple:
         m = k // 2
         first = agents[0]
         first_id = gen()
-        roles[first_id] = ("region-mark", HALF, left, right)
+        roles[first_id] = ("mark", HALF, left, right)
 
         def place(idx: int, order: tuple[tuple[int, CutRef], ...]) -> "ExtNode":
             # order: (agent, cut ref) pairs, leftmost first, for this branch.
@@ -641,7 +590,7 @@ def gen_even_paz(n: int, model: str) -> tuple:
             children = []
             for g, (glo, ghi) in enumerate(gaps):
                 cut_id = gen()
-                roles[cut_id] = ("region-mark", HALF, left, right)
+                roles[cut_id] = ("mark", HALF, left, right)
                 new_order = order[:g] + ((agent, at(cut_id)),) + order[g:]
                 children.append(ExtCut(cut_id, agent, glo, ghi,
                                        place(idx + 1, new_order)))

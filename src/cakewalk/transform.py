@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .engine import (
@@ -49,24 +50,27 @@ class NodeMap:
 
 @dataclass
 class StrategyTransporter:
-    """Maps a full strategy profile for the source protocol onto the target."""
+    """Maps a full strategy profile for the source protocol onto the target:
+    each source strategy ``src`` plays a target decision through
+    ``answer(src, ctx)``, which asks ``src`` in a context derived from ``ctx``."""
 
     description: str
-    _wrap: Callable[[Sequence[Strategy]], list[Strategy]]
+    answer: Callable[[Strategy, DecisionContext], object]
 
     def __call__(self, strategies: Sequence[Strategy]) -> list[Strategy]:
-        return self._wrap(strategies)
+        return [partial(self.answer, src) for src in strategies]
 
 
-def _transporter(description: str,
-                 answer: Callable[[Strategy, DecisionContext], object]
-                 ) -> StrategyTransporter:
-    """Each source strategy ``src`` plays the target through ``answer(src, ctx)``."""
-
-    def wrap(strategies: Sequence[Strategy]) -> list[Strategy]:
-        return [lambda ctx, src=src: answer(src, ctx) for src in strategies]
-
-    return StrategyTransporter(description, wrap)
+def _source_context(ctx: DecisionContext, back: dict[int, int], node,
+                    skip=frozenset()) -> DecisionContext:
+    """``ctx`` asked at the source ``node``: the events, less those at the
+    target nodes in ``skip``, and the cut positions carry the source ids
+    ``back`` gives; the partition carries over, since each target cut copies
+    a source cut."""
+    events = tuple(replace(ev, node=back[ev.node])
+                   for ev in ctx.events if ev.node not in skip)
+    positions = {back[n]: pos for n, pos in ctx.cut_positions.items()}
+    return replace(ctx, node=node, events=events, cut_positions=positions)
 
 
 def _require_valid(report):
@@ -116,16 +120,10 @@ def dag_to_tree(
     tree = BcTree(d.agents, expand(d.root))
 
     def answer(src: Strategy, ctx: DecisionContext):
-        events = tuple(replace(ev, node=back[ev.node]) for ev in ctx.events)
-        positions = {back[n]: pos for n, pos in ctx.cut_positions.items()}
-        src_ctx = replace(
-            ctx, node=d.nodes[back[ctx.node.nid]], events=events,
-            cut_positions=positions,
-        )
-        return src(src_ctx)
+        return src(_source_context(ctx, back, d.nodes[back[ctx.node.nid]]))
 
-    transporter = _transporter("dag-to-tree: nodes map to their copies", answer)
-    return tree, _freeze(fwd), transporter
+    return tree, _freeze(fwd), StrategyTransporter(
+        "dag-to-tree: nodes map to their copies", answer)
 
 
 def retarget_trace(p_target, trace, target_to_source: dict[int, int]):
@@ -225,55 +223,31 @@ def extended_to_bc(
 
     tree = BcTree(t.agents, convert(t.root, (ORIGIN, END)))
 
-    def translate(ctx: DecisionContext):
-        events = []
-        for ev in ctx.events:
-            if ev.node in introduced:
-                continue
-            events.append(replace(ev, node=back[ev.node]))
-        positions = {back[n]: pos for n, pos in ctx.cut_positions.items()}
-        # Every target cut copies a source cut, so both cut the cake alike.
-        return tuple(events), positions, ctx.partition
-
-    def source_cut_position(src, ctx, ext_cut: ExtCut):
-        events, positions, partition = translate(ctx)
-        lo = resolve_ref(ext_cut.left, positions)
-        hi = resolve_ref(ext_cut.right, positions)
-        src_ctx = DecisionContext(
-            node=ext_cut, agent=ext_cut.agent, kind="cut",
-            valuation=ctx.valuation, events=events, pieces=((lo, hi),),
-            partition=partition, cut_positions=positions,
-        )
-        return src(src_ctx)
-
     def answer(src: Strategy, ctx: DecisionContext):
+        # A copied choose has the same children, so its index carries over;
+        # a copied cut, or a choose among the pieces a cut may land in, asks
+        # the source cut for its position.
         nid = ctx.node.nid
         source = ext_nodes[back[nid]]
-        if nid in introduced:
-            z = source_cut_position(src, ctx, source)
-            for k, child in enumerate(ctx.node.children):
-                a, b = ctx.partition[child.piece - 1]
-                if a <= z <= b:
-                    return k
-            raise DomainError(
-                f"source strategy cut at {z}, outside every candidate piece"
-            )
+        src_ctx = _source_context(ctx, back, source, introduced)
         if isinstance(source, ExtCut):
-            return source_cut_position(src, ctx, source)
-        # A copied choose: same children, same index.
-        events, positions, partition = translate(ctx)
-        src_ctx = DecisionContext(
-            node=source, agent=source.agent, kind="branch",
-            valuation=ctx.valuation, events=events,
-            branches=len(source.children), partition=partition,
-            cut_positions=positions,
+            positions = src_ctx.cut_positions
+            span = (resolve_ref(source.left, positions),
+                    resolve_ref(source.right, positions))
+            src_ctx = replace(src_ctx, kind="cut", pieces=(span,), branches=0)
+        decision = src(src_ctx)
+        if nid not in introduced:
+            return decision
+        for k, child in enumerate(ctx.node.children):
+            a, b = ctx.partition[child.piece - 1]
+            if a <= decision <= b:
+                return k
+        raise DomainError(
+            f"source strategy cut at {decision}, outside every candidate piece"
         )
-        return src(src_ctx)
 
-    transporter = _transporter(
-        "extended-to-bc: spanning cuts become piece choices", answer
-    )
-    return tree, _freeze(fwd), transporter
+    return tree, _freeze(fwd), StrategyTransporter(
+        "extended-to-bc: spanning cuts become piece choices", answer)
 
 
 # ---------------------------------------------------------------------------
@@ -368,19 +342,13 @@ def cuts_before_choices_ext(
                 events.append(CutMade(anc_nid, agent, pos))
             else:
                 events.append(BranchChosen(anc_nid, agent, branch))
-        src_ctx = DecisionContext(
-            node=source, agent=source.agent, kind=ctx.kind,
-            valuation=ctx.valuation, events=tuple(events),
-            pieces=ctx.pieces, branches=ctx.branches,
-            partition=partition_of(positions.items()), cut_positions=positions,
-        )
-        return src(src_ctx)
+        return src(replace(ctx, node=source, events=tuple(events),
+                           partition=partition_of(positions.items()),
+                           cut_positions=positions))
 
     identity = _freeze({node.nid: {node.nid} for node in iter_nodes(t)})
-    transporter = _transporter(
-        "cuts-before-choices: same nodes, cut decisions asked earlier", answer
-    )
-    return out, identity, transporter
+    return out, identity, StrategyTransporter(
+        "cuts-before-choices: same nodes, cut decisions asked earlier", answer)
 
 
 # ---------------------------------------------------------------------------

@@ -367,6 +367,29 @@ class TestRun:
         assert alloc.to_json() == payload["allocation"]
 
 
+    def test_human_gcc_prompts(self, capsys, monkeypatch):
+        # Agent 1's gcc-cut asks for a piece, then a position in it; agent
+        # 2's gcc-choose asks for a piece.  Each prompt repeats until legal.
+        answers = ["0", "x", "2", "1", "3/2", "a/b", "1/3",  # the cut
+                   "0", "3", "2"]                              # the choose
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(answers) + "\n"))
+        code, out, err = run_cli(capsys, "run", "--gen", "cut-and-choose",
+                                 "--model", "gcc", "--random-vals", "1",
+                                 "--strategies", "human,human", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        events = payload["trace"]["events"]
+        assert [(e["type"], e.get("piece"), e.get("position"), e.get("index"))
+                for e in events] == [("cut", 0, "1/3", None), ("piece", None, None, 1),
+                                     ("piece", None, None, 0)]
+        assert payload["allocation"] == [[["0", "1/3"]], [["1/3", "1"]]]
+        assert err.count("piece 1..1: ") == 4 and err.count("piece 1..2: ") == 3
+        assert err.count("  not a legal piece, try again") == 5
+        assert err.count("  not a fraction, try again") == 1
+        assert err.count("  outside the mandated piece, try again") == 1
+        assert err.count("  option 1: [0, 1]") == 1
+        assert err.count("  option 2: [1/3, 1]") == 1
+
 class TestVerify:
     def test_equivalent_conversion(self, capsys, cc_json, tmp_path):
         gcc_path = tmp_path / "img.json"

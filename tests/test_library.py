@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction as F
 
@@ -6,8 +7,8 @@ import pytest
 from cakewalk.engine import CutMade, allocation_values, run
 from cakewalk.errors import DomainError
 from cakewalk.ir import (
-    ExtChoose, ExtCut, ExtLeaf, GccCut, GccIfElse, GccMode, iter_nodes,
-    stats, validate_bc, validate_ext, validate_gcc,
+    BcLeaf, BcTree, ExtChoose, ExtCut, ExtLeaf, GccCut, GccIfElse, GccMode,
+    iter_nodes, stats, validate_bc, validate_ext, validate_gcc,
 )
 from cakewalk.library import (
     gen_cut_and_choose, gen_dubins_spanier, gen_even_paz,
@@ -242,3 +243,17 @@ class TestNamedAccess:
         for protocol, validator in checks:
             report = validator(protocol)
             assert report.ok, str(report)
+
+
+class TestStrategyBundle:
+    def test_reused_address_is_not_served(self):
+        # Drop the caller's reference to the bound BC tree, then allocate
+        # many same-sized trees: had the bundle not kept the tree, one of
+        # them could take its address and be served its strategies.
+        bc, _, bundle = gen_cut_and_choose()
+        del bc
+        gc.collect()
+        trees = [BcTree(1, BcLeaf(0, (1,))) for _ in range(5000)]
+        for tree in trees:
+            with pytest.raises(DomainError, match="not bound"):
+                bundle.strategies_for(tree)
