@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import dsl, jsonio, library, oracle, transform
 from .engine import DecisionContext, Strategy, Trace, allocation_values, run
-from .errors import BudgetExceededError, CakeError, DomainError
+from .errors import CakeError, DomainError
 from .ir import (
     BcDag, BcTree, ExtBcTree, GccMode, GccTree, Protocol, renumber, stats, validate,
 )
@@ -512,9 +512,6 @@ def main(argv=None) -> int:
         # Standard output was closed early (``| head``).  Point it at devnull
         # so that the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_FAIL
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except CakeError as exc:
         print(f"error: {exc}", file=sys.stderr)

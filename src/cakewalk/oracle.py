@@ -4,10 +4,12 @@
 agent secure for themselves no matter how everyone else plays, when every
 cut is restricted to a shared finite grid?  Decisions of the queried agent
 are existential, all other decisions (modelled as one adversary) are
-universal, and leaves are scored exactly.  Results are exact for the
-grid-restricted game; they are meaningful for the continuous game only
-when the grid contains the positions the intended strategies need, so
-callers should pin grids explicitly.
+universal, and leaves are scored exactly.  ``check_equiv`` compares two
+protocols by these queries, with all of a notion's value and envy queries
+in one walk per protocol.  Results are exact for the grid-restricted game;
+they are meaningful for the continuous game only when the grid contains the
+positions the intended strategies need, so callers should pin grids
+explicitly.
 
 The game is played on grid indices.  Every position the search visits is a
 grid point: a cut is placed at a grid point of its interval, and every
@@ -37,6 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import itemgetter
 from time import perf_counter
 from typing import Sequence
 
@@ -69,10 +72,6 @@ class Grid:
             raise DomainError("grid must run from 0 to 1")
         if any(a >= b for a, b in zip(self.points, self.points[1:])):
             raise DomainError("grid points must be strictly increasing")
-
-    def within(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, ...]:
-        pts = tuple(x for x in self.points if lo <= x <= hi)
-        return pts if pts else (lo,)  # degenerate window: the forced endpoint
 
     def to_json(self):
         return [format_frac(x) for x in self.points]
@@ -112,9 +111,22 @@ class BoundsQuery:
         return BoundsQuery(agent, tuple(sorted(bounds.items())))
 
 
-def _envy(cross, i: int, j: int) -> int:
-    """envy(i, j) = max(V_i(X_j) - V_i(X_i), 0) from a leaf's cross-values."""
-    return max(cross[i - 1][j - 1] - cross[i - 1][i - 1], 0)
+def _cell(n: int, i: int, j: int) -> int:
+    """The key of V_i(X_j) among a leaf's cross-values."""
+    return (i - 1) * n + j - 1
+
+
+def _value_query(n: int, agent: int) -> tuple:
+    """Maximize V_agent(X_agent); see ``GuaranteeOracle._solve``."""
+    own = _cell(n, agent, agent)
+    return (agent, True, (own,), itemgetter(own))
+
+
+def _envy_query(n: int, agent: int, others: Sequence[int]) -> tuple:
+    """Minimize the agent's total envy toward ``others``; see ``_value_query``."""
+    own, cells = _cell(n, agent, agent), [_cell(n, agent, j) for j in others]
+    return (agent, False, (own, *cells),
+            lambda cross: sum([max(cross[k] - cross[own], 0) for k in cells]))
 
 
 def _same(node):
@@ -135,10 +147,11 @@ class GuaranteeOracle:
     compares are integers over it.  Only the results the queries return are
     ``Fraction``s.
 
-    Leaf cross-value matrices are cached across queries, keyed on (node id,
-    cuts, picks).  On a DAG, subgame results are memoized on the same key,
-    which fully determines the pending allocation; a tree reaches each such
-    key once per query, so there the memo would never hit and stays empty.
+    One walk answers a batch of queries and scores each leaf once, so no
+    leaf is cached.  On a DAG, subgame results are memoized on (walk, node
+    id, cuts, picks), which fully determines the pending allocation; a tree
+    reaches each such key once per walk, so there the memo would never hit
+    and stays empty.  ``budget`` bounds the evaluations of all its walks.
     """
 
     def __init__(self, p: Protocol, vals: Sequence[Valuation], grid: Grid,
@@ -152,8 +165,10 @@ class GuaranteeOracle:
         self.grid = grid
         self.budget = budget
         self.evals = 0
-        self._leaf_cache: dict = {}
         self._memo: dict = {}
+        # Always empty: no leaf is cached.  perfbench/tracer.py swaps it for a
+        # counting dict and reports its size.
+        self._leaf_cache: dict = {}
         self._query = ""
         self._started = 0.0
         prefix = [[v.value(ZERO, x) for x in grid.points] for v in self.vals]
@@ -211,119 +226,113 @@ class GuaranteeOracle:
                  _insert(order, z) if sorts else order)
                 for z in range(lo, hi + 1)]
 
-    def _leaf_cross(self, node, cuts, picks, allocated, order):
-        """Matrix (i, j) = V_i(X_j) * denominator, from the prefix table."""
-        key = (node.nid, cuts, picks)
-        hit = self._leaf_cache.get(key)
-        if hit is None:
-            pieces = _leaf_pieces(node, self.protocol.agents, cuts, order, allocated,
-                                  0, self._last)
-            if not isinstance(node, BcLeaf):
-                try:
-                    check_allocation(pieces, self._last, self.grid.points.__getitem__)
-                except DomainError as exc:
-                    raise ExecutionError(f"allocation invalid at leaf: {exc}",
-                                         node=node.nid)
-            hit = tuple(
-                tuple([sum([row[b] - row[a] for a, b in piece]) for piece in pieces])
-                for row in self._prefix
-            )
-            self._leaf_cache[key] = hit
-        return hit
-
-    def _solve(self, query: str, score, agent: int, agent_maximizes: bool,
-               extremes=None):
-        """Max/min over the game from the root; ``score`` maps a leaf's
-        cross-value matrix to its score.
-
-        ``query`` names the query in budget errors and keys its memo entries.
-        Yes/no queries pass ``extremes=(False, True)``: a side that reaches
-        its own extreme skips its remaining moves, as ``any``/``all`` would.
-        Values and envies pass none and look at every move, so their cost
-        depends on the protocol and the grid, not on the valuations: an
-        early stop at 0 or 1 pays off only for some valuation profiles.
+    def _solve(self, label: str, queries: Sequence[tuple], yes_no=False) -> tuple:
+        """Max/min over the game from the root for a batch of queries, in one
+        walk; one result per query.  ``label`` names the walk in budget errors
+        and keys its memo entries.  A query ``(agent, agent_maximizes, cells,
+        score)`` takes the max at the agent's nodes if ``agent_maximizes``,
+        else the min, and the other elsewhere.  A leaf computes each
+        cross-value some query's ``cells`` name once (keyed by ``_cell``), and
+        ``score`` maps them to the query's integer or bool.  A batch of one
+        yes/no query passes ``yes_no``: a side that reaches its own extreme
+        skips its remaining moves.  Values and envies look at every move, so
+        their cost depends on the protocol and the grid, not on the
+        valuations: an early stop at 0 or 1 pays off only for some profiles.
         """
-        lowest, highest = extremes or (None, None)
+        n, last = self.protocol.agents, self._last
+        plan = [(k, self._prefix[k // n], k % n)
+                for k in sorted({k for _, _, cells, _ in queries for k in cells})]
+        scores = [score for _, _, _, score in queries]
+        # each query's max or min per acting agent, 0 for one no query is about
+        sides = {a: tuple(max if (a == agent) == up else min
+                          for agent, up, _, _ in queries) for a in range(n + 1)}
         memo = self._memo if isinstance(self.protocol, BcDag) else None
-        self._query, self._started = query, perf_counter()
+        self._query, self._started = label, perf_counter()
 
         def rec(node, cuts, picks, allocated, order):
             self.evals += 1
             if self.evals > self.budget:
                 self._over_budget()
             if isinstance(node, _LEAVES):
-                return score(self._leaf_cross(node, cuts, picks, allocated, order))
+                pieces = _leaf_pieces(node, n, cuts, order, allocated, 0, last)
+                if not isinstance(node, BcLeaf):
+                    try:
+                        check_allocation(pieces, last, self.grid.points.__getitem__)
+                    except DomainError as exc:
+                        raise ExecutionError(f"allocation invalid at leaf: {exc}",
+                                             node=node.nid)
+                cross = {k: sum([row[b] - row[a] for a, b in pieces[j]])
+                         for k, row, j in plan}
+                return tuple([score(cross) for score in scores])
             if isinstance(node, GccIfElse):
-                return rec(_branch(node, cuts, picks, 0, self._last),
+                return rec(_branch(node, cuts, picks, 0, last),
                            cuts, picks, allocated, order)
             if memo is not None:
-                key = (query, (node.nid, cuts, picks))
+                key = (label, node.nid, cuts, picks)
                 hit = memo.get(key)
                 if hit is not None:
                     return hit
             nexts = self._moves(node, cuts, picks, allocated, order)
-            if (node.agent == agent) == agent_maximizes:
-                better, result, stop = max, lowest, highest
+            ops = sides.get(node.agent, sides[0])
+            if yes_no:  # a side stops at its own extreme: max at True, min at False
+                stop = ops[0] is max
+                result = (not stop,)
+                for nxt in nexts:
+                    if rec(*nxt)[0] is stop:
+                        result = (stop,)
+                        break
             else:
-                better, result, stop = min, highest, lowest
-            for nxt in nexts:
-                outcome = rec(*nxt)
-                result = outcome if result is None else better(result, outcome)
-                if result == stop:
-                    break
+                outcomes = [rec(*nxt) for nxt in nexts]
+                result = tuple([op(column) for op, column in zip(ops, zip(*outcomes))])
             if memo is not None:
                 memo[key] = result
             return result
 
         return rec(self._node_of(self.protocol.root), (), (), (), ())
 
-    # -- the four guarantee queries ------------------------------------------
+    # -- the four guarantee queries, each a walk of its own --------------------
 
     def can_guarantee(self, query: BoundsQuery) -> bool:
         """Can ``query.agent`` force envy(i, j) <= M_j for every listed j?"""
-        i = query.agent
+        i, n = query.agent, self.protocol.agents
         self._check_agents(i, *(j for j, _ in query.bounds))
-        den = self.denominator
+        den, own = self.denominator, _cell(n, i, i)
         # envy / den <= m  <=>  envy * m.denominator <= m.numerator * den
-        limits = [(j, m.denominator, m.numerator * den) for j, m in query.bounds]
+        limits = [(_cell(n, i, j), m.denominator, m.numerator * den)
+                  for j, m in query.bounds]
 
         def leaf_ok(cross) -> bool:
-            return all(_envy(cross, i, j) * d <= lim for j, d, lim in limits)
+            return all(max(cross[k] - cross[own], 0) * d <= lim for k, d, lim in limits)
 
         pretty = ", ".join(f"{j}: {format_frac(m)}" for j, m in query.bounds)
-        return self._solve(f"can_guarantee({i}, {{{pretty}}})", leaf_ok, i,
-                           agent_maximizes=True, extremes=(False, True))
+        cells = (own, *(k for k, _, _ in limits))
+        return self._solve(f"can_guarantee({i}, {{{pretty}}})",
+                           [(i, True, cells, leaf_ok)], yes_no=True)[0]
 
     def guarantee_value(self, agent: int) -> Fraction:
         """max over the agent's grid strategies of the worst-case V_i(X_i)."""
         self._check_agents(agent)
-        return self._fraction(self._solve(
-            f"guarantee_value({agent})",
-            lambda cross: cross[agent - 1][agent - 1], agent,
-            agent_maximizes=True))
+        query = _value_query(self.protocol.agents, agent)
+        return self._fraction(self._solve(f"guarantee_value({agent})", [query])[0])
 
     def guarantee_pair_envy(self, agent: int, other: int) -> Fraction:
         """min over the agent's strategies of the worst-case envy(agent, other)."""
         self._check_agents(agent, other)
         if agent == other:
             raise DomainError("envy toward oneself is identically zero")
-        return self._fraction(self._solve(
-            f"guarantee_pair_envy({agent}, {other})",
-            lambda cross: _envy(cross, agent, other), agent,
-            agent_maximizes=False))
+        query = _envy_query(self.protocol.agents, agent, (other,))
+        return self._fraction(self._solve(f"guarantee_pair_envy({agent}, {other})",
+                                          [query])[0])
 
     def guarantee_total_envy(self, agent: int) -> Fraction:
         """min over the agent's strategies of the worst-case total envy."""
         self._check_agents(agent)
         others = [j for j in range(1, self.protocol.agents + 1) if j != agent]
-        return self._fraction(self._solve(
-            f"guarantee_total_envy({agent})",
-            lambda cross: sum(_envy(cross, agent, j) for j in others), agent,
-            agent_maximizes=False))
+        query = _envy_query(self.protocol.agents, agent, others)
+        return self._fraction(self._solve(f"guarantee_total_envy({agent})", [query])[0])
 
 
-# Convenience wrappers for one-shot queries; repeated queries against the
-# same protocol should share a GuaranteeOracle for its caches.
+# Convenience wrappers for one-shot queries, each a walk of its own.
 
 
 def can_guarantee(p: Protocol, query: BoundsQuery, grid: Grid,
@@ -409,57 +418,48 @@ class EquivReport:
 def check_equiv(p1: Protocol, p2: Protocol, notion: str, grid: Grid,
                 vals: Sequence[Valuation], bound_samples: int = 32,
                 budget: int = DEFAULT_BUDGET, seed: int = 0) -> EquivReport:
-    """Compare the guarantees two protocols give on a shared grid."""
+    """Compare the guarantees two protocols give on a shared grid: value, total
+    and pairwise in one walk per protocol, strong by one ``can_guarantee`` per
+    bound vector.  The budget is per protocol, and its error names both."""
     if p1.agents != p2.agents:
         raise DomainError("protocols disagree on the number of agents")
     if notion not in Notion.ALL:
         raise DomainError(f"unknown equivalence notion {notion!r}")
     n = p1.agents
-    o1 = GuaranteeOracle(p1, vals, grid, budget)
-    o2 = GuaranteeOracle(p2, vals, grid, budget)
+    agents = range(1, n + 1)
+    # per query: agent, measurement key, what a disagreement reports, query
+    if notion == Notion.VALUE:
+        asks = [(i, f"value[{i}]", "guaranteed value", _value_query(n, i))
+                for i in agents]
+    elif notion == Notion.TOTAL:
+        asks = [(i, f"total[{i}]", "total envy bound",
+                 _envy_query(n, i, [j for j in agents if j != i])) for i in agents]
+    elif notion == Notion.PAIRWISE:
+        asks = [(i, f"pair[{i},{j}]", f"envy({i},{j}) bound", _envy_query(n, i, (j,)))
+                for i in agents for j in agents if i != j]
+    else:
+        asks = [(i, None, f"bounds { {j: str(m) for j, m in v.items()} }:",
+                 BoundsQuery.make(i, v)) for i in agents
+                for v in strong_query_vectors(n, i, bound_samples, seed)]
+
+    def walk(o: GuaranteeOracle) -> list:
+        if notion == Notion.STRONG:
+            return ["yes" if o.can_guarantee(q) else "no" for *_, q in asks]
+        label = "the walk for " + ", ".join(key for _, key, _, _ in asks)
+        return [o._fraction(s) for s in o._solve(label, [q for *_, q in asks])]
+
+    results = []
+    for k, p in enumerate((p1, p2), 1):
+        try:
+            results.append(walk(GuaranteeOracle(p, vals, grid, budget)))
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(
+                f"check_equiv {notion}, protocol {k}: {exc}") from None
     disagreements: list[Disagreement] = []
     measurements: dict = {}
-
-    if notion == Notion.VALUE:
-        for i in range(1, n + 1):
-            a, b = o1.guarantee_value(i), o2.guarantee_value(i)
-            measurements[f"value[{i}]"] = (a, b)
-            if a != b:
-                disagreements.append(
-                    Disagreement(notion, i, f"guaranteed value {a} vs {b}")
-                )
-    elif notion == Notion.TOTAL:
-        for i in range(1, n + 1):
-            a, b = o1.guarantee_total_envy(i), o2.guarantee_total_envy(i)
-            measurements[f"total[{i}]"] = (a, b)
-            if a != b:
-                disagreements.append(
-                    Disagreement(notion, i, f"total envy bound {a} vs {b}")
-                )
-    elif notion == Notion.PAIRWISE:
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                a = o1.guarantee_pair_envy(i, j)
-                b = o2.guarantee_pair_envy(i, j)
-                measurements[f"pair[{i},{j}]"] = (a, b)
-                if a != b:
-                    disagreements.append(
-                        Disagreement(notion, i, f"envy({i},{j}) bound {a} vs {b}")
-                    )
-    else:  # STRONG
-        for i in range(1, n + 1):
-            for vector in strong_query_vectors(n, i, bound_samples, seed):
-                query = BoundsQuery.make(i, vector)
-                a, b = o1.can_guarantee(query), o2.can_guarantee(query)
-                if a != b:
-                    pretty = {j: str(m) for j, m in vector.items()}
-                    disagreements.append(
-                        Disagreement(
-                            notion, i,
-                            f"bounds {pretty}: {'yes' if a else 'no'} vs"
-                            f" {'yes' if b else 'no'}",
-                        )
-                    )
+    for (i, key, what, _), a, b in zip(asks, *results):
+        if key is not None:
+            measurements[key] = (a, b)
+        if a != b:
+            disagreements.append(Disagreement(notion, i, f"{what} {a} vs {b}"))
     return EquivReport(notion, not disagreements, disagreements, grid, measurements)

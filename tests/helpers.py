@@ -212,6 +212,13 @@ def random_dag(rng: random.Random, agents: int = 2, max_nodes: int = 25) -> BcDa
     return dag
 
 
+def grid_within(grid, lo, hi) -> tuple:
+    """The grid points in [lo, hi], or ``(lo,)`` when none is: the cut
+    candidates of the engine-driven oracle and brute force."""
+    pts = tuple(x for x in grid.points if lo <= x <= hi)
+    return pts if pts else (lo,)  # degenerate window: the forced endpoint
+
+
 class CountingMemo(dict):
     """Counts the lookups that find an entry (the oracle reads with ``get``)."""
 

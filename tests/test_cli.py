@@ -413,6 +413,18 @@ class TestVerify:
         assert code == 1
         assert "NOT equivalent" in out
 
+    def test_budget_error_is_one_line(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", str(GOLDEN / "cut_and_choose_bc.cake"),
+            str(GOLDEN / "cut_and_choose_gcc.cake"), "--grid-q", "3",
+            "--random-vals", "2", "--budget", "10",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: check_equiv pairwise, protocol 1: oracle budget"
+                              " of 10 node evaluations exceeded in the walk for")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
 
 class TestDeterminism:
     def test_gen_is_byte_stable(self, capsys):

@@ -23,7 +23,9 @@ from cakewalk.oracle import (
 from cakewalk.transform import bc_to_gcc, dag_to_tree, gcc_to_bc
 from cakewalk.valuation import Valuation, random_valuation, uniform
 
-from helpers import CountingMemo, random_bc_tree, random_gcc, reconverging_dags
+from helpers import (
+    CountingMemo, grid_within, random_bc_tree, random_gcc, reconverging_dags,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +54,7 @@ class BruteForce:
             intervals = cut_intervals(self.p, state)
             out = []
             for j, (lo, hi) in enumerate(intervals):
-                for z in self.grid.within(lo, hi):
+                for z in grid_within(self.grid, lo, hi):
                     out.append(step_cut(self.p, state, j, z))
             return node.agent, out
         if kind == "choose":
@@ -290,6 +292,34 @@ class TestBudget:
             oracle.can_guarantee(BoundsQuery.make(1, {3: F(1, 4), 2: F(0)}))
         with pytest.raises(BudgetExceededError, match=r"in guarantee_total_envy\(3\)"):
             oracle.guarantee_total_envy(3)
+
+    # The walk that runs out of a budget of 9 for cut-and-choose on GRID2:
+    # a protocol's one walk for value, total or pairwise makes 10
+    # evaluations; strong's first bound vector takes fewer.
+    FIRST_QUERY = {"value": r"the walk for value\[1\], value\[2\]",
+                   "total": r"the walk for total\[1\], total\[2\]",
+                   "pairwise": r"the walk for pair\[1,2\], pair\[2,1\]",
+                   "strong": r"can_guarantee\(1, \{2: 1/4\}\)"}
+
+    @pytest.mark.parametrize("notion", Notion.ALL)
+    def test_check_equiv_names_the_notion_and_the_protocol(self, notion):
+        bc, _, _ = gen_cut_and_choose()
+        vals = [uniform(), uniform()]
+        one = leaf_all_to(1, 2)  # one evaluation per walk
+        for k, pair in ((1, (bc, one)), (2, (one, bc))):
+            with pytest.raises(BudgetExceededError, match=(
+                    rf"^check_equiv {notion}, protocol {k}: oracle budget of 9 node"
+                    rf" evaluations exceeded in {self.FIRST_QUERY[notion]}:"
+                    r" 10 evaluations made, [0-9.]+ s elapsed; result inconclusive$")):
+                check_equiv(*pair, notion, GRID2, vals, bound_samples=0, budget=9)
+
+    @pytest.mark.parametrize("notion", ["value", "total", "pairwise"])
+    def test_check_equiv_budget_covers_one_walk_per_protocol(self, notion):
+        bc, _, _ = gen_cut_and_choose()
+        vals = [uniform(), uniform()]
+        assert check_equiv(bc, bc, notion, GRID2, vals, budget=10).equivalent
+        with pytest.raises(BudgetExceededError, match="protocol 1"):
+            check_equiv(bc, bc, notion, GRID2, vals, budget=9)
 
 
 class TestRunTimeErrors:

@@ -3,22 +3,28 @@
 ``FractionOracle`` plays the game the way ``GuaranteeOracle`` did before it
 held states as grid indices: every move is an ``engine`` step on an
 ``ExecState`` of ``Fraction`` positions, cut candidates come from
-``Grid.within``, every leaf is built by ``engine.leaf_allocation`` (which
-checks that it partitions the cake) and valued with ``Valuation.value_of``,
-and envies, sums and bound comparisons are ``Fraction``s.  Its ``_solve``,
-``_actions`` and ``_key`` are the oracle's former code.  So the oracle's
-results, evaluation counts, cache sizes and run-time errors are checked
-against the interpreter's own semantics.
+``helpers.grid_within``, every leaf is built by ``engine.leaf_allocation``
+(which checks that it partitions the cake) and valued with
+``Valuation.value_of``, and envies, sums and bound comparisons are
+``Fraction``s.  Its ``_solve``, ``_actions`` and ``_key`` are the oracle's
+former code, one walk per query with a leaf cache.  So the oracle's results,
+evaluation counts, memo sizes and run-time errors are checked against the
+interpreter's own semantics.
+
+``reference_check_equiv`` is ``check_equiv`` as it was before it answered a
+notion's queries in one walk per protocol: one ``FractionOracle`` query per
+agent, agent pair or bound vector.
 """
 
 import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 
-from cakewalk import oracle
+from cakewalk.cli import load_protocol
 from cakewalk.engine import (
     ExecState, current_kind, cut_intervals, initial_state, leaf_allocation,
     step_choose, step_cut, step_ifelse, _node_of,
@@ -27,22 +33,25 @@ from cakewalk.errors import ExecutionError
 from cakewalk.ir import (
     And, BcChoose, BcCut, BcDag, BcLeaf, BcTree, ChoseAt, CutInAt, DagCut, DagLeaf,
     ELSE, END, ExtBcTree, ExtCut, ExtLeaf, ExtSegment, GccChoose, GccCut, GccIfElse,
-    GccLeaf, GccTree, Less, Not, ORIGIN, Or, at, stats,
+    GccLeaf, GccMode, GccTree, Less, Not, ORIGIN, Or, at, stats,
 )
 from cakewalk.library import (
     gen_cut_and_choose, gen_dubins_spanier, gen_even_paz,
     gen_selfridge_conway_bc, gen_selfridge_conway_gcc,
 )
 from cakewalk.oracle import (
-    BoundsQuery, Grid, GuaranteeOracle, Notion, build_grid, check_equiv,
+    BoundsQuery, Disagreement, EquivReport, Grid, GuaranteeOracle, Notion, build_grid,
+    check_equiv, strong_query_vectors,
 )
-from cakewalk.transform import bc_to_gcc
+from cakewalk.transform import bc_to_gcc, dag_to_tree, gcc_to_bc
 from cakewalk.valuation import ONE, ZERO, random_valuation, uniform
 
 from helpers import (
-    CountingMemo, random_bc_tree, random_ext_tree, random_gcc, reconverging_dags,
+    CountingMemo, grid_within, random_bc_tree, random_ext_tree, random_gcc,
+    reconverging_dags,
 )
 
+GOLDEN = Path(__file__).parent / "golden"
 THIRDS = Grid((F(0), F(1, 3), F(2, 3), F(1)))
 
 
@@ -79,7 +88,7 @@ class FractionOracle(GuaranteeOracle):
             intervals = cut_intervals(self.protocol, state)
             nexts = []
             for j, (lo, hi) in enumerate(intervals):
-                for z in self.grid.within(lo, hi):
+                for z in grid_within(self.grid, lo, hi):
                     nexts.append(step_cut(self.protocol, state, j, z))
             return node.agent, nexts
         count = len(node.children) if kind == "choose" else len(node.pieces)
@@ -202,15 +211,17 @@ def assert_matches_reference(p, vals, grid, budget=5_000_000, agents=None):
             for m in near(envies[j], step)[:2]:
                 query = BoundsQuery.make(i, {**envies, j: m})
                 assert fast.can_guarantee(query) is ref.can_guarantee(query)
+    # A query is a batch of one, so it walks the states the reference walks.
     assert fast.evals == ref.evals
     assert len(fast._memo) == len(ref._memo)
-    assert len(fast._leaf_cache) == len(ref._leaf_cache)
+    assert fast._leaf_cache == {}  # leaves are scored, never cached
     return fast
 
 
 def assert_queries_match(p, vals, grid, *calls):
     """Each ``(method name, args)`` call gives the same result on both
-    oracles, and they make the same evaluations and cache entries."""
+    oracles, they make the same evaluations and memo entries, and the
+    integer oracle caches no leaf."""
     fast = GuaranteeOracle(p, vals, grid)
     ref = FractionOracle(p, vals, grid)
     for name, args in calls:
@@ -222,7 +233,7 @@ def assert_queries_match(p, vals, grid, *calls):
             assert_same_fraction(got, want)
     assert fast.evals == ref.evals
     assert len(fast._memo) == len(ref._memo)
-    assert len(fast._leaf_cache) == len(ref._leaf_cache)
+    assert fast._leaf_cache == {}
 
 
 def profile(agents, seed=1):
@@ -443,18 +454,101 @@ class TestRunTimeErrors:
             assert "outside 1..2" in errors[0][1]
 
 
+def reference_check_equiv(p1, p2, notion, grid, vals, bound_samples=32,
+                          budget=5_000_000, seed=0):
+    """``check_equiv`` with one ``FractionOracle`` query per agent, agent pair
+    or bound vector."""
+    n = p1.agents
+    o1 = FractionOracle(p1, vals, grid, budget)
+    o2 = FractionOracle(p2, vals, grid, budget)
+    disagreements = []
+    measurements = {}
+
+    if notion == Notion.VALUE:
+        for i in range(1, n + 1):
+            a, b = o1.guarantee_value(i), o2.guarantee_value(i)
+            measurements[f"value[{i}]"] = (a, b)
+            if a != b:
+                disagreements.append(
+                    Disagreement(notion, i, f"guaranteed value {a} vs {b}"))
+    elif notion == Notion.TOTAL:
+        for i in range(1, n + 1):
+            a, b = o1.guarantee_total_envy(i), o2.guarantee_total_envy(i)
+            measurements[f"total[{i}]"] = (a, b)
+            if a != b:
+                disagreements.append(
+                    Disagreement(notion, i, f"total envy bound {a} vs {b}"))
+    elif notion == Notion.PAIRWISE:
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
+                a = o1.guarantee_pair_envy(i, j)
+                b = o2.guarantee_pair_envy(i, j)
+                measurements[f"pair[{i},{j}]"] = (a, b)
+                if a != b:
+                    disagreements.append(
+                        Disagreement(notion, i, f"envy({i},{j}) bound {a} vs {b}"))
+    else:
+        for i in range(1, n + 1):
+            for vector in strong_query_vectors(n, i, bound_samples, seed):
+                query = BoundsQuery.make(i, vector)
+                a, b = o1.can_guarantee(query), o2.can_guarantee(query)
+                if a != b:
+                    pretty = {j: str(m) for j, m in vector.items()}
+                    disagreements.append(Disagreement(
+                        notion, i,
+                        f"bounds {pretty}: {'yes' if a else 'no'} vs"
+                        f" {'yes' if b else 'no'}"))
+    return EquivReport(notion, not disagreements, disagreements, grid, measurements)
+
+
 class TestEquivReport:
-    def test_report_json_is_byte_identical(self, monkeypatch):
+    """``check_equiv`` makes one walk per protocol for a notion (strong: one
+    per bound vector); its report's JSON bytes are the per-query
+    reference's, for every notion."""
+
+    @staticmethod
+    def assert_same_reports(p1, p2, grid, vals, seed=0):
+        """Returns each notion's report."""
+        reports = []
+        for notion in Notion.ALL:
+            got, want = (check(p1, p2, notion, grid, vals, bound_samples=4, seed=seed)
+                         for check in (check_equiv, reference_check_equiv))
+            assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+            reports.append(got)
+        return reports
+
+    def test_report_json_is_byte_identical(self):
         bc, _, _ = gen_cut_and_choose()
-        image = bc_to_gcc(bc)
         vals = [random_valuation(4, 3), random_valuation(5, 3)]
-        grid = build_grid(vals, 2)
+        self.assert_same_reports(bc, bc_to_gcc(bc), build_grid(vals, 2), vals)
 
-        def reports():
-            return [json.dumps(check_equiv(bc, image, notion, grid, vals,
-                                           bound_samples=4).to_json())
-                    for notion in Notion.ALL]
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cut_and_choose_against_its_gcc_image(self, seed):
+        bc, _, _ = gen_cut_and_choose()
+        vals = [random_valuation(seed, 2), random_valuation(seed + 1, 2)]
+        self.assert_same_reports(bc, bc_to_gcc(bc), build_grid(vals, 2), vals, seed)
 
-        fast = reports()
-        monkeypatch.setattr(oracle, "GuaranteeOracle", FractionOracle)
-        assert reports() == fast
+    def test_selfridge_conway_against_its_converted_gcc_form(self):
+        # one seed: the reference takes about 11 s here
+        bc, _ = gen_selfridge_conway_bc()
+        gcc, _ = gen_selfridge_conway_gcc()
+        image, _ = gcc_to_bc(gcc, GccMode.RESTRICTED)
+        self.assert_same_reports(bc, image, THIRDS, profile(3, 4), 4)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_reconverging_dag_against_its_tree(self, seed):
+        dag = load_protocol(str(GOLDEN / "reconverging_bcdag.cake"))
+        tree, _, _ = dag_to_tree(dag)
+        vals = two_profile(seed)
+        self.assert_same_reports(dag, tree, build_grid(vals, 3), vals, seed)
+
+    def test_disagreements(self):
+        # the cutter keeps the left piece, against cut-and-choose: every
+        # notion tells them apart, so every disagreement text is compared
+        bc, _, _ = gen_cut_and_choose()
+        cutter_keeps = BcTree(2, BcCut(0, 1, 1, BcLeaf(1, (1, 2))))
+        vals = two_profile(5)
+        reports = self.assert_same_reports(bc, cutter_keeps, build_grid(vals, 2), vals)
+        assert all(report.disagreements for report in reports)
