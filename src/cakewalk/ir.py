@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from functools import cache, partial
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import DomainError
 
@@ -443,18 +443,18 @@ def _check_agent(report, path, nid, agent, n):
         report.error(path, nid, f"agent {agent} out of range 1..{n}")
 
 
-def _check_span(report, path, nid, lo: CutRef, hi: CutRef, cuts: set[int],
-                order: PartialOrder, prefix: str = "") -> bool:
-    """Whether lo..hi is a span at a node below ``cuts``: each ref names an
-    ancestor cut or an end of the cake, and lo <= hi is derivable.  Reports
-    each way it is not."""
+def _check_span(report, path, nid, piece: Piece, span: tuple[int, int], cuts: set[int],
+                rows: _Rows, prefix: str = "") -> bool:
+    """Whether the refs ``piece`` (slots ``span``) make a span at a node
+    below ``cuts``: each names an ancestor cut or an end of the cake, and
+    left <= right is derivable.  Reports each way it is not."""
     ok = True
-    for ref in (lo, hi):
+    for ref in piece:
         if ref.kind == "cut" and ref.cut not in cuts:
             report.error(path, nid, f"ref {ref} is not an ancestor cut")
             ok = False
-    if ok and not order.le_or_eq(lo, hi):
-        report.error(path, nid, f"{prefix}order of {lo} and {hi} is not derivable")
+    if ok and not rows.le(*span):
+        report.error(path, nid, f"{prefix}order of {piece[0]} and {piece[1]} is not derivable")
         ok = False
     return ok
 
@@ -615,74 +615,115 @@ class Order(Enum):
 _ORDERS = {(1, 1): Order.EQ, (1, 0): Order.LE, (0, 1): Order.GE, (0, 0): Order.UNKNOWN}
 
 
-class PartialOrder:
-    """Sound, conservative order over the cut refs visible at one node.
+class _Slots:
+    """One walk's numbering of cut refs by small ints.
 
-    ``index`` numbers the refs in the order they were first named, and bit j
-    of ``up[i]`` says that ref i <= ref j.
+    The origin is 0, the end is 1, and a cut gets the next slot when the
+    walk first names or reaches it, so two refs share a slot exactly when
+    they name the same boundary.  A ref is read by its kind and cut id, not
+    hashed.  ``refs[slot]`` is the ref a slot stands for.
     """
 
-    __slots__ = ("index", "up")
+    __slots__ = ("of", "refs")
 
-    def __init__(self, index: dict[CutRef, int], up: list[int]):
-        self.index = index
-        self.up = up
+    def __init__(self):
+        self.of: dict[int, int] = {}  # cut id -> slot
+        self.refs: list[CutRef] = [ORIGIN, END]
+
+    def cut(self, nid: int) -> int:
+        slot = self.of.get(nid)
+        if slot is None:
+            slot = self.of[nid] = len(self.refs)
+            self.refs.append(at(nid))
+        return slot
+
+    def __call__(self, ref: CutRef) -> int:
+        kind = ref.kind
+        if kind == "cut":
+            return self.cut(ref.cut)
+        return 0 if kind == "origin" else 1
+
+
+class _Rows:
+    """The <= relation known at one node of a walk, over its ``_Slots``.
+
+    ``up`` maps each slot the relation names, in the order first named, to
+    a bit row: bit j of ``up[i]`` says that ref i <= ref j.  A walk copies
+    the rows for a child that learns more and changes no rows it has handed
+    on.
+    """
+
+    __slots__ = ("up",)
+
+    def __init__(self, up: Optional[dict[int, int]] = None):
+        self.up = {0: 0b10, 1: 0} if up is None else up
+
+    def copy(self) -> "_Rows":
+        return _Rows(self.up.copy())
+
+    def le(self, i: int, j: int) -> bool:
+        """Whether i <= j is derivable; each ref is <= itself."""
+        return i == j or self.up.get(i, 0) >> j & 1 == 1
+
+    def eq(self, i: int, j: int) -> bool:
+        """Whether refs i and j coincide in every execution."""
+        get = self.up.get
+        return i == j or get(i, 0) >> j & get(j, 0) >> i & 1 == 1
+
+    def add_le(self, i: int, j: int):
+        up = self.up
+        if i not in up:
+            up[i] = 0
+        if j not in up:
+            up[j] = 0
+        if up[i] >> j & 1:
+            return
+        # Transitive closure, incremental: x <= i <= j <= y.
+        after, bit = up[j] | 1 << j, 1 << i
+        for k, row in up.items():
+            if k == i or row & bit:
+                up[k] = row | after
+
+    def bound_cut(self, z: int, lo: int, hi: int):
+        """Cut ``z`` lies between ``lo`` and ``hi`` and within the cake."""
+        if z not in self.up:
+            self.up[z] = 0
+        self.add_le(lo, z)
+        self.add_le(0, z)
+        self.add_le(z, hi)
+        self.add_le(z, 1)
+
+
+class PartialOrder:
+    """Sound, conservative order over the cut refs visible at one node."""
+
+    __slots__ = ("_slots", "_rows")
+
+    def __init__(self, slots: _Slots, rows: _Rows):
+        self._slots = slots
+        self._rows = rows
 
     @property
     def refs(self) -> tuple[CutRef, ...]:
-        return tuple(self.index)
+        """The refs the order names, in the order first named."""
+        return tuple(self._slots.refs[i] for i in self._rows.up)
+
+    def _slot(self, ref: CutRef) -> Optional[int]:
+        kind = ref.kind
+        i = self._slots.of.get(ref.cut) if kind == "cut" else int(kind != "origin")
+        return i if i in self._rows.up else None
 
     def compare(self, a: CutRef, b: CutRef) -> Order:
         if a == b:
             return Order.EQ
-        i, j = self.index.get(a), self.index.get(b)
+        i, j = self._slot(a), self._slot(b)
         if i is None or j is None:
             return Order.UNKNOWN
-        return _ORDERS[self.up[i] >> j & 1, self.up[j] >> i & 1]
+        up = self._rows.up
+        return _ORDERS[up[i] >> j & 1, up[j] >> i & 1]
 
     def le_or_eq(self, a: CutRef, b: CutRef) -> bool:
         return self.compare(a, b) in (Order.LE, Order.EQ)
-
-
-class _OrderBuilder(PartialOrder):
-    """Incrementally closed <= relation over cut refs; a copy of ``parent``."""
-
-    __slots__ = ()
-
-    def __init__(self, parent: Optional[PartialOrder] = None):
-        if parent is None:
-            super().__init__({ORIGIN: 0, END: 1}, [0b10, 0])
-        else:
-            super().__init__(dict(parent.index), list(parent.up))
-
-    def snapshot(self) -> PartialOrder:
-        """The order so far, sharing this builder's rows: change it no more."""
-        return PartialOrder(self.index, self.up)
-
-    def add_ref(self, ref: CutRef) -> int:
-        i = self.index.get(ref)
-        if i is None:
-            i = self.index[ref] = len(self.up)
-            self.up.append(0)
-        return i
-
-    def add_le(self, a: CutRef, b: CutRef):
-        i, j = self.add_ref(a), self.add_ref(b)
-        if self.up[i] >> j & 1:
-            return
-        # Transitive closure, incremental: x <= a <= b <= y.
-        after, bit = self.up[j] | 1 << j, 1 << i
-        for k, row in enumerate(self.up):
-            if k == i or row & bit:
-                self.up[k] = row | after
-
-    def bounded_cut(self, ref: CutRef, lows: Iterable[CutRef], highs: Iterable[CutRef]):
-        """New cut known to satisfy low <= ref <= high for each bound."""
-        self.add_ref(ref)
-        for low in lows:
-            self.add_le(low, ref)
-        for high in highs:
-            self.add_le(ref, high)
 
 
 def _ext_path_to(t: ExtBcTree, target_nid: int):
@@ -706,13 +747,11 @@ def static_cut_order(t: ExtBcTree, at_nid: int) -> PartialOrder:
     path = _ext_path_to(t, at_nid)
     if path is None:
         raise DomainError(f"node {at_nid} not found")
-    builder = _OrderBuilder()
+    slots, rows = _Slots(), _Rows()
     for node in path[:-1]:
         if isinstance(node, ExtCut):
-            builder.bounded_cut(at(node.nid), [node.left], [node.right])
-            builder.add_le(ORIGIN, at(node.nid))
-            builder.add_le(at(node.nid), END)
-    return builder.snapshot()
+            rows.bound_cut(slots.cut(node.nid), slots(node.left), slots(node.right))
+    return PartialOrder(slots, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -721,16 +760,18 @@ def static_cut_order(t: ExtBcTree, at_nid: int) -> PartialOrder:
 
 def validate_ext(t: ExtBcTree) -> ValidationReport:
     report = ValidationReport()
+    slots = _Slots()
 
     # A node's context: the ids of the cuts above it and their order.
     def visit(node, path, ctx):
-        cuts, builder = ctx
+        cuts, rows = ctx
         nid = node.nid
         if isinstance(node, ExtCut):
             _check_agent(report, path, nid, node.agent, t.agents)
-            _check_span(report, path, nid, node.left, node.right, cuts, builder.snapshot())
-            sub = _OrderBuilder(builder)
-            sub.bounded_cut(at(nid), [node.left, ORIGIN], [node.right, END])
+            lo, hi = slots(node.left), slots(node.right)
+            _check_span(report, path, nid, (node.left, node.right), (lo, hi), cuts, rows)
+            sub = rows.copy()
+            sub.bound_cut(slots.cut(nid), lo, hi)
             return ((cuts | {nid}, sub),)
         if isinstance(node, ExtChoose):
             _check_agent(report, path, nid, node.agent, t.agents)
@@ -742,55 +783,55 @@ def validate_ext(t: ExtBcTree) -> ValidationReport:
             if not segs:
                 report.error(path, nid, "leaf with no segments")
                 return ()
-            if segs[0].left != ORIGIN:
+            spans = [(slots(seg.left), slots(seg.right)) for seg in segs]
+            if spans[0][0] != 0:
                 report.error(path, nid, "first segment must start at the origin")
-            if segs[-1].right != END:
+            if spans[-1][1] != 1:
                 report.error(path, nid, "last segment must end at the cake's end")
             for k in range(len(segs) - 1):
-                if segs[k].right != segs[k + 1].left:
+                if spans[k][1] != spans[k + 1][0]:
                     report.error(path, nid,
                                  f"segments {k} and {k + 1} do not share an endpoint")
-            order = builder.snapshot()
             for k, seg in enumerate(segs):
                 _check_agent(report, path, nid, seg.agent, t.agents)
-                _check_span(report, path, nid, seg.left, seg.right, cuts, order,
+                _check_span(report, path, nid, (seg.left, seg.right), spans[k], cuts, rows,
                             f"segment {k}: ")
         else:
             report.error(path, nid, f"unknown node type {type(node).__name__}")
         return ()
 
-    return _walk(report, t.root, (set(), _OrderBuilder()), visit)
+    return _walk(report, t.root, (set(), _Rows()), visit)
 
 
 # ---------------------------------------------------------------------------
 # GCC validation
 
 
-def _refine_with_condition(builder: "_OrderBuilder", cond: Condition, ancestors):
+def _refine_with_condition(rows: _Rows, cond: Condition, ancestors, slots: _Slots):
     """Add the order facts a taken branch's condition implies (sound only
     for conjunctive positive atoms; disjunctions and negations teach nothing
     safely and are skipped)."""
     if isinstance(cond, And):
         for part in cond.parts:
-            _refine_with_condition(builder, part, ancestors)
+            _refine_with_condition(rows, part, ancestors, slots)
     elif isinstance(cond, Less):
-        builder.add_le(cond.left, cond.right)
+        rows.add_le(slots(cond.left), slots(cond.right))
     elif isinstance(cond, CutInAt):
-        info = ancestors.get(cond.node)
-        if info is not None and info[0] == "cut":
-            node = info[1]
-            if 0 <= cond.index < len(node.pieces):
-                lo, hi = node.pieces[cond.index]
-                builder.add_le(lo, at(cond.node))
-                builder.add_le(at(cond.node), hi)
+        kind, spans = ancestors.get(cond.node, (None, ()))
+        if kind == "cut" and 0 <= cond.index < len(spans):
+            lo, hi = spans[cond.index]
+            z = slots.cut(cond.node)
+            rows.add_le(lo, z)
+            rows.add_le(z, hi)
 
 
-def _eval_condition_static(cond: Condition, picks: dict[int, int], order: PartialOrder):
+def _eval_condition_static(cond: Condition, picks: dict[int, int], rows: _Rows,
+                           slots: _Slots):
     """Three-valued evaluation against a symbolic pick assignment."""
 
     def atom(a) -> Verdict:
         if isinstance(a, Less):
-            if order.compare(a.left, a.right) in (Order.EQ, Order.GE):
+            if rows.le(slots(a.right), slots(a.left)):
                 return False
             return None  # LE permits equality, so strictness stays unknown
         if a.node not in picks:
@@ -805,84 +846,90 @@ _SYMBOLIC_STATE_CAP = 4096
 
 def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationReport:
     report = ValidationReport()
+    slots = _Slots()
+    restricted = mode is GccMode.RESTRICTED
 
-    def provably_disjoint(a: Piece, b: Piece, order) -> bool:
-        return order.le_or_eq(a[1], b[0]) or order.le_or_eq(b[1], a[0])
-
-    def check_pieces(path, node, cuts, order):
+    # A piece travels as its refs, for reports, and their slots (a span);
+    # the checks read only the spans.
+    def check_pieces(path, node, spans, cuts, rows):
         pieces = node.pieces
         if not pieces:
             report.error(path, node.nid, "empty piece set")
             return
-        usable = [p for p in pieces
-                  if _check_span(report, path, node.nid, p[0], p[1], cuts, order)]
-        for i in range(len(usable)):
-            for j in range(i + 1, len(usable)):
-                if not provably_disjoint(usable[i], usable[j], order):
-                    report.error(path, node.nid, f"pieces {usable[i]} and {usable[j]} may overlap")
-        if mode is GccMode.RESTRICTED:
-            for piece in usable:
-                for cut_nid in cuts:
-                    z = at(cut_nid)
-                    if z == piece[0] or z == piece[1]:
-                        continue
-                    if not (order.le_or_eq(z, piece[0]) or order.le_or_eq(piece[1], z)):
+        usable = [(piece, span) for piece, span in zip(pieces, spans)
+                  if _check_span(report, path, node.nid, piece, span, cuts, rows)]
+        le = rows.le
+        for i, (piece, (lo, hi)) in enumerate(usable):
+            for other, (other_lo, other_hi) in usable[i + 1:]:
+                if not (le(hi, other_lo) or le(other_hi, lo)):
+                    report.error(path, node.nid, f"pieces {piece} and {other} may overlap")
+        if restricted and usable:
+            earlier = [(slots.of[cut_nid], cut_nid) for cut_nid in cuts]
+            for piece, (lo, hi) in usable:
+                for z, cut_nid in earlier:
+                    if z != lo and z != hi and not (le(z, lo) or le(hi, z)):
                         report.error(path, node.nid, f"piece {piece} may contain earlier"
-                                     f" cut {z} (restricted mode)")
+                                     f" cut {at(cut_nid)} (restricted mode)")
 
-    def check_unallocated(path, node, states, order, offered: str):
+    def check_unallocated(path, node, spans, states, rows, offered: str):
         """Report the first offered piece that may overlap an earlier allocation."""
+        le = rows.le
         for _, allocated in states:
-            for piece in node.pieces:
-                if any(not provably_disjoint(piece, other, order) for other in allocated):
-                    report.error(path, node.nid,
-                                 f"{offered} piece {piece} that may already be allocated")
-                    return
+            for piece, (lo, hi) in zip(node.pieces, spans):
+                for other_lo, other_hi in allocated:
+                    if not (le(hi, other_lo) or le(other_hi, lo)):
+                        report.error(path, node.nid,
+                                     f"{offered} piece {piece} that may already be allocated")
+                        return
 
-    # A node's context: the ids of the cuts above it, its ancestors by id,
-    # the order of its cuts, and its symbolic states (picks, allocated piece
-    # list).  Chooses fork states; ``complete`` records whether the fork set
-    # was ever truncated, since refining from a truncated set would be unsound.
+    # A node's context: the ids of the cuts above it, its cut and choose
+    # ancestors by id with the spans they offer, the order of its cuts, and
+    # its symbolic states (picks, allocated spans).  Chooses fork states;
+    # ``complete`` records whether the fork set was ever truncated, since
+    # refining from a truncated set would be unsound.
     def visit(node, path, ctx):
-        cuts, ancestors, builder, states, complete = ctx
+        cuts, ancestors, rows, states, complete = ctx
         nid = node.nid
-        order = builder.snapshot()
         if isinstance(node, GccCut):
             _check_agent(report, path, nid, node.agent, t.agents)
-            check_pieces(path, node, cuts, order)
-            check_unallocated(path, node, states, order, "cut offered")
-            sub = _OrderBuilder(builder)
-            z = at(nid)
-            sub.add_le(ORIGIN, z)
-            sub.add_le(z, END)
-            if len(node.pieces) == 1:
-                sub.add_le(node.pieces[0][0], z)
-                sub.add_le(z, node.pieces[0][1])
+            spans = [(slots(lo), slots(hi)) for lo, hi in node.pieces]
+            check_pieces(path, node, spans, cuts, rows)
+            check_unallocated(path, node, spans, states, rows, "cut offered")
+            sub = rows.copy()
+            z = slots.cut(nid)
+            sub.add_le(0, z)
+            sub.add_le(z, 1)
+            if len(spans) == 1:
+                lo, hi = spans[0]
+                sub.add_le(lo, z)
+                sub.add_le(z, hi)
             else:
                 # Sound common bounds across all offered pieces.
-                for ref in list(sub.index):
-                    if all(order.le_or_eq(ref, p[0]) for p in node.pieces):
+                le = rows.le
+                for ref in list(sub.up):
+                    if all(le(ref, lo) for lo, _ in spans):
                         sub.add_le(ref, z)
-                    if all(order.le_or_eq(p[1], ref) for p in node.pieces):
+                    if all(le(hi, ref) for _, hi in spans):
                         sub.add_le(z, ref)
             new_states = states
-            if len(node.pieces) > 1 and len(states) * len(node.pieces) <= _SYMBOLIC_STATE_CAP:
+            if len(spans) > 1 and len(states) * len(spans) <= _SYMBOLIC_STATE_CAP:
                 new_states = [
                     ({**picks, nid: j}, allocated)
                     for picks, allocated in states
-                    for j in range(len(node.pieces))
+                    for j in range(len(spans))
                 ]
-            return ((cuts | {nid}, {**ancestors, nid: ("cut", node)}, sub, new_states,
+            return ((cuts | {nid}, {**ancestors, nid: ("cut", spans)}, sub, new_states,
                      complete),)
         if isinstance(node, GccChoose):
             _check_agent(report, path, nid, node.agent, t.agents)
-            check_pieces(path, node, cuts, order)
-            check_unallocated(path, node, states, order, "choose offers")
+            spans = [(slots(lo), slots(hi)) for lo, hi in node.pieces]
+            check_pieces(path, node, spans, cuts, rows)
+            check_unallocated(path, node, spans, states, rows, "choose offers")
             new_states = []
             truncated = False
             for picks, allocated in states:
-                for j, piece in enumerate(node.pieces):
-                    new_states.append(({**picks, nid: j}, allocated + (piece,)))
+                for j, span in enumerate(spans):
+                    new_states.append(({**picks, nid: j}, allocated + (span,)))
                     if len(new_states) > _SYMBOLIC_STATE_CAP:
                         break
                 if len(new_states) > _SYMBOLIC_STATE_CAP:
@@ -891,7 +938,7 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
                     new_states = new_states[:_SYMBOLIC_STATE_CAP]
                     truncated = True
                     break
-            return ((cuts, {**ancestors, nid: ("choose", node)}, builder, new_states,
+            return ((cuts, {**ancestors, nid: ("choose", spans)}, rows, new_states,
                      complete and not truncated),)
         if isinstance(node, GccIfElse):
             if not node.branches:
@@ -921,9 +968,9 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
             for k, (cond, _) in enumerate(node.branches):
                 branch_states = []
                 for picks, allocated in states:
-                    verdict = _eval_condition_static(cond, picks, order)
+                    verdict = _eval_condition_static(cond, picks, rows, slots)
                     prior_taken = any(
-                        _eval_condition_static(prev, picks, order) is True
+                        _eval_condition_static(prev, picks, rows, slots) is True
                         for prev, _ in node.branches[:k]
                     )
                     if verdict is not False and not prior_taken:
@@ -932,45 +979,47 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
                     # Dead branch for every symbolic state: still check its
                     # structure, with a pristine state.
                     branch_states = [({}, ())]
-                refined = _OrderBuilder(builder)
-                _refine_with_condition(refined, cond, ancestors)
+                refined = rows.copy()
+                _refine_with_condition(refined, cond, ancestors, slots)
                 if complete and branch_states is not states:
                     # Every surviving state may agree on where an ancestor
                     # cut landed (e.g. in a final else branch); that pins the
                     # cut's bounds just as a positive condition would.
-                    for anc_nid, info in ancestors.items():
-                        if info[0] != "cut" or len(info[1].pieces) < 2:
+                    for anc_nid, (kind, spans) in ancestors.items():
+                        if kind != "cut" or len(spans) < 2:
                             continue
                         picks_seen = {picks.get(anc_nid) for picks, _ in branch_states}
                         if len(picks_seen) == 1:
                             j = picks_seen.pop()
                             if j is not None:
-                                lo, hi = info[1].pieces[j]
-                                refined.add_le(lo, at(anc_nid))
-                                refined.add_le(at(anc_nid), hi)
+                                lo, hi = spans[j]
+                                z = slots.of[anc_nid]
+                                refined.add_le(lo, z)
+                                refined.add_le(z, hi)
                 kids.append((cuts, ancestors, refined, branch_states, complete))
             return kids
         if isinstance(node, GccLeaf):
             for picks, allocated in states:
-                if not _covers_whole_cake(allocated, order):
+                if not _covers_whole_cake(allocated, rows):
                     report.warn(path, nid, "leaf may be reached with unallocated cake remaining")
                     break
         else:
             report.error(path, nid, f"unknown node type {type(node).__name__}")
         return ()
 
-    return _walk(report, t.root, (set(), {}, _OrderBuilder(), [({}, ())], True), visit)
+    return _walk(report, t.root, (set(), {}, _Rows(), [({}, ())], True), visit)
 
 
-def _covers_whole_cake(allocated: tuple[Piece, ...], order: PartialOrder) -> bool:
-    """Greedy chain check: allocated pieces provably tile origin..end."""
+def _covers_whole_cake(allocated: tuple[tuple[int, int], ...], rows: _Rows) -> bool:
+    """Greedy chain check: the allocated spans provably tile origin..end."""
     remaining = list(allocated)
-    cursor = ORIGIN
+    cursor = 0
+    eq = rows.eq
     while True:
-        if cursor == END or order.compare(cursor, END) == Order.EQ:
+        if eq(cursor, 1):
             return True
         for i, (lo, hi) in enumerate(remaining):
-            if lo == cursor or order.compare(lo, cursor) == Order.EQ:
+            if eq(lo, cursor):
                 cursor = hi
                 remaining.pop(i)
                 break

@@ -16,7 +16,7 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .engine import (
-    BranchChosen, CutMade, DecisionContext, Strategy, _holds, follow, partition_of,
+    BranchChosen, CutMade, DecisionContext, Strategy, _at, _holds, follow, partition_of,
     resolve_ref,
 )
 from .errors import (
@@ -143,29 +143,37 @@ def retarget_trace(p_target, trace, target_to_source: dict[int, int]):
 # Extended BC -> BC
 
 
-def _split_cut(fresh, src: int, agent: int, candidates, bounds: tuple[CutRef, ...],
-               child: Callable[[int, tuple[CutRef, ...]], BcNode]) -> BcNode:
+# A forced cut order is held as its places: each cut's place, by cut id.
+# The origin is at place 0 and the end at ``len(places) + 1``, so
+# ``_at(ref, places, 0, len(places) + 1)`` is where a ref lies.
+
+
+def _split_cut(fresh, src: int, agent: int, candidates, places: dict[int, int],
+               child: Callable[[int, dict[int, int]], BcNode]) -> BcNode:
     """A cut ``src`` landing in a definite gap of the forced cut order.
 
     One ``BcCut`` per (piece, gap) candidate, under a ``BcChoose`` of
-    ``agent`` when there are several; ``child(piece, bounds)`` converts
-    what follows each.  Ids come from ``fresh(src)``: the choose's first.
+    ``agent`` when there are several; ``child(piece, places)`` converts
+    what follows each, in the order with ``src`` in its gap.  Ids come from
+    ``fresh(src)``: the choose's first.
     """
     cnid = fresh(src) if len(candidates) > 1 else None
     kids = []
     for j, k in candidates:
         nid = fresh(src)
-        kids.append(BcCut(nid, agent, k + 1,
-                          child(j, bounds[: k + 1] + (at(src),) + bounds[k + 1 :])))
+        inner = {cut: place + (place > k) for cut, place in places.items()}
+        inner[src] = k + 1
+        kids.append(BcCut(nid, agent, k + 1, child(j, inner)))
     return kids[0] if cnid is None else BcChoose(cnid, agent, tuple(kids))
 
 
-def _forced_leaf(nid: int, src: int, spans, bounds: tuple[CutRef, ...]) -> BcLeaf:
+def _forced_leaf(nid: int, src: int, spans, places: dict[int, int]) -> BcLeaf:
     """Leaf ``nid`` whose ``assign`` gives each (left, right, agent) span's
-    pieces of the forced cut order ``bounds`` to its agent."""
-    assign: list[Optional[int]] = [None] * (len(bounds) - 1)
+    pieces of the forced cut order ``places`` to its agent."""
+    end = len(places) + 1
+    assign: list[Optional[int]] = [None] * end
     for left, right, agent in spans:
-        for k in range(bounds.index(left), bounds.index(right)):
+        for k in range(_at(left, places, 0, end), _at(right, places, 0, end)):
             if assign[k] is not None:
                 raise DomainError(f"leaf {src} allocates piece {k + 1} twice")
             assign[k] = agent
@@ -198,30 +206,31 @@ def extended_to_bc(
         back[nid] = src
         return nid
 
-    def convert(node: ExtNode, bounds: tuple[CutRef, ...]) -> BcNode:
+    def convert(node: ExtNode, places: dict[int, int]) -> BcNode:
         if isinstance(node, ExtCut):
-            if node.left == node.right:
+            end = len(places) + 1
+            lo = _at(node.left, places, 0, end)
+            hi = _at(node.right, places, 0, end)
+            if lo == hi:
                 raise DomainError(
                     f"cut {node.nid} is pinned between identical refs; not convertible"
                 )
-            lo = bounds.index(node.left)
-            hi = bounds.index(node.right)
             assert lo < hi, "validated order must agree with the forced order"
             out = _split_cut(copy_of, node.nid, node.agent,
-                             [(0, k) for k in range(lo, hi)], bounds,
+                             [(0, k) for k in range(lo, hi)], places,
                              lambda _, inner: convert(node.child, inner))
             if isinstance(out, BcChoose):
                 introduced.add(out.nid)
             return out
         if isinstance(node, ExtChoose):
             return BcChoose(copy_of(node.nid), node.agent,
-                            tuple(convert(c, bounds) for c in node.children))
+                            tuple(convert(c, places) for c in node.children))
         assert isinstance(node, ExtLeaf)
         return _forced_leaf(copy_of(node.nid), node.nid,
                             ((seg.left, seg.right, seg.agent) for seg in node.segments),
-                            bounds)
+                            places)
 
-    tree = BcTree(t.agents, convert(t.root, (ORIGIN, END)))
+    tree = BcTree(t.agents, convert(t.root, {}))
 
     def answer(src: Strategy, ctx: DecisionContext):
         # A copied choose has the same children, so its index carries over;
@@ -526,46 +535,46 @@ def gcc_to_bc(
         fwd[src].add(nid)
         return nid
 
-    def convert(node, bounds: tuple[CutRef, ...], picks: dict[int, int],
+    def convert(node, places: dict[int, int], picks: dict[int, int],
                 spans: tuple[tuple[CutRef, CutRef, int], ...]) -> BcNode:
         if isinstance(node, GccCut):
+            end = len(places) + 1
             candidates: list[tuple[int, int]] = []  # (piece index in S, gap index)
             for j, (lo_ref, hi_ref) in enumerate(node.pieces):
-                lo, hi = bounds.index(lo_ref), bounds.index(hi_ref)
+                lo, hi = _at(lo_ref, places, 0, end), _at(hi_ref, places, 0, end)
                 for k in range(lo, hi):
                     candidates.append((j, k))
             if not candidates:
                 raise DomainError(
                     f"cut node {node.nid} offers only degenerate pieces"
                 )
-            return _split_cut(fresh, node.nid, node.agent, candidates, bounds,
+            return _split_cut(fresh, node.nid, node.agent, candidates, places,
                               lambda j, inner: convert(node.child, inner,
                                                        {**picks, node.nid: j}, spans))
         if isinstance(node, GccChoose):
             if len(node.pieces) == 1:
                 piece = node.pieces[0]
-                return convert(node.child, bounds, {**picks, node.nid: 0},
+                return convert(node.child, places, {**picks, node.nid: 0},
                                spans + ((piece[0], piece[1], node.agent),))
             cnid = fresh(node.nid)
             kids = []
             for j, piece in enumerate(node.pieces):
                 kids.append(
-                    convert(node.child, bounds, {**picks, node.nid: j},
+                    convert(node.child, places, {**picks, node.nid: j},
                             spans + ((piece[0], piece[1], node.agent),))
                 )
             return BcChoose(cnid, node.agent, tuple(kids))
         if isinstance(node, GccIfElse):
             # The branch's cut order and picks are all forced: a cut's
             # position is its place in that order.
-            places = {ref.cut: k for k, ref in enumerate(bounds) if ref.kind == "cut"}
             for cond, child in node.branches:
-                if _holds(cond, places, picks, 0, len(bounds) - 1):
-                    return convert(child, bounds, picks, spans)
+                if _holds(cond, places, picks, 0, len(places) + 1):
+                    return convert(child, places, picks, spans)
             raise DomainError(f"no if-else branch held at node {node.nid}")
         assert isinstance(node, GccLeaf)
-        return _forced_leaf(fresh(node.nid), node.nid, spans, bounds)
+        return _forced_leaf(fresh(node.nid), node.nid, spans, places)
 
-    tree = BcTree(g.agents, convert(g.root, (ORIGIN, END), {}, ()))
+    tree = BcTree(g.agents, convert(g.root, {}, {}, ()))
     return tree, _freeze(fwd)
 
 

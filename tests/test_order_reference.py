@@ -1,10 +1,14 @@
-"""The static cut order's bit rows against the set of ref pairs they replaced.
+"""The static cut order and the extended and GCC validators against two
+references.
 
-``SetOrderBuilder`` and ``SetOrder`` are ``ir._OrderBuilder`` and
-``ir.PartialOrder`` as they were before the order became one int bit row per
-ref: the relation is a set of ``(CutRef, CutRef)`` pairs, closed by listing
-every ref below and above a new pair.  Installed as ``ir._OrderBuilder``,
-they run the same validators, so every order query and report is compared.
+``validator_reference`` holds them as they were when the order was keyed by
+``CutRef``: one bit row per ref, found through a ``CutRef``-keyed index.
+``SetOrderBuilder`` and ``SetOrder`` are that module's ``_OrderBuilder`` and
+``PartialOrder`` as they were before the order became bit rows: the relation
+is a set of ``(CutRef, CutRef)`` pairs, closed by listing every ref below
+and above a new pair.  Installed as ``validator_reference._OrderBuilder``,
+they run the reference validators.  The current code numbers refs by small
+ints per walk; every order query and report is compared with both.
 """
 
 import random
@@ -19,9 +23,12 @@ from cakewalk.ir import (
     Less, Not, ORIGIN, Or, Order, at, children_of, static_cut_order,
     validate_ext, validate_gcc,
 )
-from cakewalk.library import generate
+from cakewalk.library import (
+    gen_cut_and_choose, gen_selfridge_conway_bc, generate,
+)
 from cakewalk.transform import bc_to_gcc, cuts_before_choices_ext
 
+import validator_reference as reference
 from helpers import random_bc_tree, random_ext_tree, random_gcc
 
 
@@ -90,11 +97,12 @@ class SetOrderBuilder:
 
 @pytest.fixture
 def reference_order(monkeypatch):
-    """Runs a function with ``SetOrderBuilder`` installed as the order."""
+    """Runs a reference function with ``SetOrderBuilder`` installed as the
+    order."""
 
     def run(fn, *args):
         with monkeypatch.context() as patch:
-            patch.setattr(ir, "_OrderBuilder", SetOrderBuilder)
+            patch.setattr(reference, "_OrderBuilder", SetOrderBuilder)
             return fn(*args)
 
     return run
@@ -208,8 +216,10 @@ def gcc_trees():
 def test_compare_at_every_node(reference_order):
     for tree in ext_trees():
         for node in _nodes(tree.root):
-            assert_same_order(static_cut_order(tree, node.nid),
-                              reference_order(static_cut_order, tree, node.nid))
+            got = static_cut_order(tree, node.nid)
+            assert_same_order(got, reference_order(reference.static_cut_order,
+                                                   tree, node.nid))
+            assert_same_order(got, reference.static_cut_order(tree, node.nid))
 
 
 def _report(report):
@@ -221,7 +231,8 @@ def test_ext_reports(reference_order):
     failing = 0
     for tree in trees:
         got = _report(validate_ext(tree))
-        assert got == _report(reference_order(validate_ext, tree))
+        assert got == _report(reference_order(reference.validate_ext, tree))
+        assert got == _report(reference.validate_ext(tree))
         failing += bool(got[0])
     assert 0 < failing < len(trees)
 
@@ -232,26 +243,54 @@ def test_gcc_reports(reference_order, mode):
     failing = 0
     for tree in trees:
         got = _report(validate_gcc(tree, mode))
-        assert got == _report(reference_order(validate_gcc, tree, mode))
+        assert got == _report(reference_order(reference.validate_gcc, tree, mode))
+        assert got == _report(reference.validate_gcc(tree, mode))
         failing += bool(got[0])
     assert 0 < failing < len(trees)
 
 
+def test_library_and_conversion_reports():
+    # The library protocols, and the outputs of the two conversions that
+    # build extended or GCC trees, as printed reports.
+    ext = [generate(name, "extbc", n)[0]
+           for name, n in (("dubins-spanier", 3), ("dubins-spanier", 4), ("even-paz", 4))]
+    ext += [cuts_before_choices_ext(tree)[0] for tree in list(ext)]
+    ext += [cuts_before_choices_ext(random_ext_tree(random.Random(seed), 3, 18))[0]
+            for seed in range(20)]
+    gcc = [gen_cut_and_choose()[1]] + [
+        generate(name, "gcc", n)[0]
+        for name, n in (("selfridge-conway", 0), ("dubins-spanier", 3),
+                        ("dubins-spanier", 4), ("even-paz", 4))]
+    gcc += [bc_to_gcc(gen_cut_and_choose()[0]), bc_to_gcc(gen_selfridge_conway_bc()[0])]
+    gcc += [bc_to_gcc(random_bc_tree(random.Random(seed), 2 + seed % 2, 12))
+            for seed in range(20)]
+    for tree in ext:
+        assert str(validate_ext(tree)) == str(reference.validate_ext(tree))
+    reports = set()
+    for tree in gcc:
+        for mode in GccMode:
+            got = str(validate_gcc(tree, mode))
+            assert got == str(reference.validate_gcc(tree, mode))
+            reports.add(got)
+    assert "valid" in reports and len(reports) > 2
+
+
 def test_random_facts_and_copies():
     # Random <= facts over a few refs, cycles included: after each one the
-    # builder and a copy taken before it agree with the reference's.
+    # rows and a copy taken before it agree with the reference's.
     pool = [ORIGIN, END, *map(at, range(6))]
     for seed in range(200):
         rng = random.Random(seed)
-        got, want = ir._OrderBuilder(), SetOrderBuilder()
+        slots = ir._Slots()
+        got, want = ir._Rows(), SetOrderBuilder()
         for _ in range(rng.randrange(1, 12)):
-            copies = ir._OrderBuilder(got), SetOrderBuilder(want)
+            copies = got.copy(), SetOrderBuilder(want)
             a, b = rng.choice(pool), rng.choice(pool)
             if rng.random() < 0.2:
-                got.bounded_cut(a, [b], [END])
-                want.bounded_cut(a, [b], [END])
+                got.bound_cut(slots(a), slots(b), slots(END))
+                want.bounded_cut(a, [b, ORIGIN], [END])
             else:
-                got.add_le(a, b)
+                got.add_le(slots(a), slots(b))
                 want.add_le(a, b)
-            assert_same_order(got.snapshot(), want.snapshot())
-            assert_same_order(copies[0].snapshot(), copies[1].snapshot())
+            assert_same_order(ir.PartialOrder(slots, got), want.snapshot())
+            assert_same_order(ir.PartialOrder(slots, copies[0]), copies[1].snapshot())
