@@ -273,6 +273,8 @@ class GuaranteeOracle:
                 if hit is not None:
                     return hit
             nexts = self._moves(node, cuts, picks, allocated, order)
+            if not nexts:  # without a move no result could be taken
+                raise ExecutionError("decision node offers no move", node=node.nid)
             ops = sides.get(node.agent, sides[0])
             if yes_no:  # a side stops at its own extreme: max at True, min at False
                 stop = ops[0] is max
@@ -457,7 +459,7 @@ def check_equiv(p1: Protocol, p2: Protocol, notion: str, grid: Grid,
                 f"check_equiv {notion}, protocol {k}: {exc}") from None
     disagreements: list[Disagreement] = []
     measurements: dict = {}
-    for (i, key, what, _), a, b in zip(asks, *results):
+    for (i, key, what, _), a, b in zip(asks, *results, strict=True):
         if key is not None:
             measurements[key] = (a, b)
         if a != b:

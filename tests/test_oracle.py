@@ -10,7 +10,8 @@ from cakewalk.engine import (
 )
 from cakewalk.errors import BudgetExceededError, DomainError, ExecutionError
 from cakewalk.ir import (
-    BcChoose, BcCut, BcDag, BcLeaf, BcTree, DagCut, DagLeaf, GccMode, IdGen, stats,
+    BcChoose, BcCut, BcDag, BcLeaf, BcTree, DagCut, DagLeaf, GccChoose, GccCut, GccLeaf,
+    GccMode, GccTree, IdGen, stats,
 )
 from cakewalk.library import (
     gen_cut_and_choose, gen_dubins_spanier, gen_selfridge_conway_bc,
@@ -333,6 +334,38 @@ class TestRunTimeErrors:
             with pytest.raises(ExecutionError, match=(
                     rf"cut piece {piece} out of range 1\.\.1 \(node 0, agent 1\)")):
                 oracle.guarantee_value(1)
+
+
+class TestNoMove:
+    """A decision node that offers no move ends every query in an
+    ``ExecutionError`` naming it, not in an empty or made-up verdict."""
+
+    PROTOCOLS = {
+        "bc choose": BcTree(2, BcChoose(0, 1, ())),
+        "dag choose": BcDag(2, 0, {0: BcChoose(0, 1, ())}),
+        "gcc cut": GccTree(2, GccCut(0, 1, (), GccLeaf(1))),
+        "gcc choose": GccTree(2, GccChoose(0, 1, (), GccLeaf(1))),
+    }
+    NO_MOVE = r"decision node offers no move \(node 0\)"
+
+    @pytest.mark.parametrize("name", PROTOCOLS)
+    def test_queries(self, name):
+        oracle = GuaranteeOracle(self.PROTOCOLS[name], [uniform(), uniform()], GRID2)
+        for query in (lambda: oracle.guarantee_value(1),
+                      lambda: oracle.guarantee_pair_envy(1, 2),
+                      lambda: oracle.guarantee_total_envy(2),
+                      lambda: oracle.can_guarantee(BoundsQuery.make(1, {2: F(0)}))):
+            with pytest.raises(ExecutionError, match=self.NO_MOVE):
+                query()
+
+    @pytest.mark.parametrize("notion", Notion.ALL)
+    @pytest.mark.parametrize("name", PROTOCOLS)
+    def test_check_equiv(self, name, notion):
+        cc = gen_cut_and_choose()[0]
+        vals = [uniform(), uniform()]
+        for pair in ((self.PROTOCOLS[name], cc), (cc, self.PROTOCOLS[name])):
+            with pytest.raises(ExecutionError, match=self.NO_MOVE):
+                check_equiv(*pair, notion, GRID2, vals, bound_samples=2)
 
 
 class TestAgentRange:
