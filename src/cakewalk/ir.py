@@ -444,7 +444,7 @@ def _check_agent(report, path, nid, agent, n):
 
 
 def _check_span(report, path, nid, piece: Piece, span: tuple[int, int], cuts: set[int],
-                rows: _Rows, prefix: str = "") -> bool:
+                order: PartialOrder, prefix: str = "") -> bool:
     """Whether the refs ``piece`` (slots ``span``) make a span at a node
     below ``cuts``: each names an ancestor cut or an end of the cake, and
     left <= right is derivable.  Reports each way it is not."""
@@ -453,7 +453,7 @@ def _check_span(report, path, nid, piece: Piece, span: tuple[int, int], cuts: se
         if ref.kind == "cut" and ref.cut not in cuts:
             report.error(path, nid, f"ref {ref} is not an ancestor cut")
             ok = False
-    if ok and not rows.le(*span):
+    if ok and not order.le(*span):
         report.error(path, nid, f"{prefix}order of {piece[0]} and {piece[1]} is not derivable")
         ok = False
     return ok
@@ -615,58 +615,75 @@ class Order(Enum):
 _ORDERS = {(1, 1): Order.EQ, (1, 0): Order.LE, (0, 1): Order.GE, (0, 0): Order.UNKNOWN}
 
 
-class _Slots:
-    """One walk's numbering of cut refs by small ints.
+class _Slots(dict):
+    """One walk's numbering of cut refs by small ints, a cut id -> slot map.
 
     The origin is 0, the end is 1, and a cut gets the next slot when the
-    walk first names or reaches it, so two refs share a slot exactly when
-    they name the same boundary.  A ref is read by its kind and cut id, not
-    hashed.  ``refs[slot]`` is the ref a slot stands for.
+    walk first names or reaches it (``slots[nid]``), so two refs share a
+    slot exactly when they name the same boundary.  ``slots(ref)`` reads a
+    ref by its kind and cut id, without hashing it.
     """
 
-    __slots__ = ("of", "refs")
-
-    def __init__(self):
-        self.of: dict[int, int] = {}  # cut id -> slot
-        self.refs: list[CutRef] = [ORIGIN, END]
-
-    def cut(self, nid: int) -> int:
-        slot = self.of.get(nid)
-        if slot is None:
-            slot = self.of[nid] = len(self.refs)
-            self.refs.append(at(nid))
+    def __missing__(self, nid: int) -> int:
+        slot = self[nid] = len(self) + 2
         return slot
 
     def __call__(self, ref: CutRef) -> int:
         kind = ref.kind
         if kind == "cut":
-            return self.cut(ref.cut)
+            return self[ref.cut]
         return 0 if kind == "origin" else 1
 
 
-class _Rows:
-    """The <= relation known at one node of a walk, over its ``_Slots``.
+class PartialOrder:
+    """Sound, conservative order over the cut refs visible at one node.
 
-    ``up`` maps each slot the relation names, in the order first named, to
-    a bit row: bit j of ``up[i]`` says that ref i <= ref j.  A walk copies
-    the rows for a child that learns more and changes no rows it has handed
-    on.
+    Refs are numbered by one walk's ``_Slots``.  ``up`` maps each slot the
+    order names, in the order first named, to a bit row: bit j of ``up[i]``
+    says that ref i <= ref j.  ``compare`` and ``le_or_eq`` take refs; the
+    validators' ``le``, ``eq``, ``add_le`` and ``bound_cut`` take slots.  A
+    walk copies the order for a child that learns more and changes no order
+    it has handed on.
     """
 
-    __slots__ = ("up",)
+    __slots__ = ("slots", "up")
 
-    def __init__(self, up: Optional[dict[int, int]] = None):
+    def __init__(self, slots: _Slots, up: Optional[dict[int, int]] = None):
+        self.slots = slots
         self.up = {0: 0b10, 1: 0} if up is None else up
 
-    def copy(self) -> "_Rows":
-        return _Rows(self.up.copy())
+    def copy(self) -> PartialOrder:
+        return PartialOrder(self.slots, self.up.copy())
+
+    @property
+    def refs(self) -> tuple[CutRef, ...]:
+        """The refs the order names, in the order first named."""
+        named = {slot: at(nid) for nid, slot in self.slots.items()}
+        named[0], named[1] = ORIGIN, END
+        return tuple(named[i] for i in self.up)
+
+    def _slot(self, ref: CutRef) -> Optional[int]:
+        kind = ref.kind
+        i = self.slots.get(ref.cut) if kind == "cut" else int(kind != "origin")
+        return i if i in self.up else None
+
+    def compare(self, a: CutRef, b: CutRef) -> Order:
+        if a == b:
+            return Order.EQ
+        i, j = self._slot(a), self._slot(b)
+        if i is None or j is None:
+            return Order.UNKNOWN
+        return _ORDERS[self.up[i] >> j & 1, self.up[j] >> i & 1]
+
+    def le_or_eq(self, a: CutRef, b: CutRef) -> bool:
+        return self.compare(a, b) in (Order.LE, Order.EQ)
 
     def le(self, i: int, j: int) -> bool:
-        """Whether i <= j is derivable; each ref is <= itself."""
+        """Whether slot i <= slot j is derivable; each ref is <= itself."""
         return i == j or self.up.get(i, 0) >> j & 1 == 1
 
     def eq(self, i: int, j: int) -> bool:
-        """Whether refs i and j coincide in every execution."""
+        """Whether slots i and j coincide in every execution."""
         get = self.up.get
         return i == j or get(i, 0) >> j & get(j, 0) >> i & 1 == 1
 
@@ -694,38 +711,6 @@ class _Rows:
         self.add_le(z, 1)
 
 
-class PartialOrder:
-    """Sound, conservative order over the cut refs visible at one node."""
-
-    __slots__ = ("_slots", "_rows")
-
-    def __init__(self, slots: _Slots, rows: _Rows):
-        self._slots = slots
-        self._rows = rows
-
-    @property
-    def refs(self) -> tuple[CutRef, ...]:
-        """The refs the order names, in the order first named."""
-        return tuple(self._slots.refs[i] for i in self._rows.up)
-
-    def _slot(self, ref: CutRef) -> Optional[int]:
-        kind = ref.kind
-        i = self._slots.of.get(ref.cut) if kind == "cut" else int(kind != "origin")
-        return i if i in self._rows.up else None
-
-    def compare(self, a: CutRef, b: CutRef) -> Order:
-        if a == b:
-            return Order.EQ
-        i, j = self._slot(a), self._slot(b)
-        if i is None or j is None:
-            return Order.UNKNOWN
-        up = self._rows.up
-        return _ORDERS[up[i] >> j & 1, up[j] >> i & 1]
-
-    def le_or_eq(self, a: CutRef, b: CutRef) -> bool:
-        return self.compare(a, b) in (Order.LE, Order.EQ)
-
-
 def _ext_path_to(t: ExtBcTree, target_nid: int):
     """Root-to-node path (inclusive) in preorder's first match, or None."""
     stack = [(t.root,)]
@@ -747,11 +732,12 @@ def static_cut_order(t: ExtBcTree, at_nid: int) -> PartialOrder:
     path = _ext_path_to(t, at_nid)
     if path is None:
         raise DomainError(f"node {at_nid} not found")
-    slots, rows = _Slots(), _Rows()
+    slots = _Slots()
+    order = PartialOrder(slots)
     for node in path[:-1]:
         if isinstance(node, ExtCut):
-            rows.bound_cut(slots.cut(node.nid), slots(node.left), slots(node.right))
-    return PartialOrder(slots, rows)
+            order.bound_cut(slots[node.nid], slots(node.left), slots(node.right))
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -764,14 +750,14 @@ def validate_ext(t: ExtBcTree) -> ValidationReport:
 
     # A node's context: the ids of the cuts above it and their order.
     def visit(node, path, ctx):
-        cuts, rows = ctx
+        cuts, order = ctx
         nid = node.nid
         if isinstance(node, ExtCut):
             _check_agent(report, path, nid, node.agent, t.agents)
             lo, hi = slots(node.left), slots(node.right)
-            _check_span(report, path, nid, (node.left, node.right), (lo, hi), cuts, rows)
-            sub = rows.copy()
-            sub.bound_cut(slots.cut(nid), lo, hi)
+            _check_span(report, path, nid, (node.left, node.right), (lo, hi), cuts, order)
+            sub = order.copy()
+            sub.bound_cut(slots[nid], lo, hi)
             return ((cuts | {nid}, sub),)
         if isinstance(node, ExtChoose):
             _check_agent(report, path, nid, node.agent, t.agents)
@@ -794,44 +780,43 @@ def validate_ext(t: ExtBcTree) -> ValidationReport:
                                  f"segments {k} and {k + 1} do not share an endpoint")
             for k, seg in enumerate(segs):
                 _check_agent(report, path, nid, seg.agent, t.agents)
-                _check_span(report, path, nid, (seg.left, seg.right), spans[k], cuts, rows,
+                _check_span(report, path, nid, (seg.left, seg.right), spans[k], cuts, order,
                             f"segment {k}: ")
         else:
             report.error(path, nid, f"unknown node type {type(node).__name__}")
         return ()
 
-    return _walk(report, t.root, (set(), _Rows()), visit)
+    return _walk(report, t.root, (set(), PartialOrder(slots)), visit)
 
 
 # ---------------------------------------------------------------------------
 # GCC validation
 
 
-def _refine_with_condition(rows: _Rows, cond: Condition, ancestors, slots: _Slots):
+def _refine_with_condition(order: PartialOrder, cond: Condition, ancestors):
     """Add the order facts a taken branch's condition implies (sound only
     for conjunctive positive atoms; disjunctions and negations teach nothing
     safely and are skipped)."""
     if isinstance(cond, And):
         for part in cond.parts:
-            _refine_with_condition(rows, part, ancestors, slots)
+            _refine_with_condition(order, part, ancestors)
     elif isinstance(cond, Less):
-        rows.add_le(slots(cond.left), slots(cond.right))
+        order.add_le(order.slots(cond.left), order.slots(cond.right))
     elif isinstance(cond, CutInAt):
         kind, spans = ancestors.get(cond.node, (None, ()))
         if kind == "cut" and 0 <= cond.index < len(spans):
             lo, hi = spans[cond.index]
-            z = slots.cut(cond.node)
-            rows.add_le(lo, z)
-            rows.add_le(z, hi)
+            z = order.slots[cond.node]
+            order.add_le(lo, z)
+            order.add_le(z, hi)
 
 
-def _eval_condition_static(cond: Condition, picks: dict[int, int], rows: _Rows,
-                           slots: _Slots):
+def _eval_condition_static(cond: Condition, picks: dict[int, int], order: PartialOrder):
     """Three-valued evaluation against a symbolic pick assignment."""
 
     def atom(a) -> Verdict:
         if isinstance(a, Less):
-            if rows.le(slots(a.right), slots(a.left)):
+            if order.le(order.slots(a.right), order.slots(a.left)):
                 return False
             return None  # LE permits equality, so strictness stays unknown
         if a.node not in picks:
@@ -851,29 +836,29 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
 
     # A piece travels as its refs, for reports, and their slots (a span);
     # the checks read only the spans.
-    def check_pieces(path, node, spans, cuts, rows):
+    def check_pieces(path, node, spans, cuts, order):
         pieces = node.pieces
         if not pieces:
             report.error(path, node.nid, "empty piece set")
             return
         usable = [(piece, span) for piece, span in zip(pieces, spans)
-                  if _check_span(report, path, node.nid, piece, span, cuts, rows)]
-        le = rows.le
+                  if _check_span(report, path, node.nid, piece, span, cuts, order)]
+        le = order.le
         for i, (piece, (lo, hi)) in enumerate(usable):
             for other, (other_lo, other_hi) in usable[i + 1:]:
                 if not (le(hi, other_lo) or le(other_hi, lo)):
                     report.error(path, node.nid, f"pieces {piece} and {other} may overlap")
         if restricted and usable:
-            earlier = [(slots.of[cut_nid], cut_nid) for cut_nid in cuts]
+            earlier = [(slots[cut_nid], cut_nid) for cut_nid in cuts]
             for piece, (lo, hi) in usable:
                 for z, cut_nid in earlier:
                     if z != lo and z != hi and not (le(z, lo) or le(hi, z)):
                         report.error(path, node.nid, f"piece {piece} may contain earlier"
                                      f" cut {at(cut_nid)} (restricted mode)")
 
-    def check_unallocated(path, node, spans, states, rows, offered: str):
+    def check_unallocated(path, node, spans, states, order, offered: str):
         """Report the first offered piece that may overlap an earlier allocation."""
-        le = rows.le
+        le = order.le
         for _, allocated in states:
             for piece, (lo, hi) in zip(node.pieces, spans):
                 for other_lo, other_hi in allocated:
@@ -888,15 +873,15 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
     # ``complete`` records whether the fork set was ever truncated, since
     # refining from a truncated set would be unsound.
     def visit(node, path, ctx):
-        cuts, ancestors, rows, states, complete = ctx
+        cuts, ancestors, order, states, complete = ctx
         nid = node.nid
         if isinstance(node, GccCut):
             _check_agent(report, path, nid, node.agent, t.agents)
             spans = [(slots(lo), slots(hi)) for lo, hi in node.pieces]
-            check_pieces(path, node, spans, cuts, rows)
-            check_unallocated(path, node, spans, states, rows, "cut offered")
-            sub = rows.copy()
-            z = slots.cut(nid)
+            check_pieces(path, node, spans, cuts, order)
+            check_unallocated(path, node, spans, states, order, "cut offered")
+            sub = order.copy()
+            z = slots[nid]
             sub.add_le(0, z)
             sub.add_le(z, 1)
             if len(spans) == 1:
@@ -905,7 +890,7 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
                 sub.add_le(z, hi)
             else:
                 # Sound common bounds across all offered pieces.
-                le = rows.le
+                le = order.le
                 for ref in list(sub.up):
                     if all(le(ref, lo) for lo, _ in spans):
                         sub.add_le(ref, z)
@@ -923,8 +908,8 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
         if isinstance(node, GccChoose):
             _check_agent(report, path, nid, node.agent, t.agents)
             spans = [(slots(lo), slots(hi)) for lo, hi in node.pieces]
-            check_pieces(path, node, spans, cuts, rows)
-            check_unallocated(path, node, spans, states, rows, "choose offers")
+            check_pieces(path, node, spans, cuts, order)
+            check_unallocated(path, node, spans, states, order, "choose offers")
             new_states = []
             truncated = False
             for picks, allocated in states:
@@ -938,7 +923,7 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
                     new_states = new_states[:_SYMBOLIC_STATE_CAP]
                     truncated = True
                     break
-            return ((cuts, {**ancestors, nid: ("choose", spans)}, rows, new_states,
+            return ((cuts, {**ancestors, nid: ("choose", spans)}, order, new_states,
                      complete and not truncated),)
         if isinstance(node, GccIfElse):
             if not node.branches:
@@ -968,9 +953,9 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
             for k, (cond, _) in enumerate(node.branches):
                 branch_states = []
                 for picks, allocated in states:
-                    verdict = _eval_condition_static(cond, picks, rows, slots)
+                    verdict = _eval_condition_static(cond, picks, order)
                     prior_taken = any(
-                        _eval_condition_static(prev, picks, rows, slots) is True
+                        _eval_condition_static(prev, picks, order) is True
                         for prev, _ in node.branches[:k]
                     )
                     if verdict is not False and not prior_taken:
@@ -979,8 +964,8 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
                     # Dead branch for every symbolic state: still check its
                     # structure, with a pristine state.
                     branch_states = [({}, ())]
-                refined = rows.copy()
-                _refine_with_condition(refined, cond, ancestors, slots)
+                refined = order.copy()
+                _refine_with_condition(refined, cond, ancestors)
                 if complete and branch_states is not states:
                     # Every surviving state may agree on where an ancestor
                     # cut landed (e.g. in a final else branch); that pins the
@@ -993,28 +978,28 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
                             j = picks_seen.pop()
                             if j is not None:
                                 lo, hi = spans[j]
-                                z = slots.of[anc_nid]
+                                z = slots[anc_nid]
                                 refined.add_le(lo, z)
                                 refined.add_le(z, hi)
                 kids.append((cuts, ancestors, refined, branch_states, complete))
             return kids
         if isinstance(node, GccLeaf):
             for picks, allocated in states:
-                if not _covers_whole_cake(allocated, rows):
+                if not _covers_whole_cake(allocated, order):
                     report.warn(path, nid, "leaf may be reached with unallocated cake remaining")
                     break
         else:
             report.error(path, nid, f"unknown node type {type(node).__name__}")
         return ()
 
-    return _walk(report, t.root, (set(), {}, _Rows(), [({}, ())], True), visit)
+    return _walk(report, t.root, (set(), {}, PartialOrder(slots), [({}, ())], True), visit)
 
 
-def _covers_whole_cake(allocated: tuple[tuple[int, int], ...], rows: _Rows) -> bool:
+def _covers_whole_cake(allocated: tuple[tuple[int, int], ...], order: PartialOrder) -> bool:
     """Greedy chain check: the allocated spans provably tile origin..end."""
     remaining = list(allocated)
     cursor = 0
-    eq = rows.eq
+    eq = order.eq
     while True:
         if eq(cursor, 1):
             return True

@@ -376,13 +376,13 @@ class TestConditionReaders:
     def test_static_verdicts_agree_with_runs(self, monkeypatch):
         static = ir._eval_condition_static
         runtime = engine._holds  # the one run-time reading, as step_ifelse calls it
-        orders: dict = {}  # id(condition) -> (rows, slots) the validator read it under
+        orders: dict = {}  # id(condition) -> order the validator read it under
         reached: list = []
 
-        def record_static(cond, picks, *order):
+        def record_static(cond, picks, order):
             if not isinstance(cond, ir.Else):
-                assert orders.setdefault(id(cond), order)[0] is order[0]
-            return static(cond, picks, *order)
+                assert orders.setdefault(id(cond), order) is order
+            return static(cond, picks, order)
 
         def record_run(cond, positions, picks, origin, end):
             verdict = runtime(cond, positions, picks, origin, end)
@@ -402,7 +402,7 @@ class TestConditionReaders:
                 for cond, picks, verdict in reached:
                     if isinstance(cond, ir.Else):
                         continue
-                    seen = static(cond, picks, *orders[id(cond)])
+                    seen = static(cond, picks, orders[id(cond)])
                     assert seen is None or seen == verdict, (k, cond, picks)
                     compared += 1
                     decided += seen is not None

@@ -282,7 +282,7 @@ def test_random_facts_and_copies():
     for seed in range(200):
         rng = random.Random(seed)
         slots = ir._Slots()
-        got, want = ir._Rows(), SetOrderBuilder()
+        got, want = ir.PartialOrder(slots), SetOrderBuilder()
         for _ in range(rng.randrange(1, 12)):
             copies = got.copy(), SetOrderBuilder(want)
             a, b = rng.choice(pool), rng.choice(pool)
@@ -292,5 +292,5 @@ def test_random_facts_and_copies():
             else:
                 got.add_le(slots(a), slots(b))
                 want.add_le(a, b)
-            assert_same_order(ir.PartialOrder(slots, got), want.snapshot())
-            assert_same_order(ir.PartialOrder(slots, copies[0]), copies[1].snapshot())
+            assert_same_order(got, want.snapshot())
+            assert_same_order(copies[0], copies[1].snapshot())
