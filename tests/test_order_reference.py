@@ -277,7 +277,7 @@ def test_library_and_conversion_reports():
 
 def test_random_facts_and_copies():
     # Random <= facts over a few refs, cycles included: after each one the
-    # rows and a copy taken before it agree with the reference's.
+    # order and a copy taken before it agree with the reference's.
     pool = [ORIGIN, END, *map(at, range(6))]
     for seed in range(200):
         rng = random.Random(seed)
