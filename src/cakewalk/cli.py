@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import dsl, jsonio, library, oracle, transform
 from .engine import DecisionContext, Strategy, Trace, allocation_values, run
-from .errors import CakeError, DomainError
+from .errors import CakeError, DomainError, InvalidProtocolError
 from .ir import (
     BcDag, BcTree, ExtBcTree, GccMode, GccTree, Protocol, renumber, stats, validate,
 )
@@ -512,6 +512,10 @@ def main(argv=None) -> int:
         # Standard output was closed early (``| head``).  Point it at devnull
         # so that the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
+    except InvalidProtocolError as exc:
+        # The report's lines carry their own error: and warning: words.
+        print(exc, file=sys.stderr)
         return EXIT_FAIL
     except CakeError as exc:
         print(f"error: {exc}", file=sys.stderr)

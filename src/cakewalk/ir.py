@@ -949,24 +949,25 @@ def validate_gcc(t: GccTree, mode: GccMode = GccMode.RESTRICTED) -> ValidationRe
                             if ref.kind == "cut" and ref.cut not in cuts:
                                 report.error(path, nid,
                                              f"condition ref {ref} is not an ancestor cut")
+            # A state may take each branch whose condition may hold, up to
+            # the first that surely does.
+            states_of = [[] for _ in node.branches]
+            for state in states:
+                for (cond, _), branch_states in zip(node.branches, states_of):
+                    verdict = _eval_condition_static(cond, state[0], order)
+                    if verdict is not False:
+                        branch_states.append(state)
+                    if verdict is True:
+                        break
             kids = []
-            for k, (cond, _) in enumerate(node.branches):
-                branch_states = []
-                for picks, allocated in states:
-                    verdict = _eval_condition_static(cond, picks, order)
-                    prior_taken = any(
-                        _eval_condition_static(prev, picks, order) is True
-                        for prev, _ in node.branches[:k]
-                    )
-                    if verdict is not False and not prior_taken:
-                        branch_states.append((picks, allocated))
+            for (cond, _), branch_states in zip(node.branches, states_of):
                 if not branch_states:
                     # Dead branch for every symbolic state: still check its
                     # structure, with a pristine state.
                     branch_states = [({}, ())]
                 refined = order.copy()
                 _refine_with_condition(refined, cond, ancestors)
-                if complete and branch_states is not states:
+                if complete:
                     # Every surviving state may agree on where an ancestor
                     # cut landed (e.g. in a final else branch); that pins the
                     # cut's bounds just as a positive condition would.

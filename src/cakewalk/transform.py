@@ -6,6 +6,12 @@ correspondence is direct, a ``StrategyTransporter`` is returned so a
 strategy written for the source protocol can drive the converted one; the
 cross-model conversions (GCC <-> BC) are checked through the guarantee
 oracle instead.
+
+Every conversion that builds nodes builds them through one ``_Output``: it
+hands out output ids in build order, records the source node each one
+copies (the ``NodeMap`` and the transporters' way back) and refuses the node
+that would take the output past ``size_budget``.  A budget of N admits an
+output of N nodes and refuses one of N + 1.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .ir import (
     BcChoose, BcCut, BcDag, BcLeaf, BcNode, BcTree, ChoseAt, Condition,
     CutRef, ELSE, END, ExtBcTree, ExtChoose, ExtCut,
     ExtLeaf, ExtNode, ExtSegment, GccChoose, GccCut, GccIfElse, GccLeaf,
-    GccMode, GccTree, IdGen, ORIGIN, at, children_of,
+    GccMode, GccTree, ORIGIN, at, children_of,
     iter_nodes, renumber, stats, validate_bc, validate_dag, validate_ext,
     validate_gcc, _children, _map_node,
 )
@@ -61,7 +67,7 @@ class StrategyTransporter:
         return [partial(self.answer, src) for src in strategies]
 
 
-def _source_context(ctx: DecisionContext, back: dict[int, int], node,
+def _source_context(ctx: DecisionContext, back: Sequence[int], node,
                     skip=frozenset()) -> DecisionContext:
     """``ctx`` asked at the source ``node``: the events, less those at the
     target nodes in ``skip``, and the cut positions carry the source ids
@@ -78,23 +84,31 @@ def _require_valid(report):
         raise InvalidProtocolError(report)
 
 
-def _freeze(fwd: dict[int, set[int]]) -> NodeMap:
-    return NodeMap({k: frozenset(v) for k, v in fwd.items()})
+class _Output:
+    """The nodes a conversion builds: ids in build order from 0, each with
+    the source node it copies, and no more than ``size_budget`` of them."""
 
+    def __init__(self, size_budget: int, what: str = "conversion"):
+        self.size_budget = size_budget
+        self.what = what
+        self.source: list[Optional[int]] = []  # by output id
 
-def _budgeted_ids(size_budget: int, what: str = "conversion") -> Callable[[], int]:
-    """Sequential node ids from 0 that raise once an id passes the budget."""
-    gen = IdGen()
-
-    def fresh() -> int:
-        nid = gen()
-        if nid > size_budget:
+    def __call__(self, src=None) -> int:
+        """A new output node copying ``src``: its id."""
+        nid = len(self.source)
+        if nid >= self.size_budget:
             raise BudgetExceededError(
-                f"{what} exceeded the size budget of {size_budget} nodes"
+                f"{self.what} exceeded the size budget of {self.size_budget} nodes"
             )
+        self.source.append(src)
         return nid
 
-    return fresh
+    def node_map(self, renum: Optional[dict[int, int]] = None) -> NodeMap:
+        """Each source id with its copies' ids, renumbered by ``renum`` if given."""
+        fwd: dict[int, set[int]] = defaultdict(set)
+        for nid, src in enumerate(self.source):
+            fwd[src].add(nid if renum is None else renum[nid])
+        return NodeMap({src: frozenset(ids) for src, ids in fwd.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -106,23 +120,20 @@ def dag_to_tree(
 ) -> tuple[BcTree, NodeMap, StrategyTransporter]:
     """Expand shared subtrees into one copy per parent."""
     _require_valid(validate_dag(d))
-    gen = _budgeted_ids(size_budget, "expansion")
-    fwd: dict[int, set[int]] = defaultdict(set)
-    back: dict[int, int] = {}
+    out = _Output(size_budget, "expansion")
 
     def expand(nid: int) -> BcNode:
         node = d.nodes[nid]
-        new = gen()
-        fwd[nid].add(new)
-        back[new] = nid
+        new = out(nid)
         return _map_node(node, lambda _: new, list(map(expand, _children(node))))
 
     tree = BcTree(d.agents, expand(d.root))
+    back = out.source
 
     def answer(src: Strategy, ctx: DecisionContext):
         return src(_source_context(ctx, back, d.nodes[back[ctx.node.nid]]))
 
-    return tree, _freeze(fwd), StrategyTransporter(
+    return tree, out.node_map(), StrategyTransporter(
         "dag-to-tree: nodes map to their copies", answer)
 
 
@@ -148,19 +159,19 @@ def retarget_trace(p_target, trace, target_to_source: dict[int, int]):
 # ``_at(ref, places, 0, len(places) + 1)`` is where a ref lies.
 
 
-def _split_cut(fresh, src: int, agent: int, candidates, places: dict[int, int],
+def _split_cut(out: _Output, src: int, agent: int, candidates, places: dict[int, int],
                child: Callable[[int, dict[int, int]], BcNode]) -> BcNode:
     """A cut ``src`` landing in a definite gap of the forced cut order.
 
     One ``BcCut`` per (piece, gap) candidate, under a ``BcChoose`` of
     ``agent`` when there are several; ``child(piece, places)`` converts
-    what follows each, in the order with ``src`` in its gap.  Ids come from
-    ``fresh(src)``: the choose's first.
+    what follows each, in the order with ``src`` in its gap.  The nodes come
+    from ``out`` as copies of ``src``: the choose's first.
     """
-    cnid = fresh(src) if len(candidates) > 1 else None
+    cnid = out(src) if len(candidates) > 1 else None
     kids = []
     for j, k in candidates:
-        nid = fresh(src)
+        nid = out(src)
         inner = {cut: place + (place > k) for cut, place in places.items()}
         inner[src] = k + 1
         kids.append(BcCut(nid, agent, k + 1, child(j, inner)))
@@ -194,17 +205,9 @@ def extended_to_bc(
     instead of filling memory.
     """
     _require_valid(validate_ext(t))
-    gen = _budgeted_ids(size_budget)
-    fwd: dict[int, set[int]] = defaultdict(set)
-    back: dict[int, int] = {}
+    out = _Output(size_budget)
     introduced: set[int] = set()  # choose nodes standing in for spanning cuts
     ext_nodes = {node.nid: node for node in iter_nodes(t)}
-
-    def copy_of(src: int) -> int:
-        nid = gen()
-        fwd[src].add(nid)
-        back[nid] = src
-        return nid
 
     def convert(node: ExtNode, places: dict[int, int]) -> BcNode:
         if isinstance(node, ExtCut):
@@ -216,21 +219,22 @@ def extended_to_bc(
                     f"cut {node.nid} is pinned between identical refs; not convertible"
                 )
             assert lo < hi, "validated order must agree with the forced order"
-            out = _split_cut(copy_of, node.nid, node.agent,
-                             [(0, k) for k in range(lo, hi)], places,
-                             lambda _, inner: convert(node.child, inner))
-            if isinstance(out, BcChoose):
-                introduced.add(out.nid)
-            return out
+            split = _split_cut(out, node.nid, node.agent,
+                               [(0, k) for k in range(lo, hi)], places,
+                               lambda _, inner: convert(node.child, inner))
+            if isinstance(split, BcChoose):
+                introduced.add(split.nid)
+            return split
         if isinstance(node, ExtChoose):
-            return BcChoose(copy_of(node.nid), node.agent,
+            return BcChoose(out(node.nid), node.agent,
                             tuple(convert(c, places) for c in node.children))
         assert isinstance(node, ExtLeaf)
-        return _forced_leaf(copy_of(node.nid), node.nid,
+        return _forced_leaf(out(node.nid), node.nid,
                             ((seg.left, seg.right, seg.agent) for seg in node.segments),
                             places)
 
     tree = BcTree(t.agents, convert(t.root, {}))
+    back = out.source
 
     def answer(src: Strategy, ctx: DecisionContext):
         # A copied choose has the same children, so its index carries over;
@@ -255,7 +259,7 @@ def extended_to_bc(
             f"source strategy cut at {decision}, outside every candidate piece"
         )
 
-    return tree, _freeze(fwd), StrategyTransporter(
+    return tree, out.node_map(), StrategyTransporter(
         "extended-to-bc: spanning cuts become piece choices", answer)
 
 
@@ -355,7 +359,7 @@ def cuts_before_choices_ext(
                            partition=partition_of(positions.items()),
                            cut_positions=positions))
 
-    identity = _freeze({node.nid: {node.nid} for node in iter_nodes(t)})
+    identity = NodeMap({node.nid: frozenset({node.nid}) for node in iter_nodes(t)})
     return out, identity, StrategyTransporter(
         "cuts-before-choices: same nodes, cut decisions asked earlier", answer)
 
@@ -450,49 +454,45 @@ def cuts_before_choices_bc(
     other branches, so in each of them the piece indexing shifts and any
     cut into the split piece becomes a two-way choice between its halves;
     leaves re-expand the split piece.  Output ids are preorder-renumbered.
+
+    The input is numbered into the output first.  A split keeps the cut's
+    nodes in its left half and builds the right half as new copies, so the
+    output's node count is always the number of ids handed out.
     """
     _require_valid(validate_bc(t))
-    gen = IdGen(max((n.nid for n in iter_nodes(t)), default=0) + 1)
-    origin: dict[int, int] = {n.nid: n.nid for n in iter_nodes(t)}
-    count = stats(t).nodes
+    out = _Output(size_budget, "normalization")
 
-    def bump(extra: int):
-        nonlocal count
-        count += extra
-        if count > size_budget:
-            raise BudgetExceededError(
-                f"normalization exceeded the size budget of {size_budget} nodes"
-            )
+    def number(node: BcNode) -> BcNode:
+        nid = out(node.nid)
+        return _map_node(node, lambda _: nid, map(number, _children(node)))
 
-    def insert_cut(node: BcNode, s: int) -> BcNode:
-        """Account for an extra earlier cut that split piece s into s, s+1."""
+    def copy(nid: int) -> int:
+        return out(out.source[nid])
+
+    def insert_cut(node: BcNode, s: int, ids=lambda nid: nid) -> BcNode:
+        """Account for an extra earlier cut that split piece s into s, s+1;
+        ``ids`` gives each rebuilt node its id."""
         if isinstance(node, BcLeaf):
-            return BcLeaf(node.nid, node.assign[:s] + node.assign[s - 1 :])
+            return BcLeaf(ids(node.nid), node.assign[:s] + node.assign[s - 1 :])
         if isinstance(node, BcChoose):
-            return BcChoose(node.nid, node.agent,
-                            tuple(insert_cut(c, s) for c in node.children))
+            return BcChoose(ids(node.nid), node.agent,
+                            tuple(insert_cut(c, s, ids) for c in node.children))
         assert isinstance(node, BcCut)
         if node.piece < s:
-            return BcCut(node.nid, node.agent, node.piece,
-                         insert_cut(node.child, s + 1))
+            return BcCut(ids(node.nid), node.agent, node.piece,
+                         insert_cut(node.child, s + 1, ids))
         if node.piece > s:
-            return BcCut(node.nid, node.agent, node.piece + 1,
-                         insert_cut(node.child, s))
+            return BcCut(ids(node.nid), node.agent, node.piece + 1,
+                         insert_cut(node.child, s, ids))
         # The cut targeted the split piece: offer its two halves.
-        left_id, right_id, choose_id = gen(), gen(), gen()
-        src = origin[node.nid]
-        origin[left_id] = origin[right_id] = origin[choose_id] = src
-        bump(2)
-        left = BcCut(left_id, node.agent, s, insert_cut(node.child, s + 1))
-        right = BcCut(right_id, node.agent, s + 1, insert_cut(node.child, s))
+        choose_id = copy(node.nid)
+        left = BcCut(ids(node.nid), node.agent, s, insert_cut(node.child, s + 1, ids))
+        right = BcCut(copy(node.nid), node.agent, s + 1, insert_cut(node.child, s, copy))
         return BcChoose(choose_id, node.agent, (left, right))
 
-    root = _cuts_first(t.root, lambda node, cut: insert_cut(node, cut.piece))
-    out, renum = renumber(BcTree(t.agents, root))
-    fwd: dict[int, set[int]] = defaultdict(set)
-    for old, new in renum.items():
-        fwd[origin[old]].add(new)
-    return out, _freeze(fwd)
+    root = _cuts_first(number(t.root), lambda node, cut: insert_cut(node, cut.piece))
+    tree, renum = renumber(BcTree(t.agents, root))
+    return tree, out.node_map(renum)
 
 
 def cuts_first(t) -> bool:
@@ -527,13 +527,7 @@ def gcc_to_bc(
     deleted.
     """
     _require_valid(validate_gcc(g, mode))
-    gen = _budgeted_ids(size_budget)
-    fwd: dict[int, set[int]] = defaultdict(set)
-
-    def fresh(src: int) -> int:
-        nid = gen()
-        fwd[src].add(nid)
-        return nid
+    out = _Output(size_budget)
 
     def convert(node, places: dict[int, int], picks: dict[int, int],
                 spans: tuple[tuple[CutRef, CutRef, int], ...]) -> BcNode:
@@ -548,7 +542,7 @@ def gcc_to_bc(
                 raise DomainError(
                     f"cut node {node.nid} offers only degenerate pieces"
                 )
-            return _split_cut(fresh, node.nid, node.agent, candidates, places,
+            return _split_cut(out, node.nid, node.agent, candidates, places,
                               lambda j, inner: convert(node.child, inner,
                                                        {**picks, node.nid: j}, spans))
         if isinstance(node, GccChoose):
@@ -556,7 +550,7 @@ def gcc_to_bc(
                 piece = node.pieces[0]
                 return convert(node.child, places, {**picks, node.nid: 0},
                                spans + ((piece[0], piece[1], node.agent),))
-            cnid = fresh(node.nid)
+            cnid = out(node.nid)
             kids = []
             for j, piece in enumerate(node.pieces):
                 kids.append(
@@ -572,10 +566,10 @@ def gcc_to_bc(
                     return convert(child, places, picks, spans)
             raise DomainError(f"no if-else branch held at node {node.nid}")
         assert isinstance(node, GccLeaf)
-        return _forced_leaf(fresh(node.nid), node.nid, spans, places)
+        return _forced_leaf(out(node.nid), node.nid, spans, places)
 
     tree = BcTree(g.agents, convert(g.root, {}, {}, ()))
-    return tree, _freeze(fwd)
+    return tree, out.node_map()
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +590,7 @@ def bc_to_gcc(t: BcTree, size_budget: int = DEFAULT_SIZE_BUDGET) -> GccTree:
     n = t.agents
     ext = embed_bc_as_ext(t)
     normal, _, _ = cuts_before_choices_ext(ext)
-    fresh = _budgeted_ids(size_budget)
+    out = _Output(size_budget)
 
     # Chooses controlled by each agent, in preorder.
     chooses_of: dict[int, list[ExtChoose]] = {i: [] for i in range(1, n + 1)}
@@ -613,7 +607,7 @@ def bc_to_gcc(t: BcTree, size_budget: int = DEFAULT_SIZE_BUDGET) -> GccTree:
     plan: list[tuple[int, int, tuple[CutRef, CutRef]]] = []  # (id, agent, piece)
 
     def plan_cut(agent: int, piece: tuple[CutRef, CutRef]) -> CutRef:
-        nid = fresh()
+        nid = out()
         plan.append((nid, agent, piece))
         return at(nid)
 
@@ -659,7 +653,7 @@ def bc_to_gcc(t: BcTree, size_budget: int = DEFAULT_SIZE_BUDGET) -> GccTree:
     # --- main conversion ----------------------------------------------------
     def conv_main(node: ExtNode, consumed: frozenset[tuple[int, int]]) -> GccNode:
         if isinstance(node, ExtCut):
-            nid = fresh()
+            nid = out()
             ext_to_gcc[node.nid] = nid
             piece = (remap(node.left), remap(node.right))
             return GccCut(nid, node.agent, (piece,), conv_main(node.child, consumed))
@@ -671,39 +665,39 @@ def bc_to_gcc(t: BcTree, size_budget: int = DEFAULT_SIZE_BUDGET) -> GccTree:
             if k == 1:
                 # Single branch: nothing to decide; the sub-piece is mopped up.
                 inner = conv_main(node.children[0], consumed)
-                return GccChoose(fresh(), agent, ((left, right),), inner)
+                return GccChoose(out(), agent, ((left, right),), inner)
             chain = [right]
             cut_nodes: list[tuple[int, tuple[CutRef, CutRef]]] = []
             for _ in range(k - 1):
-                nid = fresh()
+                nid = out()
                 cut_nodes.append((nid, (left, chain[-1])))
                 chain.append(at(nid))
             chain.append(left)
             pieces = tuple((chain[c + 1], chain[c]) for c in range(k))
-            choose_id = fresh()
+            choose_id = out()
             branches = []
             for c, child in enumerate(node.children):
                 body: GccNode = conv_main(child, consumed)
                 for cc in range(k - 1, -1, -1):
                     if cc == c:
                         continue
-                    body = GccChoose(fresh(), agent, (pieces[cc],), body)
+                    body = GccChoose(out(), agent, (pieces[cc],), body)
                 cond: Condition = ChoseAt(choose_id, c) if c < k - 1 else ELSE
                 branches.append((cond, body))
-            tail: GccNode = GccIfElse(fresh(), tuple(branches))
+            tail: GccNode = GccIfElse(out(), tuple(branches))
             tail = GccChoose(choose_id, agent, pieces, tail)
             for nid, piece in reversed(cut_nodes):
                 tail = GccCut(nid, agent, (piece,), tail)
             return tail
         assert isinstance(node, ExtLeaf)
-        tail = GccLeaf(fresh())
+        tail = GccLeaf(out())
         # Mop up unconsumed reserved sub-pieces, highest agent first.
         for (i, j), piece in reversed(sub_piece.items()):
             if (i, j) not in consumed:
-                tail = GccChoose(fresh(), i, (piece,), tail)
+                tail = GccChoose(out(), i, (piece,), tail)
         for seg in reversed(node.segments):
             piece = (remap(seg.left), remap(seg.right))
-            tail = GccChoose(fresh(), seg.agent, (piece,), tail)
+            tail = GccChoose(out(), seg.agent, (piece,), tail)
         return tail
 
     body = conv_main(normal.root, frozenset())

@@ -77,6 +77,26 @@ def random_bc_tree(rng: random.Random, agents: int = 2, max_nodes: int = 20) -> 
     return BcTree(agents, build(0, 0))
 
 
+def clashing_bc_tree(rng: random.Random, max_nodes: int) -> BcTree:
+    """Random BC tree of chooses over cuts into the first two pieces, so that
+    a hoisted cut often splits the cuts of the other branches in two."""
+    gen, left = IdGen(), [max_nodes]
+
+    def build(cuts: int, depth: int):
+        left[0] -= 1
+        roll = rng.random()
+        if left[0] <= 1 or depth > 6 or roll < 0.08 * depth:
+            return BcLeaf(gen(), tuple(rng.randint(1, 2) for _ in range(cuts + 1)))
+        nid = gen()
+        if roll < 0.5:
+            return BcCut(nid, rng.randint(1, 2), rng.randint(1, min(cuts + 1, 2)),
+                         build(cuts + 1, depth + 1))
+        return BcChoose(nid, rng.randint(1, 2),
+                        tuple(build(cuts, depth + 1) for _ in range(rng.randint(2, 3))))
+
+    return BcTree(2, build(0, 0))
+
+
 def many_chooses_tree(branches: int = 20, chain: int = 60) -> BcTree:
     """A root choose of agent 1 over ``branches`` chains of ``chain``
     single-branch chooses, agents alternating, each chain ending in a leaf.

@@ -272,6 +272,43 @@ class TestConvert:
         assert code == 1
         assert "size budget of 2 nodes" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("convert", "--to", "bc", "reconverging_bcdag.cake"),
+        ("convert", "--to", "bc", "even_paz_extbc_2.cake"),
+        ("convert", "--to", "bc", "dubins_spanier_gcc_3.cake"),
+        ("convert", "--to", "gcc", "cut_and_choose_bc.cake"),
+        ("normalize", "--pass", "cbc-bc", "cut_and_choose_bc.cake"),
+        ("normalize", "--pass", "intermediate", "cut_and_choose_bc.cake"),
+    ], ids=lambda argv: f"{argv[2]}-{argv[-1].removesuffix('.cake')}")
+    def test_budget_of_n_builds_n_nodes(self, capsys, argv):
+        *args, name = argv
+        path = str(GOLDEN / name)
+        code, out, _ = run_cli(capsys, *args, path)
+        assert code == 0
+        n = stats(protocol_from_json(json.loads(out))).nodes
+        assert run_cli(capsys, *args, path, "--budget", str(n)) == (0, out, "")
+        code, _, err = run_cli(capsys, *args, path, "--budget", str(n - 1))
+        assert code == 1
+        assert err.endswith(f"size budget of {n - 1} nodes\n")
+
+    def test_validation_error_lines_carry_one_word(self, capsys, tmp_path):
+        # The second cut offers the whole cake, which may hold the first cut.
+        path = tmp_path / "second_cut.cake"
+        path.write_text("(gcc :agents 2 (gcc-cut :agent 1 :label c0 (piece origin end)\n"
+                        "  (gcc-cut :agent 2 (piece origin end)\n"
+                        "    (gcc-choose :agent 1 (piece origin c0) (gcc-leaf)))))\n")
+        code, out, err = run_cli(capsys, "convert", "--to", "bc", "--mode", "restricted",
+                                 str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: [root/0 #1] piece (origin, end) may contain earlier cut at(0)"
+            " (restricted mode)\n"
+            "error: [root/0/0 #2] piece (origin, at(0)) may contain earlier cut at(1)"
+            " (restricted mode)\n"
+            "warning: [root/0/0/0 #3] leaf may be reached with unallocated cake"
+            " remaining\n"
+        )
+
 
 class TestRun:
     def test_generated_protocol_with_bundle(self, capsys):

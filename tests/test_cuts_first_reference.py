@@ -5,8 +5,11 @@
 ``cuts_before_choices_ext`` and ``cuts_before_choices_bc``: hoist the first
 cut child of the first choose in preorder, then search again from the root,
 until no choose has a cut child.  ``transform._cuts_first`` must give the
-same trees, the same printed ``.cake`` bytes, the same NodeMaps and the same
-budget errors.
+same trees and the same printed ``.cake`` bytes.  For the plain BC pass the
+reference also gives the NodeMap and budget outcome the conversions promise:
+every node of the result, each copy a split makes included, is listed under
+its source, and a budget of N refuses exactly the results of more than N
+nodes.
 """
 
 import random
@@ -27,7 +30,7 @@ from cakewalk.transform import (
     extended_to_bc,
 )
 
-from helpers import random_bc_tree, random_ext_tree
+from helpers import clashing_bc_tree, random_bc_tree, random_ext_tree
 
 
 def hoist_first(node, lower):
@@ -57,14 +60,24 @@ def reference_ext(t: ExtBcTree) -> ExtBcTree:
     return ExtBcTree(t.agents, root)
 
 
+def node_count(node) -> int:
+    return 1 + sum(map(node_count, children_of(node)))
+
+
 def reference_bc(t: BcTree, size_budget: int):
-    """(tree, NodeMap forward dict), or the ``BudgetExceededError`` raised."""
+    """(tree, NodeMap forward dict), or the ``BudgetExceededError`` due when
+    the input or the result has more than ``size_budget`` nodes.
+
+    A split copies the cut's subtree under both halves with the same ids,
+    so ``origin`` gives the source of every node, copies included, and the
+    map pairs each node of the result with its preorder id.  The tree only
+    grows, so the walk stops once it passes the budget.
+    """
     gen = IdGen(max(n.nid for n in iter_nodes(t)) + 1)
     origin = {n.nid: n.nid for n in iter_nodes(t)}
-    count = stats(t).nodes
+    count = node_count(t.root)
 
     def insert_cut(node, s):
-        nonlocal count
         if isinstance(node, BcLeaf):
             return BcLeaf(node.nid, node.assign[:s] + node.assign[s - 1:])
         if isinstance(node, BcChoose):
@@ -76,30 +89,30 @@ def reference_bc(t: BcTree, size_budget: int):
             return BcCut(node.nid, node.agent, node.piece + 1, insert_cut(node.child, s))
         left_id, right_id, choose_id = gen(), gen(), gen()
         origin[left_id] = origin[right_id] = origin[choose_id] = origin[node.nid]
-        count += 2
-        if count > size_budget:
-            raise BudgetExceededError(
-                f"normalization exceeded the size budget of {size_budget} nodes")
         left = BcCut(left_id, node.agent, s, insert_cut(node.child, s + 1))
         right = BcCut(right_id, node.agent, s + 1, insert_cut(node.child, s))
         return BcChoose(choose_id, node.agent, (left, right))
 
     def lower(choose, i):
+        nonlocal count
         cut = choose.children[i]
         kids = tuple(cut.child if j == i else insert_cut(other, cut.piece)
                      for j, other in enumerate(choose.children))
-        return _map_node(cut, kids=[_map_node(choose, kids=kids)])
+        lowered = _map_node(cut, kids=[_map_node(choose, kids=kids)])
+        count += node_count(lowered) - node_count(choose)
+        return lowered
 
-    try:
-        root, moved = t.root, True
-        while moved:
-            root, moved = hoist_first(root, lower)
-    except BudgetExceededError as exc:
-        return exc
-    out, renum = renumber(BcTree(t.agents, root))
+    root, moved = t.root, True
+    while count <= size_budget and moved:
+        root, moved = hoist_first(root, lower)
+    if count > size_budget:
+        return BudgetExceededError(
+            f"normalization exceeded the size budget of {size_budget} nodes")
+    built = BcTree(t.agents, root)
+    out, _ = renumber(built)
     fwd = defaultdict(set)
-    for old, new in renum.items():
-        fwd[origin[old]].add(new)
+    for old, new in zip(iter_nodes(built), iter_nodes(out)):
+        fwd[origin[old.nid]].add(new.nid)
     return out, {k: frozenset(v) for k, v in fwd.items()}
 
 
@@ -148,26 +161,6 @@ def test_random_extended_trees():
         rng = random.Random(seed)
         check_ext(random_ext_tree(rng, agents=rng.randint(1, 3),
                                   max_nodes=rng.randint(3, 40)))
-
-
-def clashing_bc_tree(rng: random.Random, max_nodes: int) -> BcTree:
-    """Random BC tree of chooses over cuts into the first two pieces, so that
-    a hoisted cut often splits the cuts of the other branches in two."""
-    gen, left = IdGen(), [max_nodes]
-
-    def build(cuts: int, depth: int):
-        left[0] -= 1
-        roll = rng.random()
-        if left[0] <= 1 or depth > 6 or roll < 0.08 * depth:
-            return BcLeaf(gen(), tuple(rng.randint(1, 2) for _ in range(cuts + 1)))
-        nid = gen()
-        if roll < 0.5:
-            return BcCut(nid, rng.randint(1, 2), rng.randint(1, min(cuts + 1, 2)),
-                         build(cuts + 1, depth + 1))
-        return BcChoose(nid, rng.randint(1, 2),
-                        tuple(build(cuts, depth + 1) for _ in range(rng.randint(2, 3))))
-
-    return BcTree(2, build(0, 0))
 
 
 @pytest.mark.parametrize("make", [
