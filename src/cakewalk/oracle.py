@@ -22,6 +22,11 @@ a piece's value is a difference of two table entries.  Queries return
 ``Fraction`` results built from these integers; they equal the values exact
 rational arithmetic would give.
 
+A tree walk meets the same state twice only where a cut is dead: made
+above, read by nothing below.  So a GCC or extended tree memoizes subgames
+on the part of the state their subtree still reads, at the decision nodes
+where a cut first dies; the rest of the game is played as without it.
+
 The game is the interpreter's: each move and leaf goes through the rules
 ``engine`` writes once for any ordered positions, here with origin 0 and
 end the last grid index, so the oracle raises the interpreter's
@@ -50,8 +55,8 @@ from .engine import _branch, _cut_interval, _insert, _leaf_pieces, _spans
 from .engine import step_cut  # noqa: F401
 from .errors import BudgetExceededError, DomainError, ExecutionError
 from .ir import (
-    BcChoose, BcCut, BcDag, BcLeaf, ExtChoose, ExtLeaf, GccChoose, GccCut, GccIfElse,
-    GccLeaf, Protocol,
+    BcChoose, BcCut, BcDag, BcLeaf, ExtBcTree, ExtChoose, ExtCut, ExtLeaf, GccChoose,
+    GccCut, GccIfElse, GccLeaf, GccTree, Less, Protocol, _children, condition_atoms,
 )
 from .valuation import ONE, Valuation, ZERO, check_allocation, format_frac
 
@@ -133,6 +138,136 @@ def _same(node):
     return node
 
 
+# -- which cuts a tree subgame still reads -------------------------------------
+#
+# A subgame's value depends on the node, the positions of the cuts its
+# subtree still reads, the picks its conditions read and, on GCC, the pieces
+# allocated so far.  A cut made above that nothing below reads is dead there,
+# and projecting dead cuts out of the key lets two states that differ only in
+# them share one memo entry, as a transposition table does (Zobrist, "A new
+# hashing method with application for game playing", 1970).
+
+
+def _own_reads(node) -> tuple[list, list]:
+    """The cut ids and pick ids ``node`` itself reads: GCC piece refs,
+    extended cut bounds and leaf segments, and if-else condition atoms."""
+    if isinstance(node, GccIfElse):
+        atoms = [a for cond, _ in node.branches for a in condition_atoms(cond)]
+        refs = [r for a in atoms if isinstance(a, Less) for r in (a.left, a.right)]
+        picks = [a.node for a in atoms if not isinstance(a, Less)]
+    elif isinstance(node, (GccCut, GccChoose)):
+        refs, picks = [r for piece in node.pieces for r in piece], []
+    elif isinstance(node, ExtCut):
+        refs, picks = [node.left, node.right], []
+    elif isinstance(node, ExtLeaf):
+        refs, picks = [r for seg in node.segments for r in (seg.left, seg.right)], []
+    else:
+        return [], []
+    return [r.cut for r in refs if r.kind == "cut"], picks
+
+
+def _count(counts: dict, keys, step: int) -> None:
+    """Add ``step`` to each key's count; a key whose count is 0 goes."""
+    for key in keys:
+        c = counts.get(key, 0) + step
+        if c:
+            counts[key] = c
+        else:
+            del counts[key]
+
+
+def _merge(kids: list, own: tuple, reads, made: dict, pinned: dict) -> set:
+    """The ids made above a node and read below it, not pinned: its
+    children's (the largest set taken over, the others added to it), less
+    ``own``, the id the node makes if any, plus those the node reads."""
+    base = max(kids, key=len, default=None)
+    base = set() if base is None else base
+    for s in kids:
+        if s is not base:
+            base |= s
+    base.difference_update(own)
+    base.update([r for r in reads if r in made and r not in pinned])
+    return base
+
+
+def _live_walk(root, keep) -> tuple[list, dict]:
+    """One explicit-stack pass over a GCC or extended tree.
+
+    A cut or pick made above a node is live there when the node's subtree
+    reads it.  A GCC leaf reads the allocation, so every cut a choose names
+    and every choose's pick count as read by every leaf below that choose:
+    they are pinned live for the choose's subtree.  Each node's set of live,
+    unpinned ids made above it is built from its children's, so a chain
+    shares one set and no node keeps a copy.
+
+    Returns a row per decision node in preorder: ``(id(node), row of the
+    nearest decision ancestor or -1, the number of cuts made above it that
+    are dead there)``; and, for the nodes whose ``id`` is in ``keep``, their
+    live cut ids and live pick ids made above them.
+    """
+    cuts_made: dict = {}  # id -> count, over the nodes above the current one
+    cuts_pinned: dict = {}
+    picks_made: dict = {}
+    picks_pinned: dict = {}
+    rows: list = []
+    live: dict = {}
+    done: list = []  # (live cuts, live picks) of finished subtrees
+    stack = [(root, -1, -1, None)]
+    while stack:
+        node, up, row, facts = stack.pop()
+        if facts is None:  # entering: below here the node's own facts hold
+            cut_reads, pick_reads = _own_reads(node)
+            nid = (node.nid,)
+            cut = nid if isinstance(node, (GccCut, ExtCut)) else ()
+            pick = nid if isinstance(node, (GccCut, GccChoose)) else ()
+            pins = ([c for c in cut_reads if c in cuts_made], nid) \
+                if isinstance(node, GccChoose) else ((), ())
+            facts = (cut, pick, pins, cut_reads, pick_reads)
+            if isinstance(node, (GccCut, GccChoose, ExtCut, ExtChoose)):
+                row = len(rows)
+                rows.append(None)
+            stack.append((node, up, row, facts))
+            down = up if row < 0 else row
+            stack.extend([(kid, down, -1, None) for kid in reversed(_children(node))])
+            step = 1
+        else:
+            step = -1
+        cut, pick, pins, cut_reads, pick_reads = facts
+        _count(cuts_made, cut, step)
+        _count(picks_made, pick, step)
+        _count(cuts_pinned, pins[0], step)
+        _count(picks_pinned, pins[1], step)
+        if step == 1:
+            continue
+        split = len(done) - len(_children(node))
+        below = done[split:]
+        del done[split:]
+        cut_set = _merge([c for c, _ in below], cut, cut_reads, cuts_made, cuts_pinned)
+        pick_set = _merge([p for _, p in below], pick, pick_reads, picks_made,
+                          picks_pinned)
+        ident = id(node)
+        if row >= 0:
+            rows[row] = (ident, up, len(cuts_made) - len(cuts_pinned) - len(cut_set))
+        if ident in keep:
+            # A node object placed twice keys what either place reads.
+            old = live.get(ident, (frozenset(), frozenset()))
+            live[ident] = (old[0].union(cut_set, cuts_pinned),
+                           old[1].union(pick_set, picks_pinned))
+        done.append((cut_set, pick_set))
+    return rows, live
+
+
+def _memo_points(root) -> dict:
+    """``id(node)`` -> (live cut ids, live pick ids) at each memo point of a
+    GCC or extended tree: a decision node where a cut made above becomes
+    dead for the first time, that is, where more cuts are dead than at the
+    nearest decision ancestor.  Elsewhere a walk cannot reach the same live
+    state twice, so the memo would only keep entries that never hit."""
+    rows, _ = _live_walk(root, ())
+    points = {ident for ident, up, dead in rows if up >= 0 and dead > rows[up][2]}
+    return _live_walk(root, points)[1] if points else {}
+
+
 class GuaranteeOracle:
     """Backward induction over one protocol, one grid, one valuation profile.
 
@@ -149,9 +284,13 @@ class GuaranteeOracle:
 
     One walk answers a batch of queries and scores each leaf once, so no
     leaf is cached.  On a DAG, subgame results are memoized on (walk, node
-    id, cuts, picks), which fully determines the pending allocation; a tree
-    reaches each such key once per walk, so there the memo would never hit
-    and stays empty.  ``budget`` bounds the evaluations of all its walks.
+    id, cuts, picks), which fully determines the pending allocation.  A GCC
+    or extended tree is memoized at its memo points only (``_memo_points``,
+    found once per oracle): decision nodes where a cut made above is first
+    read by nothing below.  There the key is (node, the live cuts' (id,
+    grid index) pairs, the live picks, allocated), and the memo is cleared
+    at the start of each walk.  A BC tree has no memo point: every BC leaf
+    reads every cut.  ``budget`` bounds the evaluations of all its walks.
     """
 
     def __init__(self, p: Protocol, vals: Sequence[Valuation], grid: Grid,
@@ -179,6 +318,8 @@ class GuaranteeOracle:
         ]
         self._last = len(grid.points) - 1  # the grid index of position 1
         self._node_of = p.nodes.__getitem__ if isinstance(p, BcDag) else _same
+        self._memo_at = (_memo_points(p.root) if isinstance(p, (GccTree, ExtBcTree))
+                         else {})
 
     # -- plumbing -----------------------------------------------------------
 
@@ -229,7 +370,7 @@ class GuaranteeOracle:
     def _solve(self, label: str, queries: Sequence[tuple], yes_no=False) -> tuple:
         """Max/min over the game from the root for a batch of queries, in one
         walk; one result per query.  ``label`` names the walk in budget errors
-        and keys its memo entries.  A query ``(agent, agent_maximizes, cells,
+        and keys its memo entries on a DAG.  A query ``(agent, agent_maximizes, cells,
         score)`` takes the max at the agent's nodes if ``agent_maximizes``,
         else the min, and the other elsewhere.  A leaf computes each
         cross-value some query's ``cells`` name once (keyed by ``_cell``), and
@@ -246,7 +387,10 @@ class GuaranteeOracle:
         # each query's max or min per acting agent, 0 for one no query is about
         sides = {a: tuple(max if (a == agent) == up else min
                           for agent, up, _, _ in queries) for a in range(n + 1)}
-        memo = self._memo if isinstance(self.protocol, BcDag) else None
+        memo_at = self._memo_at
+        memo = self._memo if memo_at or isinstance(self.protocol, BcDag) else None
+        if memo_at:
+            memo.clear()  # a tree walk keeps no entry from the walk before
         self._query, self._started = label, perf_counter()
 
         def rec(node, cuts, picks, allocated, order):
@@ -267,11 +411,18 @@ class GuaranteeOracle:
             if isinstance(node, GccIfElse):
                 return rec(_branch(node, cuts, picks, 0, last),
                            cuts, picks, allocated, order)
+            key = None
             if memo is not None:
-                key = (label, node.nid, cuts, picks)
-                hit = memo.get(key)
-                if hit is not None:
-                    return hit
+                if not memo_at:
+                    key = (label, node.nid, cuts, picks)
+                elif (live := memo_at.get(id(node))) is not None:
+                    live_cuts, live_picks = live
+                    key = (id(node), tuple([c for c in cuts if c[0] in live_cuts]),
+                           tuple([pk for pk in picks if pk[0] in live_picks]), allocated)
+                if key is not None:
+                    hit = memo.get(key)
+                    if hit is not None:
+                        return hit
             nexts = self._moves(node, cuts, picks, allocated, order)
             if not nexts:  # without a move no result could be taken
                 raise ExecutionError("decision node offers no move", node=node.nid)
@@ -286,7 +437,7 @@ class GuaranteeOracle:
             else:
                 outcomes = [rec(*nxt) for nxt in nexts]
                 result = tuple([op(column) for op, column in zip(ops, zip(*outcomes))])
-            if memo is not None:
+            if key is not None:
                 memo[key] = result
             return result
 

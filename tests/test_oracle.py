@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import product
+from time import perf_counter
 
 import pytest
 
@@ -10,8 +11,8 @@ from cakewalk.engine import (
 )
 from cakewalk.errors import BudgetExceededError, DomainError, ExecutionError
 from cakewalk.ir import (
-    BcChoose, BcCut, BcDag, BcLeaf, BcTree, DagCut, DagLeaf, GccChoose, GccCut, GccLeaf,
-    GccMode, GccTree, IdGen, stats,
+    END, ORIGIN, BcChoose, BcCut, BcDag, BcLeaf, BcTree, DagCut, DagLeaf, ExtBcTree, ExtCut,
+    ExtLeaf, ExtSegment, GccChoose, GccCut, GccLeaf, GccMode, GccTree, IdGen, at, stats,
 )
 from cakewalk.library import (
     gen_cut_and_choose, gen_dubins_spanier, gen_selfridge_conway_bc,
@@ -19,7 +20,7 @@ from cakewalk.library import (
 )
 from cakewalk.oracle import (
     BoundsQuery, Grid, GuaranteeOracle, Notion, build_grid, check_equiv,
-    strong_query_vectors,
+    strong_query_vectors, _envy_query,
 )
 from cakewalk.transform import bc_to_gcc, dag_to_tree, gcc_to_bc
 from cakewalk.valuation import Valuation, random_valuation, uniform
@@ -474,16 +475,117 @@ class TestDagOracle:
         assert cases >= 10
         assert hits >= 1
 
-    def test_memo_stays_empty_on_trees(self):
+
+class TestTreeMemo:
+    """A GCC or extended tree memoizes only at its memo points: decision
+    nodes where a cut made above is first read by nothing below.  A BC tree
+    has none, as every BC leaf reads every cut."""
+
+    @staticmethod
+    def walked(p, vals, grid):
+        oracle = GuaranteeOracle(p, vals, grid)
+        oracle._memo = CountingMemo()
+        oracle.guarantee_value(1)
+        oracle.guarantee_total_envy(2)
+        oracle.can_guarantee(BoundsQuery.make(2, {1: F(1, 4)}))
+        return oracle
+
+    def test_protocols_without_a_memo_point_keep_no_entry(self):
         bc, gcc, _ = gen_cut_and_choose()
         vals = [random_valuation(4, 3), random_valuation(5, 3)]
         grid = build_grid(vals, 2)
-        for p in (bc, gcc, bc_to_gcc(bc)):
-            oracle = GuaranteeOracle(p, vals, grid)
-            oracle.guarantee_value(1)
-            oracle.guarantee_total_envy(2)
-            oracle.can_guarantee(BoundsQuery.make(2, {1: F(1, 4)}))
-            assert oracle._memo == {}
+        # Every leaf of cut-and-choose's own GCC form reads its one cut
+        # through the allocation, so no cut dies.
+        protocols = [bc, gcc]
+        protocols += [random_bc_tree(random.Random(seed), 2, 10) for seed in range(8)]
+        protocols += [random_gcc(random.Random(seed), 2, 4) for seed in range(16)]
+        for p in protocols:
+            oracle = self.walked(p, vals, grid)
+            assert oracle._memo_at == {}
+            assert oracle._memo == {} and oracle._memo.hits == 0
+        sc, _ = gen_selfridge_conway_gcc()
+        oracle = GuaranteeOracle(sc, [uniform()] * 3, Grid((F(0), F(1, 3), F(2, 3), F(1))))
+        oracle.guarantee_value(1)
+        assert oracle._memo_at == {} and oracle._memo == {}
+
+    def test_gcc_image_of_cut_and_choose_hits_where_its_first_cut_dies(self):
+        # bc_to_gcc's simulation cuts c0, c1 and c2 in turn; c0 is read by c1
+        # alone, so it is dead from c2 on, and states that differ only in
+        # c0 meet there.
+        bc, _, _ = gen_cut_and_choose()
+        image = bc_to_gcc(bc)
+        c2 = image.root.child.child
+        vals = [random_valuation(4, 3), random_valuation(5, 3)]
+        grid = build_grid(vals, 2)
+        oracle = GuaranteeOracle(image, vals, grid)
+        oracle._memo = CountingMemo()
+        assert list(oracle._memo_at) == [id(c2)]
+        assert oracle.guarantee_value(1) == F(1, 2)
+        # 9,738 evaluations without the memo
+        assert (oracle.evals, len(oracle._memo), oracle._memo.hits) == (2_878, 7, 21)
+        assert {key[0] for key in oracle._memo} == {id(c2)}
+        walked = self.walked(image, vals, grid)
+        assert walked._memo and walked._memo.hits >= 1
+
+    @pytest.mark.parametrize("model, evals, entries, envies", [
+        ("extbc", 7_706, 90, (4, 4, 2, 2, 0, 0)),
+        ("gcc", 16_174, 716, (1, 1, 2, 2, 4, 4)),
+    ])
+    def test_dubins_spanier_three_agents(self, model, evals, entries, envies):
+        # The six pair envies in one walk, as check_equiv's pairwise makes
+        # it; without the memo the walk made 731,702 (extbc) and 2,021,870
+        # (gcc) evaluations for the same envies.
+        vals = [random_valuation(seed, 4) for seed in (1, 2, 3)]
+        p, _ = gen_dubins_spanier(3, model)
+        oracle = GuaranteeOracle(p, vals, build_grid(vals, 2))
+        queries = [_envy_query(3, i, (j,)) for i in (1, 2, 3) for j in (1, 2, 3) if i != j]
+        assert oracle._solve("six pair envies", queries) == envies
+        assert (oracle.evals, len(oracle._memo)) == (evals, entries)
+
+
+class TestDeepTrees:
+    """Liveness walks the tree on a stack and keeps no set per node, so an
+    oracle on a chain ten times deeper than the recursion limit is built in
+    well under a second.  (Its walk still recurses.)"""
+
+    DEPTH = 10_000
+
+    def gcc_chain(self):
+        """Each cut within the piece right of the one before, so each cut is
+        read by the next alone; then the two agents take the two sides of
+        the last cut."""
+        last = self.DEPTH - 1
+        node = GccChoose(last + 2, 2, ((at(last), END),), GccLeaf(last + 3))
+        node = GccChoose(last + 1, 1, ((ORIGIN, at(last)),), node)
+        for nid in reversed(range(self.DEPTH)):
+            node = GccCut(nid, 1, ((at(nid - 1) if nid else ORIGIN, END),), node)
+        return GccTree(2, node)
+
+    def ext_chain(self, reads_every_cut: bool):
+        """Cuts each right of the one before; the leaf's segments run between
+        every two neighbouring cuts, or around the last cut only."""
+        refs = [at(nid) for nid in range(self.DEPTH)] if reads_every_cut else [
+            at(self.DEPTH - 1)]
+        bounds = [ORIGIN, *refs, END]
+        node = ExtLeaf(self.DEPTH, tuple(ExtSegment(a, b, 1 + k % 2)
+                                         for k, (a, b) in enumerate(zip(bounds, bounds[1:]))))
+        for nid in reversed(range(self.DEPTH)):
+            node = ExtCut(nid, 1, at(nid - 1) if nid else ORIGIN, END, node)
+        return ExtBcTree(2, node)
+
+    @pytest.mark.parametrize("shape, points", [
+        ("gcc", 9_999), ("ext-reads-every-cut", 0), ("ext-reads-the-last-cut", 9_998),
+    ])
+    def test_memo_points_of_deep_chains(self, shape, points):
+        p = (self.gcc_chain() if shape == "gcc"
+             else self.ext_chain(shape == "ext-reads-every-cut"))
+        vals = [uniform(), uniform()]
+        start = perf_counter()
+        oracle = GuaranteeOracle(p, vals, Grid((F(0), F(1))))
+        assert perf_counter() - start < 1
+        assert len(oracle._memo_at) == points
+        # A memo point keeps the ids its subtree reads: one cut at most.
+        assert all(len(cuts) <= 1 and not picks for cuts, picks in oracle._memo_at.values())
 
 
 class TestMonotonicity:

@@ -7,9 +7,11 @@ held states as grid indices: every move is an ``engine`` step on an
 (which checks that it partitions the cake) and valued with
 ``Valuation.value_of``, and envies, sums and bound comparisons are
 ``Fraction``s.  Its ``_solve``, ``_actions`` and ``_key`` are the oracle's
-former code, one walk per query with a leaf cache.  So the oracle's results,
-evaluation counts, memo sizes and run-time errors are checked against the
-interpreter's own semantics.
+former code, one walk per query with a leaf cache and no tree memo.  So the
+oracle's results, evaluation counts, memo sizes and run-time errors are
+checked against the interpreter's own semantics; where a GCC or extended
+tree has memo points, the oracle must make no more evaluations than the
+reference.
 
 ``reference_check_equiv`` is ``check_equiv`` as it was before it answered a
 notion's queries in one walk per protocol: one ``FractionOracle`` query per
@@ -211,9 +213,7 @@ def assert_matches_reference(p, vals, grid, budget=5_000_000, agents=None):
             for m in near(envies[j], step)[:2]:
                 query = BoundsQuery.make(i, {**envies, j: m})
                 assert fast.can_guarantee(query) is ref.can_guarantee(query)
-    # A query is a batch of one, so it walks the states the reference walks.
-    assert fast.evals == ref.evals
-    assert len(fast._memo) == len(ref._memo)
+    assert_same_work(fast, ref)
     assert fast._leaf_cache == {}  # leaves are scored, never cached
     return fast
 
@@ -231,9 +231,20 @@ def assert_queries_match(p, vals, grid, *calls):
             assert got is want
         else:
             assert_same_fraction(got, want)
-    assert fast.evals == ref.evals
-    assert len(fast._memo) == len(ref._memo)
+    assert_same_work(fast, ref)
     assert fast._leaf_cache == {}
+
+
+def assert_same_work(fast, ref):
+    """A query is a batch of one, so without a memo point the integer
+    oracle walks the states the reference walks: the same evaluations and
+    memo entries.  At the memo points of a GCC or extended tree a hit skips
+    a subgame the reference walks again, so it makes no more evaluations."""
+    if fast._memo_at:
+        assert fast.evals <= ref.evals
+    else:
+        assert fast.evals == ref.evals
+        assert len(fast._memo) == len(ref._memo)
 
 
 def profile(agents, seed=1):
@@ -262,6 +273,22 @@ class TestRandomProtocols:
             p = random_gcc(random.Random(seed), 2, 4)
             vals = two_profile(seed)
             assert_matches_reference(p, vals, build_grid(vals, 2))
+
+    def test_gcc_images_of_random_bc_trees(self):
+        # bc_to_gcc's simulation leaves cuts that nothing below reads, so
+        # every image has a memo point; seeded random_gcc trees have none.
+        hits = cases = 0
+        for seed in range(40):
+            bc = random_bc_tree(random.Random(seed), 2, 6)
+            if not 2 <= stats(bc).nodes <= 6:
+                continue
+            vals = two_profile(seed)
+            image = assert_matches_reference(bc_to_gcc(bc), vals, THIRDS)
+            assert image._memo_at
+            hits += image._memo.hits
+            cases += 1
+        assert cases >= 20
+        assert hits >= 1
 
     def test_reconverging_dags(self):
         hits = cases = 0
@@ -438,6 +465,35 @@ class TestConditionsOnCakeEnds:
         p = _end_condition_tree(END_CONDITIONS["cut-before-end"])
         assert GuaranteeOracle(p, [uniform(), uniform()], THIRDS).guarantee_value(1) \
             == F(2, 3)
+
+
+def _read_below_a_dead_cut(cond):
+    """Agent 1 cuts (node 0) in one of two whole-cake pieces, agent 2 makes
+    a cut nothing reads (node 1) and agent 1 cuts again (node 2); while
+    ``cond`` holds agent 1 takes [0, node 2], else agent 2 takes the whole
+    cake.  Node 1 is dead from node 2 on, so node 2 is a memo point, and
+    ``cond`` alone reads node 0 below it."""
+
+    def split(first, second, nid):
+        return GccChoose(nid, first, ((ORIGIN, at(2)),),
+                         GccChoose(nid + 1, second, ((at(2), END),), GccLeaf(nid + 2)))
+
+    return GccTree(2, GccCut(0, 1, ((ORIGIN, END), (ORIGIN, END)), GccCut(
+        1, 2, ((ORIGIN, END),), GccCut(2, 1, ((ORIGIN, END),), GccIfElse(
+            3, ((cond, split(1, 2, 4)), (ELSE, split(2, 2, 7))))))))
+
+
+class TestReadsBelowAMemoPoint:
+    """The memo key keeps a cut's position or piece that only a condition
+    below the memo point reads."""
+
+    @pytest.mark.parametrize("cond", [Less(at(2), at(0)), CutInAt(0, 1)],
+                             ids=["less", "cut-in"])
+    def test_matches_reference(self, cond):
+        p = _read_below_a_dead_cut(cond)
+        for vals in ([uniform(), uniform()], two_profile(3)):
+            fast = assert_matches_reference(p, vals, THIRDS)
+            assert fast._memo_at and fast._memo.hits
 
 
 class TestRunTimeErrors:
