@@ -416,6 +416,7 @@ class GuaranteeOracle:
                 if not memo_at:
                     key = (label, node.nid, cuts, picks)
                 elif (live := memo_at.get(id(node))) is not None:
+                    # keyed by object: a code-built tree may reuse a node id
                     live_cuts, live_picks = live
                     key = (id(node), tuple([c for c in cuts if c[0] in live_cuts]),
                            tuple([pk for pk in picks if pk[0] in live_picks]), allocated)
