@@ -117,6 +117,13 @@ class Trace:
             except (ValueError, ZeroDivisionError):
                 raise DomainError(f"trace event {i} ({kind}) has position"
                                   f" {item['position']!r}, not a rational") from None
+            for name in ("node", "agent", "index", "piece"):
+                # a cut has no index, a choice no piece, and a cut's piece may
+                # be absent; a bool is refused too, as JSON true is no index
+                value = getattr(events[-1], name, 0)
+                if type(value) is not int and not (name == "piece" and value is None):
+                    raise DomainError(f"trace event {i} ({kind}) has {name}"
+                                      f" {value!r}, not an integer")
         positions = []
         for j, x in enumerate(cuts):
             try:

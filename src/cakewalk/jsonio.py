@@ -1,4 +1,5 @@
-"""JSON wire formats for protocols, valuations, traces, and reports.
+"""JSON wire formats for protocols and valuations.  (Traces and equivalence
+reports carry their own: ``engine.Trace`` and ``oracle.EquivReport``.)
 
 Field order is fixed so serialized protocols are byte-stable golden files.
 Node ids are renumbered to preorder on write; readers keep the stored ids.

@@ -22,10 +22,12 @@ a piece's value is a difference of two table entries.  Queries return
 ``Fraction`` results built from these integers; they equal the values exact
 rational arithmetic would give.
 
-A tree walk meets the same state twice only where a cut is dead: made
-above, read by nothing below.  So a GCC or extended tree memoizes subgames
-on the part of the state their subtree still reads, at the decision nodes
-where a cut first dies; the rest of the game is played as without it.
+One walk meets the same state twice only where two paths meet: at a DAG
+node that more than one edge enters, or, in a GCC or extended tree, where a
+cut is dead (made above, read by nothing below).  So every form memoizes
+subgames at those decision nodes alone, on the part of the state their
+subgame still reads, and each walk starts with an empty memo; the rest of
+the game is played as without it.  A BC tree has no such node.
 
 The game is the interpreter's: each move and leaf goes through the rules
 ``engine`` writes once for any ordered positions, here with origin 0 and
@@ -40,6 +42,7 @@ on indices, with positions printed in the error).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -55,8 +58,8 @@ from .engine import _branch, _cut_interval, _insert, _leaf_pieces, _spans
 from .engine import step_cut  # noqa: F401
 from .errors import BudgetExceededError, DomainError, ExecutionError
 from .ir import (
-    BcChoose, BcCut, BcDag, BcLeaf, ExtBcTree, ExtChoose, ExtCut, ExtLeaf, GccChoose,
-    GccCut, GccIfElse, GccLeaf, GccTree, Less, Protocol, _children, condition_atoms,
+    BcChoose, BcCut, BcDag, BcLeaf, BcTree, ExtChoose, ExtCut, ExtLeaf, GccChoose,
+    GccCut, GccIfElse, GccLeaf, Less, Protocol, _children, condition_atoms,
 )
 from .valuation import ONE, Valuation, ZERO, check_allocation, format_frac
 
@@ -257,15 +260,25 @@ def _live_walk(root, keep) -> tuple[list, dict]:
     return rows, live
 
 
-def _memo_points(root) -> dict:
-    """``id(node)`` -> (live cut ids, live pick ids) at each memo point of a
-    GCC or extended tree: a decision node where a cut made above becomes
-    dead for the first time, that is, where more cuts are dead than at the
-    nearest decision ancestor.  Elsewhere a walk cannot reach the same live
-    state twice, so the memo would only keep entries that never hit."""
-    rows, _ = _live_walk(root, ())
+def _memo_points(p: Protocol) -> dict:
+    """``id(node)`` -> (live cut ids, live pick ids) at each memo point of
+    ``p``.  On a DAG that is a decision node more than one edge enters, where
+    every cut is live and no pick is made.  On a GCC or extended tree it is a
+    decision node where a cut made above becomes dead for the first time,
+    that is, where more cuts are dead than at the nearest decision ancestor.
+    A BC tree has none, as every BC leaf reads every cut.  Elsewhere one walk
+    cannot reach the same live state twice, so the memo would only keep
+    entries that never hit.  A leaf is never a memo point: it is scored."""
+    if isinstance(p, BcDag):
+        entered = Counter(kid for node in p.nodes.values() for kid in _children(node))
+        cuts = frozenset(nid for nid, node in p.nodes.items() if isinstance(node, BcCut))
+        return {id(node): (cuts, frozenset()) for nid, node in p.nodes.items()
+                if entered[nid] > 1 and not isinstance(node, BcLeaf)}
+    if isinstance(p, BcTree):
+        return {}
+    rows, _ = _live_walk(p.root, ())
     points = {ident for ident, up, dead in rows if up >= 0 and dead > rows[up][2]}
-    return _live_walk(root, points)[1] if points else {}
+    return _live_walk(p.root, points)[1] if points else {}
 
 
 class GuaranteeOracle:
@@ -283,14 +296,14 @@ class GuaranteeOracle:
     ``Fraction``s.
 
     One walk answers a batch of queries and scores each leaf once, so no
-    leaf is cached.  On a DAG, subgame results are memoized on (walk, node
-    id, cuts, picks), which fully determines the pending allocation.  A GCC
-    or extended tree is memoized at its memo points only (``_memo_points``,
-    found once per oracle): decision nodes where a cut made above is first
-    read by nothing below.  There the key is (node, the live cuts' (id,
-    grid index) pairs, the live picks, allocated), and the memo is cleared
-    at the start of each walk.  A BC tree has no memo point: every BC leaf
-    reads every cut.  ``budget`` bounds the evaluations of all its walks.
+    leaf is cached.  Subgame results are memoized at the memo points only
+    (``_memo_points``, found once per oracle): the DAG nodes more than one
+    edge enters, and the GCC or extended tree nodes where a cut made above
+    is first read by nothing below.  There the key is (node, the live cuts'
+    (id, grid index) pairs, the live picks, allocated), and the memo is
+    cleared at the start of each walk, so a query asked twice walks twice.
+    A BC tree has no memo point.  ``budget`` bounds the evaluations of all
+    its walks.
     """
 
     def __init__(self, p: Protocol, vals: Sequence[Valuation], grid: Grid,
@@ -318,8 +331,7 @@ class GuaranteeOracle:
         ]
         self._last = len(grid.points) - 1  # the grid index of position 1
         self._node_of = p.nodes.__getitem__ if isinstance(p, BcDag) else _same
-        self._memo_at = (_memo_points(p.root) if isinstance(p, (GccTree, ExtBcTree))
-                         else {})
+        self._memo_at = _memo_points(p)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -369,16 +381,16 @@ class GuaranteeOracle:
 
     def _solve(self, label: str, queries: Sequence[tuple], yes_no=False) -> tuple:
         """Max/min over the game from the root for a batch of queries, in one
-        walk; one result per query.  ``label`` names the walk in budget errors
-        and keys its memo entries on a DAG.  A query ``(agent, agent_maximizes, cells,
-        score)`` takes the max at the agent's nodes if ``agent_maximizes``,
-        else the min, and the other elsewhere.  A leaf computes each
-        cross-value some query's ``cells`` name once (keyed by ``_cell``), and
-        ``score`` maps them to the query's integer or bool.  A batch of one
-        yes/no query passes ``yes_no``: a side that reaches its own extreme
-        skips its remaining moves.  Values and envies look at every move, so
-        their cost depends on the protocol and the grid, not on the
-        valuations: an early stop at 0 or 1 pays off only for some profiles.
+        walk; one result per query.  ``label`` names the walk in budget
+        errors.  A query ``(agent, agent_maximizes, cells, score)`` takes the
+        max at the agent's nodes if ``agent_maximizes``, else the min, and the
+        other elsewhere.  A leaf computes each cross-value some query's
+        ``cells`` name once (keyed by ``_cell``), and ``score`` maps them to
+        the query's integer or bool.  A batch of one yes/no query passes
+        ``yes_no``: a side that reaches its own extreme skips its remaining
+        moves.  Values and envies look at every move, so their cost depends
+        on the protocol and the grid, not on the valuations: an early stop at
+        0 or 1 pays off only for some profiles.
         """
         n, last = self.protocol.agents, self._last
         plan = [(k, self._prefix[k // n], k % n)
@@ -387,10 +399,8 @@ class GuaranteeOracle:
         # each query's max or min per acting agent, 0 for one no query is about
         sides = {a: tuple(max if (a == agent) == up else min
                           for agent, up, _, _ in queries) for a in range(n + 1)}
-        memo_at = self._memo_at
-        memo = self._memo if memo_at or isinstance(self.protocol, BcDag) else None
-        if memo_at:
-            memo.clear()  # a tree walk keeps no entry from the walk before
+        memo, memo_at = self._memo, self._memo_at
+        memo.clear()  # a walk keeps no entry from the walk before
         self._query, self._started = label, perf_counter()
 
         def rec(node, cuts, picks, allocated, order):
@@ -412,18 +422,14 @@ class GuaranteeOracle:
                 return rec(_branch(node, cuts, picks, 0, last),
                            cuts, picks, allocated, order)
             key = None
-            if memo is not None:
-                if not memo_at:
-                    key = (label, node.nid, cuts, picks)
-                elif (live := memo_at.get(id(node))) is not None:
-                    # keyed by object: a code-built tree may reuse a node id
-                    live_cuts, live_picks = live
-                    key = (id(node), tuple([c for c in cuts if c[0] in live_cuts]),
-                           tuple([pk for pk in picks if pk[0] in live_picks]), allocated)
-                if key is not None:
-                    hit = memo.get(key)
-                    if hit is not None:
-                        return hit
+            if memo_at and (live := memo_at.get(id(node))) is not None:
+                # keyed by object: a code-built tree may reuse a node id
+                live_cuts, live_picks = live
+                key = (id(node), tuple([c for c in cuts if c[0] in live_cuts]),
+                       tuple([pk for pk in picks if pk[0] in live_picks]), allocated)
+                hit = memo.get(key)
+                if hit is not None:
+                    return hit
             nexts = self._moves(node, cuts, picks, allocated, order)
             if not nexts:  # without a move no result could be taken
                 raise ExecutionError("decision node offers no move", node=node.nid)

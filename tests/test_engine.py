@@ -207,8 +207,23 @@ class TestReplay:
          "trace cuts entry 1 is 'x', not a rational"),
         ({"events": [], "cuts": ["1/0"]},
          "trace cuts entry 0 is '1/0', not a rational"),
+        ({"events": [{"type": "cut", "node": 0, "agent": 1, "position": "1/2",
+                      "piece": "x"}]},
+         "trace event 0 (cut) has piece 'x', not an integer"),
+        ({"events": [{"type": "branch", "node": 0, "agent": 1, "index": "0"}]},
+         "trace event 0 (branch) has index '0', not an integer"),
+        ({"events": [{"type": "branch", "node": 0, "agent": 1, "index": True}]},
+         "trace event 0 (branch) has index True, not an integer"),
+        ({"events": [{"type": "piece", "node": "0", "agent": 1, "index": 0}]},
+         "trace event 0 (piece) has node '0', not an integer"),
+        ({"events": [{"type": "cut", "node": 0, "agent": 1.0, "position": "1/2"}]},
+         "trace event 0 (cut) has agent 1.0, not an integer"),
+        ({"events": [{"type": "branch", "node": 0, "agent": 1, "index": None}]},
+         "trace event 0 (branch) has index None, not an integer"),
     ], ids=["no-node", "no-position", "events-int", "list", "letter-position",
-            "zero-denominator-position", "letter-cut", "zero-denominator-cut"])
+            "zero-denominator-position", "letter-cut", "zero-denominator-cut",
+            "letter-piece", "string-index", "bool-index", "string-node", "float-agent",
+            "null-index"])
     def test_malformed_trace_json_is_a_domain_error(self, obj, message):
         with pytest.raises(DomainError, match=re.escape(message)):
             Trace.from_json(obj)

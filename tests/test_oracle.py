@@ -1,18 +1,20 @@
 import random
 from fractions import Fraction as F
 from itertools import product
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 
+from cakewalk.cli import load_protocol
 from cakewalk.engine import (
     current_kind, initial_state, leaf_allocation, step_choose, step_cut,
     step_ifelse, _node_of, cut_intervals,
 )
 from cakewalk.errors import BudgetExceededError, DomainError, ExecutionError
 from cakewalk.ir import (
-    END, ORIGIN, BcChoose, BcCut, BcDag, BcLeaf, BcTree, DagCut, DagLeaf, ExtBcTree, ExtCut,
-    ExtLeaf, ExtSegment, GccChoose, GccCut, GccLeaf, GccMode, GccTree, IdGen, at, stats,
+    END, ORIGIN, BcChoose, BcCut, BcDag, BcLeaf, BcTree, DagChoose, DagCut, DagLeaf, ExtBcTree,
+    ExtCut, ExtLeaf, ExtSegment, GccChoose, GccCut, GccLeaf, GccMode, GccTree, IdGen, at, stats,
 )
 from cakewalk.library import (
     gen_cut_and_choose, gen_dubins_spanier, gen_selfridge_conway_bc,
@@ -474,6 +476,74 @@ class TestDagOracle:
             cases += 1
         assert cases >= 10
         assert hits >= 1
+
+    # A DAG memoizes at the decision nodes more than one edge enters, the only
+    # nodes where one walk can meet a state twice, and each walk starts empty.
+
+    VALS = [random_valuation(4, 3), random_valuation(5, 2)]
+
+    @staticmethod
+    def shared_decision_dag():
+        """Agent 1 cuts; agent 2 picks a choose of agent 1 or of agent 2, and
+        either leads to agent 2's cut c4 or to the shared leaf c6."""
+        nodes = [DagCut(0, 1, 1, 1), DagChoose(1, 2, (2, 3)), DagChoose(2, 1, (4, 6)),
+                 DagChoose(3, 2, (4, 6)), DagCut(4, 2, 2, 5), DagLeaf(5, (1, 2, 1)),
+                 DagLeaf(6, (2, 1))]
+        return BcDag(2, 0, {node.nid: node for node in nodes})
+
+    @staticmethod
+    def four_walks(oracle):
+        return [oracle.guarantee_value(1), oracle.guarantee_value(2),
+                oracle.guarantee_pair_envy(1, 2), oracle.guarantee_total_envy(2)]
+
+    def test_a_shared_decision_node_is_the_only_memo_point(self):
+        dag = self.shared_decision_dag()
+        grid = build_grid(self.VALS, 2)
+        oracle = GuaranteeOracle(dag, self.VALS, grid)
+        oracle._memo = CountingMemo()
+        assert oracle._memo_at == {id(dag.nodes[4]): (frozenset({0, 4}), frozenset())}
+        got = self.four_walks(oracle)
+        tree, _, _ = dag_to_tree(dag)
+        on_tree = GuaranteeOracle(tree, self.VALS, grid)
+        assert got == self.four_walks(on_tree) == [F(1, 2), F(1, 2), 0, 0]
+        # An entry per decision node and walk, kept across walks, held 148.
+        assert (oracle.evals, len(oracle._memo), oracle._memo.hits) == (436, 9, 36)
+        assert {key[0] for key in oracle._memo} == {id(dag.nodes[4])}
+
+    def test_a_child_listed_twice_is_a_memo_point(self):
+        nodes = [DagCut(0, 1, 1, 1), DagChoose(1, 2, (2, 2)), DagCut(2, 1, 2, 3),
+                 DagLeaf(3, (2, 1, 2))]
+        dag = BcDag(2, 0, {node.nid: node for node in nodes})
+        grid = build_grid(self.VALS, 2)
+        oracle = GuaranteeOracle(dag, self.VALS, grid)
+        oracle._memo = CountingMemo()
+        assert list(oracle._memo_at) == [id(nodes[2])]
+        tree, _, _ = dag_to_tree(dag)
+        assert oracle.guarantee_value(2) == GuaranteeOracle(
+            tree, self.VALS, grid).guarantee_value(2)
+        assert oracle._memo.hits == len(oracle._memo) > 0
+
+    def test_the_golden_dag_shares_only_a_leaf(self):
+        dag = load_protocol(Path(__file__).parent / "golden" / "reconverging_bcdag.cake")
+        oracle = GuaranteeOracle(dag, self.VALS, build_grid(self.VALS, 2))
+        assert oracle._memo_at == {}
+        oracle.guarantee_value(1)
+        oracle.can_guarantee(BoundsQuery.make(2, {1: F(1, 4)}))
+        assert oracle._memo == {}
+
+    def test_a_walk_keeps_no_entry_of_the_walk_before(self):
+        dag = self.shared_decision_dag()
+        grid = build_grid(self.VALS, 2)
+        oracle = GuaranteeOracle(dag, self.VALS, grid)
+        queries = [BoundsQuery.make(2, {1: m}) for m in (F(0), F(1, 4), F(1, 2), F(0))]
+        for query in queries:
+            alone = GuaranteeOracle(dag, self.VALS, grid)
+            expect = alone.can_guarantee(query)
+            before = oracle.evals
+            assert oracle.can_guarantee(query) is expect
+            # a query asked again walks again
+            assert oracle.evals - before == alone.evals
+            assert oracle._memo == alone._memo
 
 
 class TestTreeMemo:

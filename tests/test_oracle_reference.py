@@ -101,6 +101,8 @@ class FractionOracle(GuaranteeOracle):
         """Max/min over the game tree; leaves scored by ``score``.
 
         ``query`` names the query in budget errors and keys its memo entries.
+        On a DAG the memo is cleared at the start of each walk, as the
+        oracle's is, so a query asked twice walks twice.
         Yes/no queries pass ``extremes=(False, True)``: a side that reaches
         its own extreme skips its remaining moves, as ``any``/``all`` would.
         Values and envies pass none and look at every move, so their cost
@@ -109,6 +111,8 @@ class FractionOracle(GuaranteeOracle):
         """
         lowest, highest = extremes or (None, None)
         memo = self._memo if isinstance(self.protocol, BcDag) else None
+        if memo is not None:
+            memo.clear()
         self._query, self._started = query, perf_counter()
 
         def rec(state):
@@ -238,9 +242,17 @@ def assert_queries_match(p, vals, grid, *calls):
 def assert_same_work(fast, ref):
     """A query is a batch of one, so without a memo point the integer
     oracle walks the states the reference walks: the same evaluations and
-    memo entries.  At the memo points of a GCC or extended tree a hit skips
-    a subgame the reference walks again, so it makes no more evaluations."""
-    if fast._memo_at:
+    memo entries.  On a DAG the reference memoizes at every decision node
+    and the oracle only where two edges meet, the only nodes where one walk
+    can hit: the same evaluations, and the reference's entries at those
+    nodes.  At the memo points of a GCC or extended tree a hit skips a
+    subgame the reference walks again, so it makes no more evaluations."""
+    if isinstance(fast.protocol, BcDag):
+        assert fast.evals == ref.evals
+        points = {nid for nid, node in fast.protocol.nodes.items()
+                  if id(node) in fast._memo_at}
+        assert len(fast._memo) == sum(nid in points for _, (nid, _, _) in ref._memo)
+    elif fast._memo_at:
         assert fast.evals <= ref.evals
     else:
         assert fast.evals == ref.evals
