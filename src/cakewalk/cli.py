@@ -162,7 +162,7 @@ def human_strategy(agent: int) -> Strategy:
             raw = ask(f"cut position in [{format_frac(lo)}, {format_frac(hi)}]"
                       f" (fraction like 1/3): ")
             try:
-                z = Fraction(raw)
+                z = frac(raw)
             except (ValueError, ZeroDivisionError):
                 print("  not a fraction, try again", file=sys.stderr)
                 continue

@@ -18,10 +18,11 @@ them on ``Fraction``s from 0 to 1 through the public small steps
 indices, and ``transform.gcc_to_bc`` reads conditions on the places of a
 forced cut order.
 
-The cut positions in left-to-right order live on ``ExecState.order``:
-``step_cut`` inserts each new position by bisection, so the partition a
-decision or a BC leaf reads is one pass over that tuple, never a sort of
-every cut made so far.
+``ExecState.node`` is a node on every form; a DAG plays from its linked root
+(``ir.linked_nodes``).  The cut positions in left-to-right order live on
+``ExecState.order``: ``step_cut`` inserts each new position by bisection, so
+the partition a decision or a BC leaf reads is one pass over that tuple,
+never a sort of every cut made so far.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .errors import DomainError, ExecutionError, TraceMismatchError
 from .ir import (
     BcChoose, BcCut, BcDag, BcLeaf, Condition, CutRef, ExtChoose, ExtCut,
     ExtLeaf, GccChoose, GccCut, GccIfElse, GccLeaf, Less, Protocol, fold_condition,
+    linked_nodes,
 )
 from .valuation import Allocation, Interval, ONE, Valuation, ZERO, format_frac, frac
 
@@ -297,16 +299,12 @@ def _leaf_pieces(node, agents: int, cuts, order, allocated, origin, end) -> list
 
 @dataclass(frozen=True)
 class ExecState:
-    node: object  # current node object; for a DAG, the node id
+    node: object  # current node; on a DAG, one of ``ir.linked_nodes``
     cuts: tuple[tuple[int, Fraction], ...] = ()  # (cut node id, position), creation order
     picks: tuple[tuple[int, int], ...] = ()      # (node id, piece index), GCC only
     allocated: tuple[tuple[int, Interval], ...] = ()  # (agent, interval), GCC only
     # The positions of ``cuts``, sorted: always tuple(sorted(pos for _, pos in cuts)).
     order: tuple[Fraction, ...] = ()
-
-
-def _node_of(p: Protocol, state: ExecState):
-    return p.nodes[state.node] if isinstance(p, BcDag) else state.node
 
 
 def partition_of(cuts: Sequence[tuple[int, Fraction]]) -> tuple[Interval, ...]:
@@ -328,25 +326,24 @@ _KINDS = {BcCut: "cut", ExtCut: "cut", GccCut: "cut", BcChoose: "choose",
 
 
 def current_kind(p: Protocol, state: ExecState) -> str:
-    return _KINDS.get(type(_node_of(p, state)), "leaf")
+    return _KINDS.get(type(state.node), "leaf")
 
 
 def cut_intervals(p: Protocol, state: ExecState) -> tuple[Interval, ...]:
     """Candidate intervals for the cut at the current node."""
-    node = _node_of(p, state)
+    node = state.node
     if isinstance(node, GccCut):
         return tuple(_spans(node, state.cuts, ZERO, ONE))
     return (_cut_interval(node, state.cuts, state.order, ZERO, ONE),)
 
 
 def choose_pieces(p: Protocol, state: ExecState) -> tuple[Interval, ...]:
-    node = _node_of(p, state)
-    assert isinstance(node, GccChoose)
-    return tuple(_spans(node, state.cuts, ZERO, ONE))
+    assert isinstance(state.node, GccChoose)
+    return tuple(_spans(state.node, state.cuts, ZERO, ONE))
 
 
 def step_cut(p: Protocol, state: ExecState, piece_index: int, z: Fraction) -> ExecState:
-    node = _node_of(p, state)
+    node = state.node
     intervals = cut_intervals(p, state)
     if not 0 <= piece_index < len(intervals):
         raise ExecutionError(f"piece index {piece_index} out of range",
@@ -365,7 +362,7 @@ def step_cut(p: Protocol, state: ExecState, piece_index: int, z: Fraction) -> Ex
 
 
 def step_choose(p: Protocol, state: ExecState, index: int) -> ExecState:
-    node = _node_of(p, state)
+    node = state.node
     if isinstance(node, (BcChoose, ExtChoose)):
         if not 0 <= index < len(node.children):
             raise ExecutionError(f"branch index {index} out of range",
@@ -384,14 +381,13 @@ def step_choose(p: Protocol, state: ExecState, index: int) -> ExecState:
 
 
 def step_ifelse(p: Protocol, state: ExecState) -> ExecState:
-    node = _node_of(p, state)
-    assert isinstance(node, GccIfElse)
-    return ExecState(_branch(node, state.cuts, state.picks, ZERO, ONE),
+    assert isinstance(state.node, GccIfElse)
+    return ExecState(_branch(state.node, state.cuts, state.picks, ZERO, ONE),
                      state.cuts, state.picks, state.allocated, state.order)
 
 
 def leaf_allocation(p: Protocol, state: ExecState) -> Allocation:
-    node = _node_of(p, state)
+    node = state.node
     pieces = _leaf_pieces(node, p.agents, state.cuts, state.order, state.allocated,
                           ZERO, ONE)
     try:
@@ -401,7 +397,7 @@ def leaf_allocation(p: Protocol, state: ExecState) -> Allocation:
 
 
 def initial_state(p: Protocol) -> ExecState:
-    return ExecState(p.root)
+    return ExecState(linked_nodes(p)[p.root] if isinstance(p, BcDag) else p.root)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +421,7 @@ def walk(p: Protocol, decide: Callable[[ExecState, object, str, list], Event]
         if kind == "ifelse":
             state = step_ifelse(p, state)
             continue
-        ev = decide(state, _node_of(p, state), kind, events)
+        ev = decide(state, state.node, kind, events)
         if kind == "cut":
             state = step_cut(p, state, ev.piece or 0, ev.position)
         else:

@@ -6,7 +6,8 @@ Four forms are supported:
   happens only at leaves via a piece-index -> agent map.
 * ``BcDag``    -- the same BC nodes with shared children, stored as an
   id -> node map; a node's ``child``/``children`` hold node ids instead of
-  nodes.  Every root-to-node path must make the same number of cuts.
+  nodes, and ``linked_nodes`` links them for play.  Every root-to-node path
+  must make the same number of cuts.
 * ``ExtBcTree`` -- branch-choice tree where a cut may span several pieces
   (between two possibly non-adjacent earlier cuts) and leaves allocate
   between named cuts.
@@ -312,6 +313,37 @@ def iter_nodes(p: Protocol) -> Iterator:
         node = stack.pop()
         yield node
         stack.extend(reversed(_children(node)))
+
+
+def fold_dag(d: BcDag, visit) -> dict:
+    """``visit(node, its children's results)`` for each node id reachable from
+    the root of ``d``, children first and each shared node once, on one
+    explicit stack; the results by node id.  An edge to a missing id, or an
+    id met again while its subtree is open (a cycle), raises ``DomainError``."""
+    done: dict = {}
+    open_ids: set = set()
+    stack: list = [(d.root, None)]
+    while stack:
+        nid, node = stack.pop()
+        if node is not None:  # closing: its children are done
+            open_ids.discard(nid)
+            done[nid] = visit(node, [done[kid] for kid in _children(node)])
+        elif nid not in done:
+            if nid in open_ids:
+                raise DomainError(f"DAG node {nid} lies on a cycle")
+            node = d.nodes.get(nid)
+            if node is None:
+                raise DomainError(f"DAG edge to missing node {nid}")
+            open_ids.add(nid)
+            stack.append((nid, node))
+            stack.extend([(kid, None) for kid in _children(node)])
+    return done
+
+
+def linked_nodes(d: BcDag) -> dict:
+    """Each node reachable in ``d`` rebuilt once with its children in place of
+    their ids, by node id: a shared child is one object under every parent."""
+    return fold_dag(d, lambda node, kids: _map_node(node, kids=kids))
 
 
 def _map_ref(ref: CutRef, ids) -> CutRef:
@@ -1048,32 +1080,16 @@ def stats(p: Protocol) -> ProtocolStats:
 
 
 def _height(p: Protocol) -> int:
-    """Nodes on the longest path down from the root, walked with a stack."""
-    if not isinstance(p, BcDag):
-        height, stack = 0, [(p.root, 1)]
-        while stack:
-            node, depth = stack.pop()
-            height = max(height, depth)
-            stack.extend((child, depth + 1) for child in _children(node))
-        return height
-    # A DAG node id is measured once, after its children, so a shared child
-    # costs one measure.  An id met again while open lies on a cycle.
-    measured: dict[int, int] = {}
-    open_ids: set[int] = set()
-    stack = [(p.root, False)]
+    """Nodes on the longest path down from the root, walked with a stack;
+    a shared DAG child is measured once."""
+    if isinstance(p, BcDag):
+        return fold_dag(p, lambda node, kids: 1 + max(kids, default=0))[p.root]
+    height, stack = 0, [(p.root, 1)]
     while stack:
-        nid, closing = stack.pop()
-        kids = _children(p.nodes[nid])
-        if closing:
-            open_ids.discard(nid)
-            measured[nid] = 1 + max((measured[k] for k in kids), default=0)
-        elif nid not in measured:
-            if nid in open_ids:
-                raise DomainError(f"DAG node {nid} lies on a cycle")
-            open_ids.add(nid)
-            stack.append((nid, True))
-            stack.extend((k, False) for k in kids)
-    return measured[p.root]
+        node, depth = stack.pop()
+        height = max(height, depth)
+        stack.extend((child, depth + 1) for child in _children(node))
+    return height
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,9 @@ node that more than one edge enters, or, in a GCC or extended tree, where a
 cut is dead (made above, read by nothing below).  So every form memoizes
 subgames at those decision nodes alone, on the part of the state their
 subgame still reads, and each walk starts with an empty memo; the rest of
-the game is played as without it.  A BC tree has no such node.
+the game is played as without it.  A BC tree has no such node.  A DAG is
+walked as its linked nodes (``ir.linked_nodes``), so a memo key's node is
+an object on every form.
 
 The game is the interpreter's: each move and leaf goes through the rules
 ``engine`` writes once for any ordered positions, here with origin 0 and
@@ -59,7 +61,7 @@ from .engine import step_cut  # noqa: F401
 from .errors import BudgetExceededError, DomainError, ExecutionError
 from .ir import (
     BcChoose, BcCut, BcDag, BcLeaf, BcTree, ExtChoose, ExtCut, ExtLeaf, GccChoose,
-    GccCut, GccIfElse, GccLeaf, Less, Protocol, _children, condition_atoms,
+    GccCut, GccIfElse, GccLeaf, Less, Protocol, _children, condition_atoms, linked_nodes,
 )
 from .valuation import ONE, Valuation, ZERO, check_allocation, format_frac
 
@@ -135,10 +137,6 @@ def _envy_query(n: int, agent: int, others: Sequence[int]) -> tuple:
     own, cells = _cell(n, agent, agent), [_cell(n, agent, j) for j in others]
     return (agent, False, (own, *cells),
             lambda cross: sum([max(cross[k] - cross[own], 0) for k in cells]))
-
-
-def _same(node):
-    return node
 
 
 # -- which cuts a tree subgame still reads -------------------------------------
@@ -260,8 +258,9 @@ def _live_walk(root, keep) -> tuple[list, dict]:
     return rows, live
 
 
-def _memo_points(p: Protocol) -> dict:
-    """``id(node)`` -> (live cut ids, live pick ids) at each memo point of
+def _memo_points(p: Protocol) -> tuple:
+    """The node a walk of ``p`` starts at (a DAG's linked root), and
+    ``id(node)`` -> (live cut ids, live pick ids) at each memo point of
     ``p``.  On a DAG that is a decision node more than one edge enters, where
     every cut is live and no pick is made.  On a GCC or extended tree it is a
     decision node where a cut made above becomes dead for the first time,
@@ -270,25 +269,27 @@ def _memo_points(p: Protocol) -> dict:
     cannot reach the same live state twice, so the memo would only keep
     entries that never hit.  A leaf is never a memo point: it is scored."""
     if isinstance(p, BcDag):
-        entered = Counter(kid for node in p.nodes.values() for kid in _children(node))
-        cuts = frozenset(nid for nid, node in p.nodes.items() if isinstance(node, BcCut))
-        return {id(node): (cuts, frozenset()) for nid, node in p.nodes.items()
-                if entered[nid] > 1 and not isinstance(node, BcLeaf)}
+        nodes = linked_nodes(p)
+        entered = Counter(id(kid) for node in nodes.values() for kid in _children(node))
+        cuts = frozenset(nid for nid, node in nodes.items() if isinstance(node, BcCut))
+        return nodes[p.root], {id(node): (cuts, frozenset()) for node in nodes.values()
+                               if entered[id(node)] > 1 and not isinstance(node, BcLeaf)}
     if isinstance(p, BcTree):
-        return {}
+        return p.root, {}
     rows, _ = _live_walk(p.root, ())
     points = {ident for ident, up, dead in rows if up >= 0 and dead > rows[up][2]}
-    return _live_walk(p.root, points)[1] if points else {}
+    return p.root, _live_walk(p.root, points)[1] if points else {}
 
 
 class GuaranteeOracle:
     """Backward induction over one protocol, one grid, one valuation profile.
 
-    A game state is the current node, the cuts made so far as (cut node id,
-    grid index) pairs in creation order, the GCC picks as (node id, piece
-    index) pairs, the GCC allocations so far as (agent, (lo, hi)) pairs of
-    an agent and two grid indices, and, in a BC or DAG game, the cuts' grid
-    indices sorted, each cut inserted as ``engine.step_cut`` inserts it.
+    A game state is the current node (a DAG's linked node), the cuts made so
+    far as (cut node id, grid index) pairs in creation order, the GCC picks
+    as (node id, piece index) pairs, the GCC allocations so far as (agent,
+    (lo, hi)) pairs of an agent and two grid indices, and, in a BC or DAG
+    game, the cuts' grid indices sorted, each cut inserted as
+    ``engine.step_cut`` inserts it.
     Each agent's value of [0, x] at every grid point x is held as an integer
     numerator over ``denominator``, the least common denominator of all
     those values; leaf cross-values, envies and the scores the search
@@ -330,8 +331,7 @@ class GuaranteeOracle:
             for row in prefix
         ]
         self._last = len(grid.points) - 1  # the grid index of position 1
-        self._node_of = p.nodes.__getitem__ if isinstance(p, BcDag) else _same
-        self._memo_at = _memo_points(p)
+        self._root, self._memo_at = _memo_points(p)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -359,8 +359,7 @@ class GuaranteeOracle:
         order: a cut tries each of its pieces, and in each every grid index
         from the piece's left end to its right end."""
         if isinstance(node, _BRANCHES):
-            node_of = self._node_of
-            return [(node_of(kid), cuts, picks, allocated, order) for kid in node.children]
+            return [(kid, cuts, picks, allocated, order) for kid in node.children]
         nid, last = node.nid, self._last
         if isinstance(node, GccChoose):
             return [(node.child, cuts, picks + ((nid, k),),
@@ -374,7 +373,7 @@ class GuaranteeOracle:
                     for k, (lo, hi) in enumerate(_spans(node, cuts, 0, last))
                     for z in range(lo, hi + 1)]
         lo, hi = _cut_interval(node, cuts, order, 0, last)
-        child, sorts = self._node_of(node.child), isinstance(node, BcCut)
+        child, sorts = node.child, isinstance(node, BcCut)
         return [(child, cuts + ((nid, z),), picks, allocated,
                  _insert(order, z) if sorts else order)
                 for z in range(lo, hi + 1)]
@@ -448,7 +447,7 @@ class GuaranteeOracle:
                 memo[key] = result
             return result
 
-        return rec(self._node_of(self.protocol.root), (), (), (), ())
+        return rec(self._root, (), (), (), ())
 
     # -- the four guarantee queries, each a walk of its own --------------------
 

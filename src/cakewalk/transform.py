@@ -32,8 +32,8 @@ from .ir import (
     BcChoose, BcCut, BcDag, BcLeaf, BcNode, BcTree, ChoseAt, Condition,
     CutRef, ELSE, END, ExtBcTree, ExtChoose, ExtCut,
     ExtLeaf, ExtNode, ExtSegment, GccChoose, GccCut, GccIfElse, GccLeaf,
-    GccMode, GccTree, ORIGIN, at, children_of,
-    iter_nodes, renumber, stats, validate_bc, validate_dag, validate_ext,
+    GccMode, GccTree, ORIGIN, at, children_of, fold_dag,
+    iter_nodes, linked_nodes, renumber, stats, validate_bc, validate_dag, validate_ext,
     validate_gcc, _children, _map_node,
 )
 
@@ -97,11 +97,13 @@ class _Output:
         """A new output node copying ``src``: its id."""
         nid = len(self.source)
         if nid >= self.size_budget:
-            raise BudgetExceededError(
-                f"{self.what} exceeded the size budget of {self.size_budget} nodes"
-            )
+            self.refuse()
         self.source.append(src)
         return nid
+
+    def refuse(self):
+        raise BudgetExceededError(f"{self.what} exceeded the size budget"
+                                  f" of {self.size_budget} nodes")
 
     def node_map(self, renum: Optional[dict[int, int]] = None) -> NodeMap:
         """Each source id with its copies' ids, renumbered by ``renum`` if given."""
@@ -118,20 +120,19 @@ class _Output:
 def dag_to_tree(
     d: BcDag, size_budget: int = DEFAULT_SIZE_BUDGET
 ) -> tuple[BcTree, NodeMap, StrategyTransporter]:
-    """Expand shared subtrees into one copy per parent."""
+    """Expand shared subtrees into one copy per parent, numbered in preorder;
+    the exact size is counted first, so a budget refuses before building."""
     _require_valid(validate_dag(d))
     out = _Output(size_budget, "expansion")
-
-    def expand(nid: int) -> BcNode:
-        node = d.nodes[nid]
-        new = out(nid)
-        return _map_node(node, lambda _: new, list(map(expand, _children(node))))
-
-    tree = BcTree(d.agents, expand(d.root))
-    back = out.source
+    if conversion_cost("dag_to_tree", d) > size_budget:
+        out.refuse()
+    linked = linked_nodes(d)
+    view = BcTree(d.agents, linked[d.root])  # each shared node under every parent
+    tree, _ = renumber(view)
+    back = out.source = [node.nid for node in iter_nodes(view)]
 
     def answer(src: Strategy, ctx: DecisionContext):
-        return src(_source_context(ctx, back, d.nodes[back[ctx.node.nid]]))
+        return src(_source_context(ctx, back, linked[back[ctx.node.nid]]))
 
     return tree, out.node_map(), StrategyTransporter(
         "dag-to-tree: nodes map to their copies", answer)
@@ -407,7 +408,7 @@ def bc_intermediate_form(
     factorial worst case, hence the size budget.
     """
     ext = embed_bc_as_ext(t)
-    normal, _, _ = cuts_before_choices_ext(ext)
+    normal = ExtBcTree(t.agents, _cuts_first(ext.root, lambda node, cut: node))
     tree, nmap, _ = extended_to_bc(normal, size_budget=size_budget)
     return tree, nmap
 
@@ -588,8 +589,7 @@ def bc_to_gcc(t: BcTree, size_budget: int = DEFAULT_SIZE_BUDGET) -> GccTree:
     The output validates in extensive mode.
     """
     n = t.agents
-    ext = embed_bc_as_ext(t)
-    normal, _, _ = cuts_before_choices_ext(ext)
+    normal = ExtBcTree(n, _cuts_first(embed_bc_as_ext(t).root, lambda node, cut: node))
     out = _Output(size_budget)
 
     # Chooses controlled by each agent, in preorder.
@@ -723,23 +723,9 @@ def conversion_cost(op: str, p) -> int:
     if op == "dag_to_tree":
         if not isinstance(p, BcDag):
             raise DomainError("dag_to_tree costs apply to DAGs")
-        # The expansion makes one copy per root->node path; count paths by
-        # Kahn-style topological propagation.  Exact, so bound == actual.
-        indeg: dict[int, int] = {nid: 0 for nid in p.nodes}
-        for node in p.nodes.values():
-            for kid in children_of(node):
-                indeg[kid] += 1
-        paths: dict[int, int] = {nid: 0 for nid in p.nodes}
-        paths[p.root] = 1
-        queue = [nid for nid, deg in indeg.items() if deg == 0]
-        while queue:
-            nid = queue.pop()
-            for kid in children_of(p.nodes[nid]):
-                paths[kid] += paths[nid]
-                indeg[kid] -= 1
-                if indeg[kid] == 0:
-                    queue.append(kid)
-        return sum(paths.values())
+        # The expansion copies a node once per path from the root to it,
+        # so a subtree's copies are its root's plus each child's.  Exact.
+        return fold_dag(p, lambda node, kids: 1 + sum(kids))[p.root]
     if op in ("extended_to_bc", "gcc_to_bc"):
 
         def bound(node, cuts: int) -> int:

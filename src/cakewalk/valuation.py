@@ -19,15 +19,17 @@ ONE = Fraction(1)
 Interval = tuple[Fraction, Fraction]
 
 
-def frac(value, den=None) -> Fraction:
-    """Coerce ints, strings ("2/3" or "2") and Fractions to Fraction."""
-    if den is not None:
-        return Fraction(value, den)
+def frac(value) -> Fraction:
+    """Coerce ints, strings ("2/3", "2" or "0.5") and Fractions to Fraction.
+    Bools are refused, and exponent notation raises ``ValueError`` as other
+    malformed strings do: "1e-1000000" would build a million digits."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"exponent notation is not read: {value!r}")
         return Fraction(value)
     raise DomainError(f"cannot interpret {value!r} as an exact rational")
 

@@ -251,6 +251,25 @@ class CountingMemo(dict):
         return value
 
 
+def linked_by_nid(oracle) -> dict:
+    """The nodes a ``GuaranteeOracle`` walks, by node id: on a DAG, its
+    linked nodes, whose ``id`` keys its memo points and memo entries."""
+    nodes, stack = {}, [oracle._root]
+    while stack:
+        node = stack.pop()
+        if node.nid not in nodes:
+            nodes[node.nid] = node
+            stack.extend(children_of(node))
+    return nodes
+
+
+def memo_by_nid(oracle) -> dict:
+    """The oracle's memo with each key's node named by its node id, so that
+    the memos of two oracles of one protocol compare."""
+    nid_of = {id(node): nid for nid, node in linked_by_nid(oracle).items()}
+    return {(nid_of[key[0]], *key[1:]): value for key, value in oracle._memo.items()}
+
+
 def reconverging_dags(count: int = 300):
     """Seeds in range(count) whose ``random_dag`` has at least 6 nodes and a
     node reached from two parents, with that DAG."""

@@ -367,7 +367,7 @@ class TestRun:
 
     def test_human_illegal_input_reprompts(self, capsys, cc_json, monkeypatch,
                                            tmp_path):
-        monkeypatch.setattr("sys.stdin", io.StringIO("3/2\nnope\n1/2\n9\n1\n"))
+        monkeypatch.setattr("sys.stdin", io.StringIO("3/2\nnope\n1e-9\n1/2\n9\n1\n"))
         out_path = tmp_path / "run.json"
         code = main(["run", cc_json, "--random-vals", "1",
                      "--strategies", "human,human", "--out", str(out_path)])
@@ -557,7 +557,9 @@ class TestErrors:
         {"breakpoints": ["a"], "densities": []},
         {"breakpoints": ["0", "1"], "densities": ["x"]},
         {"breakpoints": ["0", "1"], "densities": ["1/0"]},
-    ], ids=["letter-breakpoint", "letter-density", "zero-denominator"])
+        {"breakpoints": ["0", "1"], "densities": ["1e-1000000"]},
+    ], ids=["letter-breakpoint", "letter-density", "zero-denominator",
+            "exponent-density"])
     def test_non_numeric_vals_is_one_error_line(self, capsys, tmp_path, cc_json,
                                                 valuation):
         vals = tmp_path / "vals.json"
@@ -566,8 +568,19 @@ class TestErrors:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("script", [[1, 2], {"decisions": [1]}, {"0": "x"}],
-                             ids=["list", "list-of-decisions", "letter-cut"])
+    def test_exponent_vals_in_verify_is_one_error_line(self, capsys, tmp_path, cc_json):
+        vals = tmp_path / "vals.json"
+        valuation = {"breakpoints": ["0", "1"], "densities": ["1e-1000000"]}
+        vals.write_text(json.dumps({"valuations": [valuation, valuation]}))
+        code, _, err = run_cli(capsys, "verify", cc_json, cc_json, "--vals", str(vals))
+        assert code == 1
+        assert err.startswith("error: malformed valuation object")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("script", [[1, 2], {"decisions": [1]}, {"0": "x"},
+                                        {"0": "1e-1000000"}],
+                             ids=["list", "list-of-decisions", "letter-cut",
+                                  "exponent-cut"])
     def test_malformed_script_is_one_error_line(self, capsys, tmp_path, cc_json,
                                                 script):
         first = tmp_path / "s1.json"

@@ -205,6 +205,10 @@ class TestReplay:
          "trace event 1 (cut) has position '1/0', not a rational"),
         ({"events": [], "cuts": ["1/2", "x"]},
          "trace cuts entry 1 is 'x', not a rational"),
+        ({"events": [{"type": "cut", "node": 0, "agent": 1, "position": "1e-1000000"}]},
+         "trace event 0 (cut) has position '1e-1000000', not a rational"),
+        ({"events": [], "cuts": ["1e-1000000"]},
+         "trace cuts entry 0 is '1e-1000000', not a rational"),
         ({"events": [], "cuts": ["1/0"]},
          "trace cuts entry 0 is '1/0', not a rational"),
         ({"events": [{"type": "cut", "node": 0, "agent": 1, "position": "1/2",
@@ -221,7 +225,8 @@ class TestReplay:
         ({"events": [{"type": "branch", "node": 0, "agent": 1, "index": None}]},
          "trace event 0 (branch) has index None, not an integer"),
     ], ids=["no-node", "no-position", "events-int", "list", "letter-position",
-            "zero-denominator-position", "letter-cut", "zero-denominator-cut",
+            "zero-denominator-position", "letter-cut", "exponent-position",
+            "exponent-cut", "zero-denominator-cut",
             "letter-piece", "string-index", "bool-index", "string-node", "float-agent",
             "null-index"])
     def test_malformed_trace_json_is_a_domain_error(self, obj, message):

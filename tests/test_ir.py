@@ -3,12 +3,13 @@ import random
 from dataclasses import fields, is_dataclass
 from fractions import Fraction as F
 from functools import cache
+from time import perf_counter
 
 import pytest
 
 from cakewalk import engine, ir
 from cakewalk.dsl import print_protocol
-from cakewalk.errors import DomainError
+from cakewalk.errors import BudgetExceededError, DomainError, InvalidProtocolError
 from cakewalk.engine import run
 from cakewalk.ir import (
     And, BcChoose, BcCut, BcDag, BcLeaf, BcTree, ChoseAt, CutInAt, DagChoose,
@@ -23,6 +24,8 @@ from cakewalk.library import (
     gen_cut_and_choose, gen_dubins_spanier, gen_even_paz,
     gen_selfridge_conway_bc, gen_selfridge_conway_gcc,
 )
+from cakewalk.oracle import Grid, GuaranteeOracle, check_equiv
+from cakewalk.transform import conversion_cost, dag_to_tree
 from cakewalk.valuation import random_valuation, uniform
 
 from helpers import (
@@ -123,6 +126,91 @@ class TestValidateDag:
         relabeled, _ = renumber(dag)
         assert validate_dag(relabeled).ok
         assert structurally_equal(dag, relabeled)
+
+
+class TestLinkedNodes:
+    def test_a_shared_child_is_one_object_under_every_parent(self):
+        nodes = ir.linked_nodes(diamond_dag(1, 1))
+        cut_1, cut_2 = nodes[0].children
+        assert cut_1 is not cut_2
+        assert cut_1.child is cut_2.child is nodes[100]
+        assert isinstance(nodes[100], BcLeaf)
+
+    def test_fold_visits_each_reachable_node_once_children_first(self):
+        dag = diamond_dag(2, 2)
+        dag.nodes[99] = DagLeaf(99, (1,))  # unreachable: never visited
+        seen = []
+
+        def visit(node, kids):
+            seen.append(node.nid)
+            return 1 + sum(kids)
+
+        paths = ir.fold_dag(dag, visit)
+        assert sorted(seen) == sorted(set(seen)) == sorted(paths)
+        assert 99 not in paths
+        assert all(seen.index(kid) < seen.index(nid) for nid in seen
+                   for kid in ir.children_of(dag.nodes[nid]))
+
+    def test_exact_size_of_a_deep_doubling_dag(self):
+        """40 chooses, each listing its child twice: 2**41 - 1 tree nodes,
+        counted in one pass and refused before one is built."""
+        nodes = {k: DagChoose(k, 1, (k + 1, k + 1)) for k in range(40)}
+        dag = BcDag(1, 0, {**nodes, 40: DagLeaf(40, (1,))})
+        assert conversion_cost("dag_to_tree", dag) == 2 ** 41 - 1
+        start = perf_counter()
+        with pytest.raises(BudgetExceededError,
+                           match="expansion exceeded the size budget of 1000000 nodes"):
+            dag_to_tree(dag)
+        assert perf_counter() - start < 1.0
+
+    def test_a_chain_ten_times_deeper_than_the_recursion_limit_expands(self):
+        depth = TestDeepChains.DEPTH
+        nodes = {nid: DagChoose(nid, 1, (nid + 1,)) for nid in range(depth)}
+        dag = BcDag(1, 0, {**nodes, depth: DagLeaf(depth, (1,))})
+        tree, _, _ = dag_to_tree(dag)
+        assert stats(tree).nodes == stats(dag).depth == depth + 1
+
+
+GRID2 = Grid((F(0), F(1, 2), F(1)))
+
+
+def dangling_dag() -> BcDag:
+    return BcDag(2, 0, {0: DagCut(0, 1, 1, 1), 1: DagChoose(1, 2, (2, 7)),
+                        2: DagLeaf(2, (1, 2))})
+
+
+def cyclic_dag() -> BcDag:
+    """Agent 2's choose can go back to agent 1's, forever."""
+    return BcDag(2, 0, {0: DagCut(0, 1, 1, 1), 1: DagChoose(1, 2, (2, 3)),
+                        2: DagChoose(2, 1, (1, 3)), 3: DagLeaf(3, (1, 2))})
+
+
+class TestMalformedDags:
+    """A DAG with an edge to a missing id or a cycle ends in a ``CakeError``
+    wherever it is played, measured or converted, before any play starts:
+    a strategy that keeps taking the cycle cannot make a run go on."""
+
+    @staticmethod
+    def loop(ctx):
+        return F(1, 2) if ctx.kind == "cut" else 0
+
+    CALLS = {
+        "run": lambda d: run(d, [TestMalformedDags.loop] * 2, [uniform()] * 2),
+        "replay": lambda d: engine.replay(d, engine.Trace((), ())),
+        "oracle": lambda d: GuaranteeOracle(d, [uniform()] * 2, GRID2),
+        "check_equiv": lambda d: check_equiv(d, d, "value", GRID2, [uniform()] * 2),
+        "stats": stats,
+        "conversion_cost": lambda d: conversion_cost("dag_to_tree", d),
+        "dag_to_tree": dag_to_tree,
+    }
+
+    @pytest.mark.parametrize("make, fault", [(dangling_dag, r"missing node 7"),
+                                             (cyclic_dag, r"cycle")],
+                             ids=["dangling", "cycle"])
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_refused(self, make, fault, call):
+        with pytest.raises((DomainError, InvalidProtocolError), match=fault):
+            self.CALLS[call](make())
 
 
 def ext_one_cut_leaf():

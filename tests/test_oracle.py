@@ -9,7 +9,7 @@ import pytest
 from cakewalk.cli import load_protocol
 from cakewalk.engine import (
     current_kind, initial_state, leaf_allocation, step_choose, step_cut,
-    step_ifelse, _node_of, cut_intervals,
+    step_ifelse, cut_intervals,
 )
 from cakewalk.errors import BudgetExceededError, DomainError, ExecutionError
 from cakewalk.ir import (
@@ -28,7 +28,8 @@ from cakewalk.transform import bc_to_gcc, dag_to_tree, gcc_to_bc
 from cakewalk.valuation import Valuation, random_valuation, uniform
 
 from helpers import (
-    CountingMemo, grid_within, random_bc_tree, random_gcc, reconverging_dags,
+    CountingMemo, grid_within, linked_by_nid, memo_by_nid, random_bc_tree, random_gcc,
+    reconverging_dags,
 )
 
 
@@ -48,12 +49,11 @@ class BruteForce:
         self._explore(initial_state(p))
 
     def _key(self, state):
-        nid = state.node if isinstance(state.node, int) else state.node.nid
-        return (nid, state.cuts, state.picks)
+        return (state.node.nid, state.cuts, state.picks)
 
     def _moves(self, state):
         kind = current_kind(self.p, state)
-        node = _node_of(self.p, state)
+        node = state.node
         if kind == "cut":
             intervals = cut_intervals(self.p, state)
             out = []
@@ -501,14 +501,15 @@ class TestDagOracle:
         grid = build_grid(self.VALS, 2)
         oracle = GuaranteeOracle(dag, self.VALS, grid)
         oracle._memo = CountingMemo()
-        assert oracle._memo_at == {id(dag.nodes[4]): (frozenset({0, 4}), frozenset())}
+        c4 = linked_by_nid(oracle)[4]
+        assert oracle._memo_at == {id(c4): (frozenset({0, 4}), frozenset())}
         got = self.four_walks(oracle)
         tree, _, _ = dag_to_tree(dag)
         on_tree = GuaranteeOracle(tree, self.VALS, grid)
         assert got == self.four_walks(on_tree) == [F(1, 2), F(1, 2), 0, 0]
         # An entry per decision node and walk, kept across walks, held 148.
         assert (oracle.evals, len(oracle._memo), oracle._memo.hits) == (436, 9, 36)
-        assert {key[0] for key in oracle._memo} == {id(dag.nodes[4])}
+        assert {key[0] for key in oracle._memo} == {id(c4)}
 
     def test_a_child_listed_twice_is_a_memo_point(self):
         nodes = [DagCut(0, 1, 1, 1), DagChoose(1, 2, (2, 2)), DagCut(2, 1, 2, 3),
@@ -517,7 +518,7 @@ class TestDagOracle:
         grid = build_grid(self.VALS, 2)
         oracle = GuaranteeOracle(dag, self.VALS, grid)
         oracle._memo = CountingMemo()
-        assert list(oracle._memo_at) == [id(nodes[2])]
+        assert list(oracle._memo_at) == [id(linked_by_nid(oracle)[2])]
         tree, _, _ = dag_to_tree(dag)
         assert oracle.guarantee_value(2) == GuaranteeOracle(
             tree, self.VALS, grid).guarantee_value(2)
@@ -543,7 +544,7 @@ class TestDagOracle:
             assert oracle.can_guarantee(query) is expect
             # a query asked again walks again
             assert oracle.evals - before == alone.evals
-            assert oracle._memo == alone._memo
+            assert memo_by_nid(oracle) == memo_by_nid(alone)
 
 
 class TestTreeMemo:

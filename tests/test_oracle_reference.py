@@ -29,7 +29,7 @@ import pytest
 from cakewalk.cli import load_protocol
 from cakewalk.engine import (
     ExecState, current_kind, cut_intervals, initial_state, leaf_allocation,
-    step_choose, step_cut, step_ifelse, _node_of,
+    step_choose, step_cut, step_ifelse,
 )
 from cakewalk.errors import ExecutionError
 from cakewalk.ir import (
@@ -49,8 +49,8 @@ from cakewalk.transform import bc_to_gcc, dag_to_tree, gcc_to_bc
 from cakewalk.valuation import ONE, ZERO, random_valuation, uniform
 
 from helpers import (
-    CountingMemo, grid_within, random_bc_tree, random_ext_tree, random_gcc,
-    reconverging_dags,
+    CountingMemo, grid_within, linked_by_nid, random_bc_tree, random_ext_tree,
+    random_gcc, reconverging_dags,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -70,8 +70,7 @@ class FractionOracle(GuaranteeOracle):
             self._over_budget()
 
     def _key(self, state: ExecState):
-        nid = state.node if isinstance(self.protocol, BcDag) else state.node.nid
-        return (nid, state.cuts, state.picks)
+        return (state.node.nid, state.cuts, state.picks)
 
     def _leaf_cross(self, state):
         key = self._key(state)
@@ -85,7 +84,7 @@ class FractionOracle(GuaranteeOracle):
 
     def _actions(self, state: ExecState, kind: str):
         """Decision points: (acting agent, list of successor states)."""
-        node = _node_of(self.protocol, state)
+        node = state.node
         if kind == "cut":
             intervals = cut_intervals(self.protocol, state)
             nexts = []
@@ -249,7 +248,7 @@ def assert_same_work(fast, ref):
     subgame the reference walks again, so it makes no more evaluations."""
     if isinstance(fast.protocol, BcDag):
         assert fast.evals == ref.evals
-        points = {nid for nid, node in fast.protocol.nodes.items()
+        points = {nid for nid, node in linked_by_nid(fast).items()
                   if id(node) in fast._memo_at}
         assert len(fast._memo) == sum(nid in points for _, (nid, _, _) in ref._memo)
     elif fast._memo_at:

@@ -15,7 +15,7 @@ from fractions import Fraction as F
 import pytest
 
 from cakewalk.engine import (
-    CutMade, _node_of, allocation_values, follow, partition_of, replay, run,
+    CutMade, allocation_values, follow, partition_of, replay, run,
 )
 from cakewalk.errors import ExecutionError
 from cakewalk.ir import BcDag, BcLeaf, iter_nodes
@@ -69,7 +69,7 @@ def check_trace(p, trace, alloc):
     assert replay(p, trace) == alloc
     nodes = p.nodes if isinstance(p, BcDag) else {n.nid: n for n in iter_nodes(p)}
     assert retarget_trace(p, trace, {nid: nid for nid in nodes}) == trace
-    leaf = _node_of(p, state)
+    leaf = state.node
     if isinstance(leaf, BcLeaf):
         pieces = [[] for _ in range(p.agents)]
         for part, agent in zip(reference_partition(cuts_of(trace.events)), leaf.assign):

@@ -216,5 +216,19 @@ class TestAllocation:
     def test_frac_parsing(self):
         assert frac("2/3") == F(2, 3)
         assert frac("5") == F(5)
+        assert frac("0.25") == F(1, 4)
         with pytest.raises(DomainError):
             frac(3.5)
+        with pytest.raises(DomainError):
+            frac(True)  # JSON true is no number
+
+    @pytest.mark.parametrize("text", ["1e-1000000", "2E3", "1.5e1", "1/2e9"])
+    def test_frac_refuses_exponent_notation(self, text):
+        # "1e-1000000" took 0.2 s to read, and a larger exponent all memory
+        with pytest.raises(ValueError, match="exponent"):
+            frac(text)
+
+    def test_exponent_density_is_a_malformed_valuation(self):
+        obj = {"breakpoints": ["0", "1"], "densities": ["1e-1000000"]}
+        with pytest.raises(DomainError, match="malformed valuation object"):
+            Valuation.from_json(obj)
