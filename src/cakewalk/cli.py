@@ -93,13 +93,14 @@ def _write_stdout(text: str):
         data = data[raw.write(data):]
 
 
-def load_protocol(path: str, mode: GccMode = GccMode.EXTENSIVE) -> Protocol:
-    """Read, validate, and canonicalize a protocol file."""
+def load_protocol(path: str) -> Protocol:
+    """Read, validate and canonicalize a protocol file.  Each reader checks
+    the file's own mode: extensive for JSON, as for ``.cake`` without ``:mode``."""
     text = _read_text(path)
     body = text.lstrip()
     if body.startswith("{"):
         p = jsonio.protocol_from_json(_parse_json(text, path))
-        report = validate(p, mode)
+        report = validate(p, GccMode.EXTENSIVE)
         if not report.ok:
             raise DomainError(f"protocol in {path} is invalid:\n{report}")
     else:
@@ -207,10 +208,10 @@ def scripted_strategy(path: str) -> Strategy:
         try:
             if ctx.kind == "cut":
                 return frac(value)
-            if ctx.kind == "gcc-cut":
-                piece, z = value
-                return int(piece), frac(z)
-            return int(value)
+            index, z = value if ctx.kind == "gcc-cut" else (value, None)
+            if type(index) is not int:  # a bool, 1.0 or "1" is no index
+                raise TypeError
+            return index if z is None else (index, frac(z))
         except (TypeError, ValueError, ZeroDivisionError):
             raise DomainError(
                 f"scripted decision for node {key} is malformed: {value!r}") from None
@@ -297,8 +298,7 @@ def _cmd_fmt(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    mode = GccMode(args.mode)
-    p = load_protocol(args.input, mode)
+    p = load_protocol(args.input)
     actual = MODEL_NAMES[type(p)]
     if args.source and args.source != actual:
         print(f"input is a {actual} protocol, not {args.source}", file=sys.stderr)
@@ -310,7 +310,7 @@ def _cmd_convert(args) -> int:
     elif pair == ("extbc", "bc"):
         out, _, _ = transform.extended_to_bc(p, size_budget=budget)
     elif pair == ("gcc", "bc"):
-        out, _ = transform.gcc_to_bc(p, mode, size_budget=budget)
+        out, _ = transform.gcc_to_bc(p, GccMode(args.mode), size_budget=budget)
     elif pair == ("bc", "gcc"):
         out = transform.bc_to_gcc(p, size_budget=budget)
     elif pair == ("bc", "extbc"):

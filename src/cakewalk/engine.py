@@ -461,7 +461,8 @@ def run(p: Protocol, strategies: Sequence[Strategy],
                 answer = ask(state, node, "gcc-cut", events, pieces=intervals)
                 try:
                     piece_index, z = answer
-                    if not isinstance(piece_index, int):
+                    # An index is an int and not a bool, as in Trace.from_json.
+                    if type(piece_index) is not int:
                         raise TypeError
                 except (TypeError, ValueError):
                     raise ExecutionError(
@@ -473,7 +474,7 @@ def run(p: Protocol, strategies: Sequence[Strategy],
             return CutMade(node.nid, node.agent, z)
         if kind == "choose":
             index = ask(state, node, "branch", events, branches=len(node.children))
-            if not isinstance(index, int):
+            if type(index) is not int:
                 raise ExecutionError(f"branch strategy must return an int, got {index!r}",
                                      node=node.nid, agent=node.agent)
             return BranchChosen(node.nid, node.agent, index)
@@ -482,7 +483,7 @@ def run(p: Protocol, strategies: Sequence[Strategy],
             index = 0  # no actual choice; do not query the strategy
         else:
             index = ask(state, node, "gcc-choose", events, pieces=pieces)
-            if not isinstance(index, int):
+            if type(index) is not int:
                 raise ExecutionError(
                     f"piece strategy must return an int, got {index!r}",
                     node=node.nid, agent=node.agent,

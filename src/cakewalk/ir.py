@@ -636,17 +636,6 @@ def validate_dag(d: BcDag) -> ValidationReport:
 # Static cut ordering (extended BC and GCC)
 
 
-class Order(Enum):
-    LE = "le"          # left <= right in every execution
-    GE = "ge"          # right <= left in every execution
-    EQ = "eq"          # both: the two refs coincide in every execution
-    UNKNOWN = "unknown"
-
-
-# (i <= j, j <= i) -> how refs i and j compare.
-_ORDERS = {(1, 1): Order.EQ, (1, 0): Order.LE, (0, 1): Order.GE, (0, 0): Order.UNKNOWN}
-
-
 class _Slots(dict):
     """One walk's numbering of cut refs by small ints, a cut id -> slot map.
 
@@ -672,10 +661,9 @@ class PartialOrder:
 
     Refs are numbered by one walk's ``_Slots``.  ``up`` maps each slot the
     order names, in the order first named, to a bit row: bit j of ``up[i]``
-    says that ref i <= ref j.  ``compare`` and ``le_or_eq`` take refs; the
-    validators' ``le``, ``eq``, ``add_le`` and ``bound_cut`` take slots.  A
-    walk copies the order for a child that learns more and changes no order
-    it has handed on.
+    says that ref i <= ref j.  ``le``, ``eq``, ``add_le`` and ``bound_cut``
+    take slots.  A walk copies the order for a child that learns more and
+    changes no order it has handed on.
     """
 
     __slots__ = ("slots", "up")
@@ -686,29 +674,6 @@ class PartialOrder:
 
     def copy(self) -> PartialOrder:
         return PartialOrder(self.slots, self.up.copy())
-
-    @property
-    def refs(self) -> tuple[CutRef, ...]:
-        """The refs the order names, in the order first named."""
-        named = {slot: at(nid) for nid, slot in self.slots.items()}
-        named[0], named[1] = ORIGIN, END
-        return tuple(named[i] for i in self.up)
-
-    def _slot(self, ref: CutRef) -> Optional[int]:
-        kind = ref.kind
-        i = self.slots.get(ref.cut) if kind == "cut" else int(kind != "origin")
-        return i if i in self.up else None
-
-    def compare(self, a: CutRef, b: CutRef) -> Order:
-        if a == b:
-            return Order.EQ
-        i, j = self._slot(a), self._slot(b)
-        if i is None or j is None:
-            return Order.UNKNOWN
-        return _ORDERS[self.up[i] >> j & 1, self.up[j] >> i & 1]
-
-    def le_or_eq(self, a: CutRef, b: CutRef) -> bool:
-        return self.compare(a, b) in (Order.LE, Order.EQ)
 
     def le(self, i: int, j: int) -> bool:
         """Whether slot i <= slot j is derivable; each ref is <= itself."""
@@ -741,35 +706,6 @@ class PartialOrder:
         self.add_le(0, z)
         self.add_le(z, hi)
         self.add_le(z, 1)
-
-
-def _ext_path_to(t: ExtBcTree, target_nid: int):
-    """Root-to-node path (inclusive) in preorder's first match, or None."""
-    stack = [(t.root,)]
-    while stack:
-        path = stack.pop()
-        if path[-1].nid == target_nid:
-            return list(path)
-        stack.extend(path + (kid,) for kid in reversed(children_of(path[-1])))
-    return None
-
-
-def static_cut_order(t: ExtBcTree, at_nid: int) -> PartialOrder:
-    """Order of the cuts visible at node ``at_nid``.
-
-    Derived only from the tree structure: each ancestor cut lies between its
-    two bounding refs, closed transitively.  Whenever LE is reported, every
-    execution satisfies it; UNKNOWN may still be ordered at run time.
-    """
-    path = _ext_path_to(t, at_nid)
-    if path is None:
-        raise DomainError(f"node {at_nid} not found")
-    slots = _Slots()
-    order = PartialOrder(slots)
-    for node in path[:-1]:
-        if isinstance(node, ExtCut):
-            order.bound_cut(slots[node.nid], slots(node.left), slots(node.right))
-    return order
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,15 @@
 """Adversarial guarantee analysis on a finite grid of cut positions.
 
-``can_guarantee`` and the ``guarantee_*`` functions answer: what can one
-agent secure for themselves no matter how everyone else plays, when every
-cut is restricted to a shared finite grid?  Decisions of the queried agent
-are existential, all other decisions (modelled as one adversary) are
-universal, and leaves are scored exactly.  ``check_equiv`` compares two
-protocols by these queries, with all of a notion's value and envy queries
-in one walk per protocol.  Results are exact for the grid-restricted game;
-they are meaningful for the continuous game only when the grid contains the
-positions the intended strategies need, so callers should pin grids
-explicitly.
+``GuaranteeOracle``'s ``can_guarantee`` and ``guarantee_*`` queries answer:
+what can one agent secure for themselves no matter how everyone else plays,
+when every cut is restricted to a shared finite grid?  Decisions of the
+queried agent are existential, all other decisions (modelled as one
+adversary) are universal, and leaves are scored exactly.  ``check_equiv``
+compares two protocols by these queries, with all of a notion's value and
+envy queries in one walk per protocol.  Results are exact for the
+grid-restricted game; they are meaningful for the continuous game only when
+the grid contains the positions the intended strategies need, so callers
+should pin grids explicitly.
 
 The game is played on grid indices.  Every position the search visits is a
 grid point: a cut is placed at a grid point of its interval, and every
@@ -489,32 +489,6 @@ class GuaranteeOracle:
         others = [j for j in range(1, self.protocol.agents + 1) if j != agent]
         query = _envy_query(self.protocol.agents, agent, others)
         return self._fraction(self._solve(f"guarantee_total_envy({agent})", [query])[0])
-
-
-# Convenience wrappers for one-shot queries, each a walk of its own.
-
-
-def can_guarantee(p: Protocol, query: BoundsQuery, grid: Grid,
-                  vals: Sequence[Valuation], budget: int = DEFAULT_BUDGET) -> bool:
-    return GuaranteeOracle(p, vals, grid, budget).can_guarantee(query)
-
-
-def guarantee_value(p: Protocol, agent: int, grid: Grid,
-                    vals: Sequence[Valuation],
-                    budget: int = DEFAULT_BUDGET) -> Fraction:
-    return GuaranteeOracle(p, vals, grid, budget).guarantee_value(agent)
-
-
-def guarantee_pair_envy(p: Protocol, agent: int, other: int, grid: Grid,
-                        vals: Sequence[Valuation],
-                        budget: int = DEFAULT_BUDGET) -> Fraction:
-    return GuaranteeOracle(p, vals, grid, budget).guarantee_pair_envy(agent, other)
-
-
-def guarantee_total_envy(p: Protocol, agent: int, grid: Grid,
-                         vals: Sequence[Valuation],
-                         budget: int = DEFAULT_BUDGET) -> Fraction:
-    return GuaranteeOracle(p, vals, grid, budget).guarantee_total_envy(agent)
 
 
 # ---------------------------------------------------------------------------

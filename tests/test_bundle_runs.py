@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from cakewalk.engine import run
+from cakewalk.engine import Trace, run
 from cakewalk.library import generate
 from cakewalk.transform import cuts_before_choices_ext, extended_to_bc
 from cakewalk.valuation import random_valuation, uniform
@@ -73,3 +73,13 @@ def test_transported_bundle_runs(name, n, op):
     strategies = transporter(bundle.strategies_for(p))
     assert (runs_hash(target, strategies, FIXTURE["transported_profiles"])
             == FIXTURE["transported"][f"{form_key(name, 'extbc', n)} {op}"])
+
+
+@pytest.mark.parametrize("name, model, n", FORMS,
+                         ids=[form_key(*form) for form in FORMS])
+def test_bundle_traces_read_back(name, model, n):
+    # Every index a bundle plays is an int, so its trace reads back as it was.
+    p, bundle = generate(name, model, n)
+    for vals in profiles(p.agents, 4):
+        trace, _ = run(p, bundle.strategies_for(p), vals)
+        assert Trace.from_json(json.loads(json.dumps(trace.to_json()))) == trace

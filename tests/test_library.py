@@ -141,7 +141,7 @@ class TestDubinsSpanier:
         assert alloc.pieces[2] == ((F(1, 2), F(1)),)
 
     def test_gcc_image_keeps_value_guarantees(self):
-        from cakewalk.oracle import Grid, guarantee_value
+        from cakewalk.oracle import Grid, GuaranteeOracle
         from cakewalk.transform import gcc_to_bc
 
         tree, _ = gen_dubins_spanier(2, "gcc")
@@ -149,8 +149,8 @@ class TestDubinsSpanier:
         vals = [uniform(), uniform()]
         grid = Grid((F(0), F(1, 4), F(1, 2), F(3, 4), F(1)))
         for agent in (1, 2):
-            assert (guarantee_value(tree, agent, grid, vals)
-                    == guarantee_value(image, agent, grid, vals) == F(1, 2))
+            assert (GuaranteeOracle(tree, vals, grid).guarantee_value(agent)
+                    == GuaranteeOracle(image, vals, grid).guarantee_value(agent) == F(1, 2))
 
 
 class TestEvenPaz:

@@ -4,18 +4,27 @@ ones are compared against (``tests/test_order_reference.py``).
 
 ``PartialOrder`` numbers each order's refs in a ``CutRef``-keyed dict and
 keeps one int bit row per ref; the validators compare and hash ``CutRef``s
-in their inner loops.  Only the imports differ from that code.
+in their inner loops.  That code is kept as it was; the ``Order`` enum and
+``_ext_path_to``, which it once imported from ``cakewalk.ir``, are defined
+here now.
+
+``slot_cut_order`` builds the program's own order at a node, an
+``ir.PartialOrder`` over one walk's ``ir._Slots`` bound by ``bound_cut``,
+and ``SlotOrder`` reads any such order by ``CutRef``, so the tests compare
+it with the reference ref by ref.
 """
 
 from __future__ import annotations
 
+from enum import Enum
 from typing import Iterable, Optional
 
+from cakewalk import ir
 from cakewalk.ir import (
     And, ChoseAt, Condition, CutInAt, CutRef, END, Else, ExtBcTree, ExtChoose,
     ExtCut, ExtLeaf, GccChoose, GccCut, GccIfElse, GccLeaf, GccMode, GccTree, Less,
-    ORIGIN, Order, Piece, ValidationReport, Verdict, at, condition_atoms,
-    fold_condition, _check_agent, _ext_path_to, _walk,
+    ORIGIN, Piece, ValidationReport, Verdict, at, children_of, condition_atoms,
+    fold_condition, _check_agent, _walk,
 )
 from cakewalk.errors import DomainError
 
@@ -34,6 +43,13 @@ def _check_span(report, path, nid, lo: CutRef, hi: CutRef, cuts: set[int],
         report.error(path, nid, f"{prefix}order of {lo} and {hi} is not derivable")
         ok = False
     return ok
+
+
+class Order(Enum):
+    LE = "le"          # left <= right in every execution
+    GE = "ge"          # right <= left in every execution
+    EQ = "eq"          # both: the two refs coincide in every execution
+    UNKNOWN = "unknown"
 
 
 # (i <= j, j <= i) -> how refs i and j compare.
@@ -110,6 +126,17 @@ class _OrderBuilder(PartialOrder):
             self.add_le(ref, high)
 
 
+def _ext_path_to(t: ExtBcTree, target_nid: int):
+    """Root-to-node path (inclusive) in preorder's first match, or None."""
+    stack = [(t.root,)]
+    while stack:
+        path = stack.pop()
+        if path[-1].nid == target_nid:
+            return list(path)
+        stack.extend(path + (kid,) for kid in reversed(children_of(path[-1])))
+    return None
+
+
 def static_cut_order(t: ExtBcTree, at_nid: int) -> PartialOrder:
     """Order of the cuts visible at node ``at_nid``.
 
@@ -127,6 +154,50 @@ def static_cut_order(t: ExtBcTree, at_nid: int) -> PartialOrder:
             builder.add_le(ORIGIN, at(node.nid))
             builder.add_le(at(node.nid), END)
     return builder.snapshot()
+
+
+class SlotOrder:
+    """An ``ir.PartialOrder`` read by ``CutRef``: the refs it names, in the
+    order first named, compared through its own slot ``le``."""
+
+    def __init__(self, order: ir.PartialOrder):
+        self.order = order
+
+    @property
+    def refs(self) -> tuple[CutRef, ...]:
+        named = {slot: at(nid) for nid, slot in self.order.slots.items()}
+        named[0], named[1] = ORIGIN, END
+        return tuple(named[i] for i in self.order.up)
+
+    def _slot(self, ref: CutRef) -> Optional[int]:
+        kind = ref.kind
+        i = self.order.slots.get(ref.cut) if kind == "cut" else int(kind != "origin")
+        return i if i in self.order.up else None
+
+    def compare(self, a: CutRef, b: CutRef) -> Order:
+        if a == b:
+            return Order.EQ
+        i, j = self._slot(a), self._slot(b)
+        if i is None or j is None:
+            return Order.UNKNOWN
+        return _ORDERS[self.order.le(i, j), self.order.le(j, i)]
+
+    def le_or_eq(self, a: CutRef, b: CutRef) -> bool:
+        return self.compare(a, b) in (Order.LE, Order.EQ)
+
+
+def slot_cut_order(t: ExtBcTree, at_nid: int) -> SlotOrder:
+    """The program's order of the cuts visible at node ``at_nid``: one
+    ``ir._Slots`` numbering, and ``bound_cut`` for each ancestor cut."""
+    path = _ext_path_to(t, at_nid)
+    if path is None:
+        raise DomainError(f"node {at_nid} not found")
+    slots = ir._Slots()
+    order = ir.PartialOrder(slots)
+    for node in path[:-1]:
+        if isinstance(node, ExtCut):
+            order.bound_cut(slots[node.nid], slots(node.left), slots(node.right))
+    return SlotOrder(order)
 
 
 # ---------------------------------------------------------------------------
