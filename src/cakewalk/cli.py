@@ -154,8 +154,12 @@ def human_strategy(agent: int) -> Strategy:
     def index(what: str, count: int) -> int:
         while True:
             raw = ask(f"{what} 1..{count}: ")
-            if raw.isdigit() and 1 <= int(raw) <= count:
-                return int(raw) - 1
+            try:
+                k = int(raw)
+            except ValueError:  # only what int() reads is an index
+                k = 0
+            if 1 <= k <= count:
+                return k - 1
             print(f"  not a legal {what}, try again", file=sys.stderr)
 
     def position(lo: Fraction, hi: Fraction) -> Fraction:

@@ -31,14 +31,18 @@ the game is played as without it.  A BC tree has no such node.  A DAG is
 walked as its linked nodes (``ir.linked_nodes``), so a memo key's node is
 an object on every form.
 
-The game is the interpreter's: each move and leaf goes through the rules
-``engine`` writes once for any ordered positions, here with origin 0 and
-end the last grid index, so the oracle raises the interpreter's
-``ExecutionError`` wherever a protocol goes wrong at run time.  It skips
-only the checks that cannot fail here: it generates legal moves alone, and
-a BC or DAG leaf's pieces come from the sorted cuts, so only extended and
-GCC leaves are checked to partition the cake (``valuation.check_allocation``
-on indices, with positions printed in the error).
+The game is the interpreter's: each move, if-else branch and extended or
+GCC leaf goes through the rules ``engine`` writes once for any ordered
+positions, here with origin 0 and end the last grid index, so the oracle
+raises the interpreter's ``ExecutionError`` wherever a protocol goes wrong
+at run time.  A BC or DAG leaf's pieces are the parts between the sorted
+cuts, so a leaf that fits them is scored from each agent's part values,
+computed once per sorted order, with its parts grouped per agent once per
+oracle (``_leaf_groups``); one that does not goes through the engine's
+rule and its error.  The oracle skips only the checks that cannot fail
+here: it generates legal moves alone, and only extended and GCC leaves are
+checked to partition the cake (``valuation.check_allocation`` on indices,
+with positions printed in the error).
 """
 
 from __future__ import annotations
@@ -135,8 +139,15 @@ def _value_query(n: int, agent: int) -> tuple:
 def _envy_query(n: int, agent: int, others: Sequence[int]) -> tuple:
     """Minimize the agent's total envy toward ``others``; see ``_value_query``."""
     own, cells = _cell(n, agent, agent), [_cell(n, agent, j) for j in others]
-    return (agent, False, (own, *cells),
-            lambda cross: sum([max(cross[k] - cross[own], 0) for k in cells]))
+
+    def envy(cross) -> int:
+        mine, total = cross[own], 0
+        for k in cells:
+            if cross[k] > mine:
+                total += cross[k] - mine
+        return total
+
+    return (agent, False, (own, *cells), envy)
 
 
 # -- which cuts a tree subgame still reads -------------------------------------
@@ -281,6 +292,30 @@ def _memo_points(p: Protocol) -> tuple:
     return p.root, _live_walk(p.root, points)[1] if points else {}
 
 
+def _leaf_groups(start, agents: int) -> dict:
+    """``id(leaf)`` -> the leaf's part indices per agent, for each BC or DAG
+    leaf reachable from ``start`` that gives every part to an agent in
+    1..``agents``; found once per oracle on an explicit stack.  The walk
+    scores such a leaf from each agent's values of the parts between the
+    sorted cuts."""
+    groups: dict = {}
+    seen: set = set()
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, BcLeaf):
+            if all(0 < a <= agents for a in node.assign):
+                groups[id(node)] = tuple(
+                    tuple(k for k, a in enumerate(node.assign) if a == j)
+                    for j in range(1, agents + 1))
+        else:
+            stack.extend(_children(node))
+    return groups
+
+
 class GuaranteeOracle:
     """Backward induction over one protocol, one grid, one valuation profile.
 
@@ -296,8 +331,11 @@ class GuaranteeOracle:
     compares are integers over it.  Only the results the queries return are
     ``Fraction``s.
 
-    One walk answers a batch of queries and scores each leaf once, so no
-    leaf is cached.  Subgame results are memoized at the memo points only
+    At construction each BC or DAG leaf's parts are grouped per agent
+    (``_leaf_groups``), so a walk scores such a leaf from part values.
+    Engine rules serve every move and branch, and the GCC and extended
+    leaves.  One walk answers a batch of queries and scores each leaf once,
+    so no leaf is cached.  Subgame results are memoized at the memo points only
     (``_memo_points``, found once per oracle): the DAG nodes more than one
     edge enters, and the GCC or extended tree nodes where a cut made above
     is first read by nothing below.  There the key is (node, the live cuts'
@@ -332,6 +370,7 @@ class GuaranteeOracle:
         ]
         self._last = len(grid.points) - 1  # the grid index of position 1
         self._root, self._memo_at = _memo_points(p)
+        self._groups = _leaf_groups(self._root, p.agents)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -384,38 +423,67 @@ class GuaranteeOracle:
         errors.  A query ``(agent, agent_maximizes, cells, score)`` takes the
         max at the agent's nodes if ``agent_maximizes``, else the min, and the
         other elsewhere.  A leaf computes each cross-value some query's
-        ``cells`` name once (keyed by ``_cell``), and ``score`` maps them to
-        the query's integer or bool.  A batch of one yes/no query passes
-        ``yes_no``: a side that reaches its own extreme skips its remaining
-        moves.  Values and envies look at every move, so their cost depends
-        on the protocol and the grid, not on the valuations: an early stop at
-        0 or 1 pays off only for some profiles.
+        ``cells`` name once, into a list indexed by ``_cell``, and ``score``
+        maps that list to the query's integer or bool.  A batch of one yes/no
+        query passes ``yes_no``: a side that reaches its own extreme skips its
+        remaining moves.  Values and envies look at every move, so their cost
+        depends on the protocol and the grid, not on the valuations: an early
+        stop at 0 or 1 pays off only for some profiles.
+
+        A BC or DAG leaf whose part count matches the cuts made is scored
+        from each valuer's values of the parts between the sorted cuts.  The
+        walk keeps those of the last sorted order it met, so sibling leaves,
+        which share their order, compute them once.  A GCC or extended leaf
+        goes through ``engine._leaf_pieces`` and ``check_allocation``; so
+        does a BC leaf that does not fit the cuts or names an agent outside
+        1..n, and ``_leaf_pieces`` raises the interpreter's error for it.
         """
-        n, last = self.protocol.agents, self._last
-        plan = [(k, self._prefix[k // n], k % n)
+        n, last, prefix = self.protocol.agents, self._last, self._prefix
+        # (cell, valuer, owner) per cross-value some query reads
+        plan = [(k, k // n, k % n)
                 for k in sorted({k for _, _, cells, _ in queries for k in cells})]
+        valuers = sorted({i for _, i, _ in plan})
         scores = [score for _, _, _, score in queries]
         # each query's max or min per acting agent, 0 for one no query is about
         sides = {a: tuple(max if (a == agent) == up else min
                           for agent, up, _, _ in queries) for a in range(n + 1)}
-        memo, memo_at = self._memo, self._memo_at
+        memo, memo_at, groups_of = self._memo, self._memo_at, self._groups
         memo.clear()  # a walk keeps no entry from the walk before
         self._query, self._started = label, perf_counter()
+        cross = [0] * (n * n)  # the leaf being scored, by ``_cell``
+        # the last sorted order a BC leaf met, and each valuer's part values
+        # there, as the list's ``__getitem__`` (None for an agent no cell reads)
+        held: list = [None, [None] * n]
 
         def rec(node, cuts, picks, allocated, order):
             self.evals += 1
             if self.evals > self.budget:
                 self._over_budget()
             if isinstance(node, _LEAVES):
-                pieces = _leaf_pieces(node, n, cuts, order, allocated, 0, last)
-                if not isinstance(node, BcLeaf):
+                groups = groups_of.get(id(node))
+                if groups is not None and len(order) + 1 == len(node.assign):
+                    if order != held[0]:
+                        bounds = (0, *order, last)
+                        for i in valuers:
+                            row = prefix[i]
+                            held[1][i] = [row[b] - row[a] for a, b
+                                          in zip(bounds, bounds[1:])].__getitem__
+                        held[0] = order
+                    parts = held[1]
+                    for k, i, j in plan:
+                        cross[k] = sum(map(parts[i], groups[j]))
+                else:
+                    # A BC leaf gets here only if it does not fit the cuts or
+                    # names an agent outside 1..n: ``_leaf_pieces`` raises.
+                    pieces = _leaf_pieces(node, n, cuts, order, allocated, 0, last)
                     try:
                         check_allocation(pieces, last, self.grid.points.__getitem__)
                     except DomainError as exc:
                         raise ExecutionError(f"allocation invalid at leaf: {exc}",
                                              node=node.nid)
-                cross = {k: sum([row[b] - row[a] for a, b in pieces[j]])
-                         for k, row, j in plan}
+                    for k, i, j in plan:
+                        row = prefix[i]
+                        cross[k] = sum([row[b] - row[a] for a, b in pieces[j]])
                 return tuple([score(cross) for score in scores])
             if isinstance(node, GccIfElse):
                 return rec(_branch(node, cuts, picks, 0, last),
@@ -544,7 +612,8 @@ class EquivReport:
             "equivalent": self.equivalent,
             "disagreements": [d.to_json() for d in self.disagreements],
             "grid": self.grid.to_json(),
-            "measurements": {k: str(v) for k, v in self.measurements.items()},
+            "measurements": {k: [format_frac(a), format_frac(b)]
+                             for k, (a, b) in self.measurements.items()},
         }
 
 

@@ -416,6 +416,16 @@ class TestRun:
         alloc = replay(protocol, Trace.from_json(payload["trace"]))
         assert alloc.to_json() == payload["allocation"]
 
+    def test_human_index_not_read_by_int_reprompts(self, capsys, monkeypatch):
+        # Agent 2's branch prompt gets "1/2", then "²", a digit to
+        # str.isdigit() but not to int(): each is a re-prompt, not a traceback.
+        monkeypatch.setattr("sys.stdin", io.StringIO("1/2\n²\n2\n"))
+        code, out, err = run_cli(capsys, "run", "--gen", "cut-and-choose",
+                                 "--model", "bc", "--random-vals", "1",
+                                 "--strategies", "human:2", "--json")
+        assert code == 0
+        assert err.count("  not a legal branch, try again") == 2
+        assert json.loads(out)["trace"]["events"][1]["index"] == 1
 
     def test_human_gcc_prompts(self, capsys, monkeypatch):
         # Agent 1's gcc-cut asks for a piece, then a position in it; agent

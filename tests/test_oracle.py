@@ -699,6 +699,23 @@ class TestCheckEquiv:
         report = check_equiv(p1, p2, Notion.VALUE, GRID2, [uniform(), uniform()])
         assert not report.equivalent
 
+    def test_report_json_writes_each_measurement_as_two_fractions(self):
+        # as the grid is written: "1/4", not "(Fraction(1, 4), Fraction(1, 4))"
+        bc, _, _ = gen_cut_and_choose()
+        p2 = BcTree(2, BcCut(0, 1, 1, BcLeaf(1, (1, 2))))
+        vals = [uniform(), uniform()]
+        grid = Grid((F(0), F(1, 4), F(1, 2), F(1)))
+        report = check_equiv(bc, p2, Notion.PAIRWISE, grid, vals)
+        assert report.measurements["pair[2,1]"] == (F(0), F(1))
+        assert report.to_json()["measurements"] == {
+            "pair[1,2]": ["0", "0"], "pair[2,1]": ["0", "1"]}
+        assert report.to_json()["grid"] == ["0", "1/4", "1/2", "1"]
+        value = check_equiv(bc, bc, Notion.VALUE, grid, vals).to_json()
+        assert value["measurements"] == {"value[1]": ["1/2", "1/2"],
+                                         "value[2]": ["1/2", "1/2"]}
+        strong = check_equiv(bc, bc, Notion.STRONG, grid, vals, bound_samples=0)
+        assert strong.to_json()["measurements"] == {}
+
     def test_agent_count_mismatch(self):
         p1 = leaf_all_to(1, 2)
         p2 = BcTree(3, BcLeaf(0, (1,)))

@@ -11,7 +11,10 @@ former code, one walk per query with a leaf cache and no tree memo.  So the
 oracle's results, evaluation counts, memo sizes and run-time errors are
 checked against the interpreter's own semantics; where a GCC or extended
 tree has memo points, the oracle must make no more evaluations than the
-reference.
+reference.  The walk the oracle made before it scored BC and DAG leaves
+from part values is a second reference, ``walk_reference.NodeWalkOracle``;
+its errors are compared here too, and the rest in
+``tests/test_walk_reference.py``.
 
 ``reference_check_equiv`` is ``check_equiv`` as it was before it answered a
 notion's queries in one walk per protocol: one ``FractionOracle`` query per
@@ -52,6 +55,7 @@ from helpers import (
     CountingMemo, grid_within, linked_by_nid, random_bc_tree, random_ext_tree,
     random_gcc, reconverging_dags,
 )
+from walk_reference import NodeWalkOracle
 
 GOLDEN = Path(__file__).parent / "golden"
 THIRDS = Grid((F(0), F(1, 3), F(2, 3), F(1)))
@@ -512,11 +516,11 @@ class TestRunTimeErrors:
     def test_same_error_as_the_engine(self, name):
         p = RUN_TIME_ERRORS[name]
         errors = []
-        for cls in (FractionOracle, GuaranteeOracle):
+        for cls in (FractionOracle, NodeWalkOracle, GuaranteeOracle):
             with pytest.raises(ExecutionError) as caught:
                 cls(p, profile(2), THIRDS).guarantee_value(1)
             errors.append((type(caught.value), str(caught.value)))
-        assert errors[0] == errors[1]
+        assert errors[0] == errors[1] == errors[2]
         if "-agent-" in name:
             assert "outside 1..2" in errors[0][1]
 
