@@ -7,7 +7,8 @@ Four forms are supported:
 * ``BcDag``    -- the same BC nodes with shared children, stored as an
   id -> node map; a node's ``child``/``children`` hold node ids instead of
   nodes, and ``linked_nodes`` links them for play.  Every root-to-node path
-  must make the same number of cuts.
+  must make the same number of cuts.  ``fold_dag``, ``validate_dag`` and
+  ``renumber`` walk the ids in one function, ``_walk_ids``.
 * ``ExtBcTree`` -- branch-choice tree where a cut may span several pieces
   (between two possibly non-adjacent earlier cuts) and leaves allocate
   between named cuts.
@@ -315,29 +316,56 @@ def iter_nodes(p: Protocol) -> Iterator:
         stack.extend(reversed(_children(node)))
 
 
+_MISSING, _CYCLE = "missing", "cycle"
+
+
+def _walk_ids(d: BcDag, visit=None) -> tuple[dict, list, dict]:
+    """The one walk over a DAG's ids: depth first from ``d.root``, first
+    child first, on one explicit stack (Tarjan, 1972).  Returns ``cuts``,
+    the cuts on the first path to each reached id, by id in preorder;
+    ``faults``, ``(parent id, id, _MISSING, _CYCLE or the cut count)`` for
+    each edge met to a missing id, back to an open id, or with another cut
+    count than the first path to its end; and ``done``, ``visit(node, its
+    children's results)`` by id at each node's close.  With ``visit``, a
+    missing id or a cycle raises ``DomainError``."""
+    nodes, cuts, faults, done = d.nodes, {}, [], {}
+    # (id, cuts on its path, parent id) opens an id; (id, None, node) closes it.
+    stack: list = [(d.root, 0, None)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        nid, count, parent = pop()
+        if count is None:  # closing: ``parent`` is the node, its children done
+            done[nid] = visit(parent, [done[kid] for kid in _children(parent)]) if visit else None
+        elif nid in cuts:
+            if nid not in done:
+                if visit:
+                    raise DomainError(f"DAG node {nid} lies on a cycle")
+                faults.append((parent, nid, _CYCLE))
+            elif cuts[nid] != count:
+                faults.append((parent, nid, count))
+        else:
+            node = nodes.get(nid)
+            if node is None:
+                if visit:
+                    raise DomainError(f"DAG edge to missing node {nid}")
+                faults.append((parent, nid, _MISSING))
+                continue
+            cuts[nid] = count
+            push((nid, None, node))
+            kids = _children(node)
+            if kids:
+                count += type(node) is BcCut
+                for kid in reversed(kids):
+                    push((kid, count, nid))
+    return cuts, faults, done
+
+
 def fold_dag(d: BcDag, visit) -> dict:
     """``visit(node, its children's results)`` for each node id reachable from
-    the root of ``d``, children first and each shared node once, on one
-    explicit stack; the results by node id.  An edge to a missing id, or an
-    id met again while its subtree is open (a cycle), raises ``DomainError``."""
-    done: dict = {}
-    open_ids: set = set()
-    stack: list = [(d.root, None)]
-    while stack:
-        nid, node = stack.pop()
-        if node is not None:  # closing: its children are done
-            open_ids.discard(nid)
-            done[nid] = visit(node, [done[kid] for kid in _children(node)])
-        elif nid not in done:
-            if nid in open_ids:
-                raise DomainError(f"DAG node {nid} lies on a cycle")
-            node = d.nodes.get(nid)
-            if node is None:
-                raise DomainError(f"DAG edge to missing node {nid}")
-            open_ids.add(nid)
-            stack.append((nid, node))
-            stack.extend([(kid, None) for kid in _children(node)])
-    return done
+    the root of ``d``, children first and each shared node once; the results
+    by node id.  The first edge met to a missing id, or to an id whose
+    subtree is open (a cycle), raises ``DomainError``."""
+    return _walk_ids(d, visit)[2]
 
 
 def linked_nodes(d: BcDag) -> dict:
@@ -563,72 +591,33 @@ def validate_bc(t: BcTree) -> ValidationReport:
 
 
 def validate_dag(d: BcDag) -> ValidationReport:
+    """The report from one ``_walk_ids`` pass, in stages that each run only
+    when the ones before found nothing: missing and unreachable ids, the
+    first cycle, paths that disagree on their cut count, and node checks."""
     report = ValidationReport()
     if d.root not in d.nodes:
         report.error("root", d.root, "root id missing from node map")
         return report
-
-    # Reachability and edge sanity.
-    reached: set[int] = set()
-    stack = [d.root]
-    while stack:
-        nid = stack.pop()
-        if nid in reached:
-            continue
-        reached.add(nid)
-        node = d.nodes[nid]
-        for kid in _children(node):
-            if kid not in d.nodes:
-                report.error(f"node {nid}", nid, f"edge to missing node {kid}")
-            else:
-                stack.append(kid)
+    cuts, faults, _ = _walk_ids(d)
+    for nid, kid, fault in faults:
+        if fault is _MISSING:
+            report.error(f"node {nid}", nid, f"edge to missing node {kid}")
     for nid in d.nodes:
-        if nid not in reached:
+        if nid not in cuts:
             report.error(f"node {nid}", nid, "unreachable from root")
     if not report.ok:
         return report
-
-    # Acyclicity via DFS colouring: a frame holds a node and its children
-    # not yet tried.
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = dict.fromkeys(d.nodes, WHITE)
-    colour[d.root] = GREY
-    stack = [(d.root, iter(_children(d.nodes[d.root])))]
-    while stack:
-        nid, kids = stack[-1]
-        for kid in kids:
-            if colour[kid] == GREY:
-                report.error(f"node {nid}", nid, f"cycle through node {kid}")
-                return report
-            if colour[kid] == WHITE:
-                colour[kid] = GREY
-                stack.append((kid, iter(_children(d.nodes[kid]))))
-                break
-        else:
-            colour[nid] = BLACK
-            stack.pop()
-
-    # Every root->node path must make the same number of cuts.
-    depth: dict[int, int] = {d.root: 0}
-    queue = [d.root]
-    for nid in queue:  # breadth first: the loop reads what it appends
-        node = d.nodes[nid]
-        want = depth[nid] + isinstance(node, BcCut)
-        for kid in _children(node):
-            if kid in depth:
-                if depth[kid] != want:
-                    report.error(
-                        f"node {kid}", kid,
-                        f"paths disagree on cut count ({depth[kid]} vs {want})",
-                    )
-            else:
-                depth[kid] = want
-                queue.append(kid)
+    for nid, kid, fault in faults:
+        if fault is _CYCLE:
+            report.error(f"node {nid}", nid, f"cycle through node {kid}")
+            return report
+    for _, kid, count in faults:  # with no cycle, only cut counts remain
+        report.error(f"node {kid}", kid, f"paths disagree on cut count ({cuts[kid]} vs {count})")
     if not report.ok:
         return report
 
     for nid, node in d.nodes.items():
-        _check_bc_node(report, d.agents, node, f"node {nid}", depth[nid])
+        _check_bc_node(report, d.agents, node, f"node {nid}", cuts[nid])
     return report
 
 
@@ -1038,22 +1027,20 @@ def renumber(p: Protocol) -> tuple[Protocol, dict[int, int]]:
     Raises ``DomainError`` when a ref, condition or DAG edge names a node id
     that the protocol does not hold.  A subtree object that occurs twice is
     numbered once per occurrence.  The walk keeps an explicit stack instead
-    of Python frames.
+    of Python frames.  A DAG keeps each node that ``_walk_ids`` reaches, in
+    its preorder; its first edge to a missing id raises, and a cycle stays.
     """
     mapping: dict[int, int] = {}
     ids = mapping.__getitem__
     try:
         if isinstance(p, BcDag):
-            order = []  # each stored node once, in preorder
-            stack = [p.root]
-            while stack:
-                nid = stack.pop()
-                if nid not in mapping:
-                    mapping[nid] = len(order)
-                    order.append(p.nodes[nid])
-                    stack.extend(reversed(_children(order[-1])))
-            nodes = {ids(node.nid): _map_node(node, ids, map(ids, _children(node)))
-                     for node in order}
+            reached, faults, _ = _walk_ids(p)
+            for _, kid, fault in faults:
+                if fault is _MISSING:
+                    raise KeyError(kid)
+            mapping.update(zip(reached, range(len(reached))))
+            nodes = {new: _map_node(node, ids, map(ids, _children(node)))
+                     for new, node in enumerate(map(p.nodes.__getitem__, reached))}
             return BcDag(p.agents, ids(p.root), nodes), mapping
 
         # Each new node is made empty by its parent, which needs it as a
@@ -1081,16 +1068,20 @@ def renumber(p: Protocol) -> tuple[Protocol, dict[int, int]]:
 def structurally_equal(p1: Protocol, p2: Protocol) -> bool:
     """True when the protocols are isomorphic, ignoring raw node-id values.
 
-    One preorder walk pairs the node ids of ``p1`` with those of ``p2``, one
-    to one.  Each node of ``p1``, its ids mapped through the pairing and its
-    children swapped for its partner's, must have its partner's fields.  A
-    shared DAG child is compared when first reached; later, only its pairing.
-    A ref or condition naming a node not yet paired makes them unequal, as it
-    makes ``renumber`` refuse.
+    Two DAGs are when ``renumber``, whose preorder ids are canonical, makes
+    the same nodes of both.  Two trees are walked in one preorder that pairs
+    the node ids of ``p1`` with those of ``p2``, one to one: each node of
+    ``p1``, its ids mapped through the pairing and its children swapped for
+    its partner's, must have its partner's fields.  What makes ``renumber``
+    refuse, such as a ref naming a node not yet paired, makes them unequal.
     """
     if type(p1) is not type(p2) or p1.agents != p2.agents:
         return False
-    dag = isinstance(p1, BcDag)
+    if isinstance(p1, BcDag):
+        try:
+            return renumber(p1)[0].nodes == renumber(p2)[0].nodes
+        except DomainError:
+            return False
     pairs: dict[int, int] = {}
     paired: set[int] = set()
     ids = pairs.__getitem__
@@ -1098,12 +1089,6 @@ def structurally_equal(p1: Protocol, p2: Protocol) -> bool:
     try:
         while stack:
             a, b = stack.pop()
-            if dag:
-                if a in pairs or b in paired:
-                    if pairs.get(a) != b:
-                        return False
-                    continue
-                a, b = p1.nodes[a], p2.nodes[b]
             kids_a, kids_b = _children(a), _children(b)
             if type(a) is not type(b) or len(kids_a) != len(kids_b):
                 return False

@@ -92,7 +92,13 @@ class Grid:
 
 
 def build_grid(vals: Sequence[Valuation], denominator_cap: int) -> Grid:
-    """{0, 1}, all breakpoints, and one refinement round of p/q marks."""
+    """{0, 1}, all breakpoints, and one refinement round of p/q marks.
+
+    Between two consecutive anchors (0, 1 and the breakpoints) every density
+    is constant, so ``v.mark(a, b, p/q)`` is ``a + p/q * (b - a)`` when ``v``
+    gives ``[a, b]`` positive value, and ``a`` otherwise, so the grid is
+    built without ``mark`` queries.
+    """
     if denominator_cap < 2:
         raise DomainError("denominator cap must be >= 2")
     base: set[Fraction] = {ZERO, ONE}
@@ -100,11 +106,11 @@ def build_grid(vals: Sequence[Valuation], denominator_cap: int) -> Grid:
         base.update(v.breakpoints)
     anchors = sorted(base)
     points = set(base)
-    for v in vals:
-        for a, b in zip(anchors, anchors[1:]):
-            for q in range(2, denominator_cap + 1):
-                for p in range(1, q):
-                    points.add(v.mark(a, b, Fraction(p, q)))
+    ratios = {Fraction(p, q) for q in range(2, denominator_cap + 1) for p in range(1, q)}
+    for a, b in zip(anchors, anchors[1:]):
+        if any(v.value(a, b) for v in vals):
+            width = b - a
+            points.update(a + t * width for t in ratios)
     return Grid(tuple(sorted(points)))
 
 

@@ -212,12 +212,6 @@ class Allocation:
             for intervals in self.pieces
         ]
 
-    @staticmethod
-    def from_json(obj) -> "Allocation":
-        return Allocation(
-            tuple(tuple((frac(lo), frac(hi)) for lo, hi in ivs) for ivs in obj)
-        )
-
 
 def envy_matrix(alloc: Allocation, vals: Sequence[Valuation]) -> tuple[tuple[Fraction, ...], ...]:
     """entry(i, j) = max(V_i(X_j) - V_i(X_i), 0), computed exactly."""

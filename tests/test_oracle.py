@@ -5,6 +5,8 @@ from pathlib import Path
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cakewalk.cli import load_protocol
 from cakewalk.engine import (
@@ -31,6 +33,7 @@ from helpers import (
     CountingMemo, grid_within, linked_by_nid, memo_by_nid, random_bc_tree, random_gcc,
     reconverging_dags,
 )
+from validator_reference import mark_grid
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +183,15 @@ class TestBuildGrid:
     def test_rejects_tiny_cap(self):
         with pytest.raises(DomainError):
             build_grid([uniform()], 1)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 8)), min_size=1,
+                    max_size=3),
+           st.integers(2, 8))
+    def test_equals_the_grid_of_mark_queries(self, specs, cap):
+        """Seeded random valuations, some with zero-density segments."""
+        vals = [random_valuation(seed, segments) for seed, segments in specs]
+        assert build_grid(vals, cap) == mark_grid(vals, cap)
 
 
 class TestCanGuarantee:

@@ -12,21 +12,29 @@ here now.
 ``ir.PartialOrder`` over one walk's ``ir._Slots`` bound by ``bound_cut``,
 and ``SlotOrder`` reads any such order by ``CutRef``, so the tests compare
 it with the reference ref by ref.
+
+The last section keeps three more references (``tests/test_dag_walk.py``):
+``validate_dag`` as three passes over a DAG's ids (a reachability stack, a
+colour DFS and a breadth-first count of cuts), the DAG branch of
+``renumber`` with its own id stack, and ``build_grid`` by ``mark`` queries.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Optional
+from fractions import Fraction
+from typing import Iterable, Optional, Sequence
 
 from cakewalk import ir
 from cakewalk.ir import (
-    And, ChoseAt, Condition, CutInAt, CutRef, END, Else, ExtBcTree, ExtChoose,
-    ExtCut, ExtLeaf, GccChoose, GccCut, GccIfElse, GccLeaf, GccMode, GccTree, Less,
-    ORIGIN, Piece, ValidationReport, Verdict, at, children_of, condition_atoms,
-    fold_condition, _check_agent, _walk,
+    And, BcCut, BcDag, ChoseAt, Condition, CutInAt, CutRef, END, Else, ExtBcTree,
+    ExtChoose, ExtCut, ExtLeaf, GccChoose, GccCut, GccIfElse, GccLeaf, GccMode, GccTree,
+    Less, ORIGIN, Piece, ValidationReport, Verdict, at, children_of, condition_atoms,
+    fold_condition, _check_agent, _check_bc_node, _map_node, _walk,
 )
 from cakewalk.errors import DomainError
+from cakewalk.oracle import Grid
+from cakewalk.valuation import ONE, Valuation, ZERO
 
 
 def _check_span(report, path, nid, lo: CutRef, hi: CutRef, cuts: set[int],
@@ -463,3 +471,139 @@ def _covers_whole_cake(allocated: tuple[Piece, ...], order: PartialOrder) -> boo
             return False
 
 
+
+
+# ---------------------------------------------------------------------------
+# The DAG validator, the DAG branch of ``renumber`` and the grid builder as
+# they were before ``ir._walk_ids`` and the mark-free ``oracle.build_grid``.
+# ``validate_dag`` made three passes over the ids; each is kept as its own
+# function so the tests can run the reachability pass and the colour DFS
+# alone.
+
+
+def dag_reachability(d: BcDag) -> tuple[set[int], list[tuple[int, int]]]:
+    """The ids reachable from the root, and each edge from one of them to a
+    missing id as ``(parent, kid)``, in the order the stack met them."""
+    reached: set[int] = set()
+    missing = []
+    stack = [d.root]
+    while stack:
+        nid = stack.pop()
+        if nid in reached:
+            continue
+        reached.add(nid)
+        node = d.nodes[nid]
+        for kid in children_of(node):
+            if kid not in d.nodes:
+                missing.append((nid, kid))
+            else:
+                stack.append(kid)
+    return reached, missing
+
+
+def dag_first_cycle(d: BcDag) -> Optional[tuple[int, int]]:
+    """The first back edge ``(parent, kid)`` met by DFS colouring from the
+    root, children in order, or None.  A frame holds a node and its
+    children not yet tried.  An edge to a missing id is passed over, so the
+    pass also runs alone on a DAG that has one."""
+    WHITE, GREY, BLACK = 0, 1, 2
+    colour = dict.fromkeys(d.nodes, WHITE)
+    colour[d.root] = GREY
+    stack = [(d.root, iter(children_of(d.nodes[d.root])))]
+    while stack:
+        nid, kids = stack[-1]
+        for kid in kids:
+            state = colour.get(kid, BLACK)
+            if state == GREY:
+                return nid, kid
+            if state == WHITE:
+                colour[kid] = GREY
+                stack.append((kid, iter(children_of(d.nodes[kid]))))
+                break
+        else:
+            colour[nid] = BLACK
+            stack.pop()
+    return None
+
+
+def validate_dag(d: BcDag) -> ValidationReport:
+    report = ValidationReport()
+    if d.root not in d.nodes:
+        report.error("root", d.root, "root id missing from node map")
+        return report
+
+    reached, missing = dag_reachability(d)
+    for nid, kid in missing:
+        report.error(f"node {nid}", nid, f"edge to missing node {kid}")
+    for nid in d.nodes:
+        if nid not in reached:
+            report.error(f"node {nid}", nid, "unreachable from root")
+    if not report.ok:
+        return report
+
+    cycle = dag_first_cycle(d)
+    if cycle is not None:
+        nid, kid = cycle
+        report.error(f"node {nid}", nid, f"cycle through node {kid}")
+        return report
+
+    # Every root->node path must make the same number of cuts.
+    depth: dict[int, int] = {d.root: 0}
+    queue = [d.root]
+    for nid in queue:  # breadth first: the loop reads what it appends
+        node = d.nodes[nid]
+        want = depth[nid] + isinstance(node, BcCut)
+        for kid in children_of(node):
+            if kid in depth:
+                if depth[kid] != want:
+                    report.error(
+                        f"node {kid}", kid,
+                        f"paths disagree on cut count ({depth[kid]} vs {want})",
+                    )
+            else:
+                depth[kid] = want
+                queue.append(kid)
+    if not report.ok:
+        return report
+
+    for nid, node in d.nodes.items():
+        _check_bc_node(report, d.agents, node, f"node {nid}", depth[nid])
+    return report
+
+
+def renumber_dag(p: BcDag) -> tuple[BcDag, dict[int, int]]:
+    """``ir.renumber``'s DAG branch: each stored node once, in preorder."""
+    mapping: dict[int, int] = {}
+    ids = mapping.__getitem__
+    try:
+        order = []
+        stack = [p.root]
+        while stack:
+            nid = stack.pop()
+            if nid not in mapping:
+                mapping[nid] = len(order)
+                order.append(p.nodes[nid])
+                stack.extend(reversed(children_of(order[-1])))
+        nodes = {ids(node.nid): _map_node(node, ids, map(ids, children_of(node)))
+                 for node in order}
+        return BcDag(p.agents, ids(p.root), nodes), mapping
+    except KeyError as exc:
+        raise DomainError(f"node {exc.args[0]} is named but not in the protocol") from None
+
+
+def mark_grid(vals: Sequence[Valuation], denominator_cap: int) -> Grid:
+    """``oracle.build_grid`` by ``mark`` queries: {0, 1}, all breakpoints,
+    and one refinement round of p/q marks."""
+    if denominator_cap < 2:
+        raise DomainError("denominator cap must be >= 2")
+    base: set[Fraction] = {ZERO, ONE}
+    for v in vals:
+        base.update(v.breakpoints)
+    anchors = sorted(base)
+    points = set(base)
+    for v in vals:
+        for a, b in zip(anchors, anchors[1:]):
+            for q in range(2, denominator_cap + 1):
+                for p in range(1, q):
+                    points.add(v.mark(a, b, Fraction(p, q)))
+    return Grid(tuple(sorted(points)))
